@@ -116,6 +116,13 @@ class TaintConfig:
             "n", "size", "copy", "insert", "add_element",
             "is_consistent", "would_be_consistent", "propagate",
         }),
+        # a shard's rebuild recipe carries the sensitive column in
+        # ``values``; every other field is public serving configuration
+        "repro.serving.shards.ShardSpec": frozenset({
+            "index", "low", "high", "auditor", "seed", "wal_dir",
+            "checkpoint_every", "checkpoint_bytes", "replicate_to",
+            "user_rate", "user_burst", "max_in_flight",
+        }),
     })
     #: attribute names on *untyped* dataset-ish receivers (name fallback)
     source_attr_names: FrozenSet[str] = frozenset({

@@ -653,6 +653,7 @@ def _serve_http(args) -> int:
 
     from .exceptions import ReproError
     from .io import read_records
+    from .sdb.engine import sensitive_values
     from .serving import AuditServer, DeadlinePolicy, ServerConfig
     from .serving.shards import ShardSpec, ShardSupervisor
 
@@ -667,17 +668,14 @@ def _serve_http(args) -> int:
     try:
         with open(args.csv, newline="") as handle:
             records = read_records(handle)
+        if args.sensitive not in records[0]:
+            print(f"error: sensitive column {args.sensitive!r} not found; "
+                  f"columns are {sorted(records[0])}")
+            return 2
+        values, low, high = sensitive_values(records, args.sensitive)
     except (OSError, ReproError) as exc:
         print(f"error: {exc}")
         return 2
-    if args.sensitive not in records[0]:
-        print(f"error: sensitive column {args.sensitive!r} not found; "
-              f"columns are {sorted(records[0])}")
-        return 2
-    values = tuple(float(rec[args.sensitive]) for rec in records)
-    low, high = min(values), max(values)
-    if low >= high:
-        low, high = low - 1.0, high + 1.0
 
     num_shards = max(1, getattr(args, "shards", 2) or 1)
 
@@ -687,7 +685,7 @@ def _serve_http(args) -> int:
     specs = []
     for index in range(num_shards):
         specs.append(ShardSpec(
-            index=index, values=values, low=low, high=high,
+            index=index, values=tuple(values), low=low, high=high,
             auditor=args.auditor, seed=args.seed,
             wal_dir=shard_dir(args.wal, index) if args.wal else None,
             checkpoint_every=getattr(args, "checkpoint_every", None),

@@ -11,6 +11,7 @@ all ``v``; Lemma 3 gives ``O(k log k)`` mixing under the stronger condition
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -45,10 +46,11 @@ class ColoringChain:
     :meth:`run` pre-draws its randomness in a canonical block order (all
     node picks, then all proposal positions) and resolves proposals from
     per-node cumulative tables; with ``vectorized=True`` (the default)
-    the searchsorted lookups are batched per node, with
+    the searchsorted lookups are batched per node (runs shorter than
+    :data:`BATCH_MIN_STEPS` bisect each table as a Python list), with
     ``vectorized=False`` they are resolved one transition at a time from
-    the *same* blocks — the two modes are bitwise-identical, which the
-    differential suite asserts.  :meth:`step` keeps the original
+    the *same* blocks by :func:`~repro.rng.choice_from_cdf` — the modes
+    are bitwise-identical, which the differential suite asserts.  :meth:`step` keeps the original
     per-transition draw order for callers that interleave other draws.
     """
 
@@ -69,25 +71,20 @@ class ColoringChain:
         self._colors: List[List[int]] = []
         self._probs: List[np.ndarray] = []
         self._cdfs: List[Optional[np.ndarray]] = []
+        self._cdf_lists: List[Optional[List[float]]] = []
         self._neighbors: List[List[int]] = []
         for node in graph.nodes:
             colours = sorted(node.elements)
-            weights = np.array(
-                [self._finite_weight(graph.weights[c]) for c in colours],
-                dtype=float,
-            )
+            weights = graph.weights[colours]
+            # Infinite weights belong to exactly-determined elements, which
+            # only occur in singleton predicates where the choice is forced.
+            weights[~np.isfinite(weights)] = 1.0
+            cdf = choice_cdf(weights) if len(colours) > 1 else None
             self._colors.append(colours)
             self._probs.append(weights / weights.sum())
-            self._cdfs.append(
-                choice_cdf(weights) if len(colours) > 1 else None
-            )
+            self._cdfs.append(cdf)
+            self._cdf_lists.append(None if cdf is None else cdf.tolist())
             self._neighbors.append(list(graph.neighbors(node.node_id)))
-
-    @staticmethod
-    def _finite_weight(w: float) -> float:
-        # Infinite weights belong to exactly-determined elements, which only
-        # occur in singleton predicates where the choice is forced anyway.
-        return w if math.isfinite(w) else 1.0
 
     # ------------------------------------------------------------------
 
@@ -137,29 +134,35 @@ class ColoringChain:
             return dict(self.state)
         v_block = integer_block(self._rng, k, steps)
         u_block = uniform_block(self._rng, steps)
+        proposal_idx: Optional[List[int]] = None
+        u_list: Optional[List[float]] = None
         if self.vectorized and steps >= BATCH_MIN_STEPS:
-            proposal_idx = np.zeros(steps, dtype=np.intp)
+            batched = np.zeros(steps, dtype=np.intp)
             for v in np.unique(v_block):
                 cdf = self._cdfs[v]
                 if cdf is not None:
                     sel = v_block == v
-                    proposal_idx[sel] = cdf.searchsorted(u_block[sel],
-                                                         side="right")
-        else:
-            proposal_idx = None
+                    batched[sel] = cdf.searchsorted(u_block[sel],
+                                                    side="right")
+            proposal_idx = batched.tolist()
+        elif self.vectorized:
+            # Short runs: bisect_right over the CDF as a list is the same
+            # search as searchsorted(side="right") on the same doubles.
+            u_list = u_block.tolist()
         state = self.state
-        for s in range(steps):
+        for s, v in enumerate(v_block.tolist()):
             fault_site("coloring.step")
             if checkpoint is not None:
                 checkpoint()
-            v = int(v_block[s])
             colours = self._colors[v]
             if len(colours) == 1:
                 continue
-            if proposal_idx is None:
-                idx = int(choice_from_cdf(self._cdfs[v], u_block[s]))
+            if proposal_idx is not None:
+                idx = proposal_idx[s]
+            elif u_list is not None:
+                idx = bisect_right(self._cdf_lists[v], u_list[s])
             else:
-                idx = int(proposal_idx[s])
+                idx = int(choice_from_cdf(self._cdfs[v], u_block[s]))
             proposal = colours[idx]
             if proposal == state[v]:
                 continue

@@ -10,13 +10,14 @@ min nodes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
+import numpy as np
+
 from ..exceptions import ColoringError
-from ..synopsis.combined import CombinedSynopsis
+from ..synopsis.combined import CombinedSynopsis, RangeTable
 
 Coloring = Dict[int, int]  # node id -> element (colour)
 
@@ -38,6 +39,10 @@ class ColoringGraph:
     ----------
     synopsis:
         A propagated :class:`~repro.synopsis.combined.CombinedSynopsis`.
+
+    The synopsis's range table is computed once, as :attr:`ranges`; the
+    colour weights (:attr:`weights`, an array indexed by element) and
+    the posterior sampler's fills and bucket masses all read it.
     """
 
     def __init__(self, synopsis: CombinedSynopsis):
@@ -50,23 +55,32 @@ class ColoringGraph:
                 value=pred.value,
                 is_max=pred.is_max,
             ))
-        self._adjacency: List[List[int]] = [[] for _ in self.nodes]
-        for u, w in itertools.combinations(self.nodes, 2):
-            if u.elements & w.elements:
-                self._adjacency[u.node_id].append(w.node_id)
-                self._adjacency[w.node_id].append(u.node_id)
-        self.weights: Dict[int, float] = {}
+        #: Every element's feasible interval ``R_i``, built once.
+        self.ranges: RangeTable = synopsis.range_table()
+        # Within a side predicates are pairwise disjoint, so each element
+        # has at most one max and one min owner, and the edges are exactly
+        # the (max, min) owner pairs.  Max nodes precede min nodes, so the
+        # sorted pairs fill every adjacency list in ascending order.
+        k = len(self.nodes)
+        max_owner = np.full(synopsis.n, -1)
+        min_owner = np.full(synopsis.n, -1)
         for node in self.nodes:
-            for element in node.elements:
-                if element not in self.weights:
-                    length = synopsis.range_of(element).length
-                    # Propagation guarantees multi-element predicates only
-                    # contain elements with non-degenerate ranges; singleton
-                    # predicates have a single forced colour whose weight
-                    # never influences a choice.
-                    self.weights[element] = (
-                        1.0 / length if length > 0 else float("inf")
-                    )
+            owner = max_owner if node.is_max else min_owner
+            owner[list(node.elements)] = node.node_id
+        shared = (max_owner >= 0) & (min_owner >= 0)
+        pairs = np.unique(max_owner[shared] * k + min_owner[shared])
+        self._adjacency: List[List[int]] = [[] for _ in self.nodes]
+        for u, w in zip((pairs // k).tolist(), (pairs % k).tolist()):
+            self._adjacency[u].append(w)
+            self._adjacency[w].append(u)
+        # Colour weights ``1/|R_i|``, indexed by element.  Propagation
+        # guarantees multi-element predicates only contain elements with
+        # non-degenerate ranges; singleton predicates have a single forced
+        # colour whose (infinite) weight never influences a choice.
+        length = np.maximum(0.0, self.ranges.hi - self.ranges.lo)
+        with np.errstate(divide="ignore"):
+            self.weights: np.ndarray = np.where(length > 0, 1.0 / length,
+                                                np.inf)
 
     # ------------------------------------------------------------------
     # Structure
@@ -108,11 +122,12 @@ class ColoringGraph:
         """
         if not self.nodes:
             return True, 0.0, 0.0
-        finite = [w for w in self.weights.values() if math.isfinite(w)]
-        if not finite:
+        colours = sorted(set().union(*(v.elements for v in self.nodes)))
+        finite = self.weights[colours][np.isfinite(self.weights[colours])]
+        if not finite.size:
             return True, float(self.min_colors()), 0.0
-        p_max = max(finite)
-        p_min = min(finite)
+        p_max = float(finite.max())
+        p_min = float(finite.min())
         m = float(self.min_colors())
         threshold = self.max_degree() * (1.0 + 2.0 * p_max / p_min)
         return m > threshold, m, threshold
@@ -139,7 +154,7 @@ class ColoringGraph:
         """``log P~(c)`` up to the normalising constant."""
         total = 0.0
         for node_id, colour in coloring.items():
-            w = self.weights[colour]
+            w = float(self.weights[colour])
             total += math.log(w) if math.isfinite(w) else 0.0
         return total
 

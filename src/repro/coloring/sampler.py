@@ -19,45 +19,34 @@ from .chain import ColoringChain
 from .graph import Coloring, ColoringGraph
 
 
-def _containing_bucket(edges: np.ndarray, value: float) -> int:
-    """0-based bucket index containing ``value`` (boundary values belong to
-    the left bucket, matching the paper's ``ceil`` convention)."""
-    idx = int(np.searchsorted(edges, value, side="left")) - 1
-    return min(max(idx, 0), len(edges) - 2)
+def _containing_bucket(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """0-based bucket index containing each value (boundary values belong
+    to the left bucket, matching the paper's ``ceil`` convention)."""
+    idx = np.searchsorted(edges, values, side="left") - 1
+    return np.clip(idx, 0, len(edges) - 2)
 
 
 def dataset_from_coloring(graph: ColoringGraph, coloring: Coloring,
                           rng: RngLike = None) -> List[float]:
     """Materialise a dataset from a colouring (steps 2–3 of Lemma 1).
 
-    The uniform fills are drawn as one block over the free elements in
-    index order, which is bitwise-identical to the per-element
-    ``Generator.uniform`` calls it replaces.
+    Witnesses take their predicate's value, point ranges their point, and
+    the uniform fills are drawn as one block over the remaining elements
+    in index order, which is bitwise-identical to per-element
+    ``Generator.uniform`` calls.
     """
     gen = as_generator(rng)
-    synopsis = graph.synopsis
-    values: List[Optional[float]] = [None] * synopsis.n
-    for node in graph.nodes:
-        values[coloring[node.node_id]] = node.value
-    free: List[int] = []
-    lows: List[float] = []
-    highs: List[float] = []
-    for i in range(synopsis.n):
-        if values[i] is not None:
-            continue
-        rng_i = synopsis.range_of(i)
-        if rng_i.is_point:
-            values[i] = rng_i.lo
-        else:
-            free.append(i)
-            lows.append(rng_i.lo)
-            highs.append(rng_i.hi)
-    if free:
-        fills = scale_uniform(uniform_block(gen, len(free)),
-                              np.asarray(lows), np.asarray(highs))
-        for i, fill in zip(free, fills):
-            values[i] = float(fill)
-    return [float(v) for v in values]
+    lo, lo_closed, hi, hi_closed = graph.ranges
+    values = lo.copy()
+    free = ~((lo == hi) & lo_closed & hi_closed)
+    witnesses = [coloring[node.node_id] for node in graph.nodes]
+    values[witnesses] = [node.value for node in graph.nodes]
+    free[witnesses] = False
+    free_idx = np.flatnonzero(free)
+    if free_idx.size:
+        values[free_idx] = scale_uniform(uniform_block(gen, free_idx.size),
+                                         lo[free_idx], hi[free_idx])
+    return values.tolist()
 
 
 class PosteriorSampler:
@@ -160,30 +149,38 @@ class PosteriorSampler:
         Returns an ``(n, gamma)`` matrix; ``edges`` has ``gamma + 1``
         increasing bucket boundaries.
         """
-        synopsis = self.graph.synopsis
-        n = synopsis.n
+        lo, _, hi, _ = self.graph.ranges
+        n = len(lo)
         gamma = len(edges) - 1
         witness = self.estimate_witness_probabilities(count) if count else {}
         probs = np.zeros((n, gamma), dtype=float)
-        # Point-mass contributions from witness roles.
-        point_mass = np.zeros(n)
-        for node in self.graph.nodes:
-            bucket_idx = _containing_bucket(edges, node.value)
+        # Point-mass contributions from witness roles.  An element is a
+        # colour of at most one max and one min node, so each cell sums at
+        # most two terms and the summation order cannot change a bit.
+        elements: List[int] = []
+        buckets: List[int] = []
+        masses: List[float] = []
+        node_buckets = _containing_bucket(
+            edges, [node.value for node in self.graph.nodes]).tolist()
+        for node, bucket_idx in zip(self.graph.nodes, node_buckets):
             for element, pi in witness.get(node.node_id, {}).items():
-                probs[element, bucket_idx] += pi
-                point_mass[element] += pi
+                elements.append(element)
+                buckets.append(bucket_idx)
+                masses.append(pi)
+        rows = np.array(elements, dtype=np.intp)
+        np.add.at(probs, (rows, np.array(buckets, dtype=np.intp)), masses)
+        point_mass = np.zeros(n)
+        np.add.at(point_mass, rows, masses)
         # Exact uniform mass over each element's range for the rest.
-        for i in range(n):
-            rng_i = synopsis.range_of(i)
-            remaining = 1.0 - point_mass[i]
-            if remaining <= 0.0:
-                continue
-            if rng_i.length <= 0.0:
-                probs[i, _containing_bucket(edges, rng_i.lo)] += remaining
-                continue
-            for j in range(gamma):
-                overlap = (min(rng_i.hi, float(edges[j + 1]))
-                           - max(rng_i.lo, float(edges[j])))
-                if overlap > 0:
-                    probs[i, j] += remaining * overlap / rng_i.length
+        remaining = 1.0 - point_mass
+        length = np.maximum(0.0, hi - lo)
+        has_rest = remaining > 0.0
+        point = np.flatnonzero(has_rest & (length <= 0.0))
+        probs[point, _containing_bucket(edges, lo[point])] += remaining[point]
+        spread = has_rest & (length > 0.0)
+        for j in range(gamma):
+            overlap = (np.minimum(hi, float(edges[j + 1]))
+                       - np.maximum(lo, float(edges[j])))
+            hit = np.flatnonzero(spread & (overlap > 0))
+            probs[hit, j] += remaining[hit] * overlap[hit] / length[hit]
         return probs

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import InvalidQueryError
 from ..types import AggregateKind, AuditDecision, Query
@@ -39,6 +39,54 @@ from .dataset import Dataset
 from .predicates import Predicate, canonical_key
 from .table import Table
 from .updates import Delete, Insert, Modify, UpdateEvent
+
+
+def sensitive_values(records: Sequence[Mapping[str, Any]],
+                     sensitive_column: str,
+                     low: Optional[float] = None,
+                     high: Optional[float] = None,
+                     ) -> Tuple[List[float], float, float]:
+    """The sensitive column of row dicts as floats, with its envelope.
+
+    Returns ``(values, low, high)``; an omitted bound is the column's
+    min or max.  A cell that is not a number raises
+    :class:`InvalidQueryError` naming the column only: the cell is a
+    sensitive value.
+    """
+    if not records:
+        raise InvalidQueryError("need at least one record")
+    values = []
+    for rec in records:
+        if sensitive_column not in rec:
+            raise InvalidQueryError(
+                f"record missing sensitive column {sensitive_column!r}"
+            )
+        try:
+            values.append(float(rec[sensitive_column]))
+        except (TypeError, ValueError):
+            raise InvalidQueryError(
+                f"sensitive column {sensitive_column!r} holds a "
+                f"non-numeric value"
+            ) from None
+    lo = min(values) if low is None else low
+    hi = max(values) if high is None else high
+    if lo >= hi:
+        # A degenerate envelope (constant column, or inverted explicit
+        # bounds) is silently widened so the Dataset invariant holds —
+        # but the envelope is *public* model input: the probabilistic
+        # auditors' priors, bucket grids, and therefore their
+        # deny/answer decisions all change with it.  Make the guess
+        # loud so operators pass an intentional range instead.
+        warnings.warn(
+            "degenerate sensitive-value envelope (constant column or "
+            "inverted explicit bounds) widened by 1.0 on each side; "
+            "the envelope is a public privacy parameter — pass "
+            "explicit low/high bounds instead of relying on this "
+            "fallback",
+            UserWarning, stacklevel=3,
+        )
+        lo, hi = lo - 1.0, hi + 1.0
+    return values, lo, hi
 
 
 class StatisticalDatabase:
@@ -113,39 +161,14 @@ class StatisticalDatabase:
                 "replicate_to requires wal_path (the primary's "
                 "checkpointed WAL directory)"
             )
-        if not records:
-            raise InvalidQueryError("need at least one record")
-        values = []
-        public_rows = []
-        for rec in records:
-            if sensitive_column not in rec:
-                raise InvalidQueryError(
-                    f"record missing sensitive column {sensitive_column!r}"
-                )
-            values.append(float(rec[sensitive_column]))
-            public_rows.append({k: v for k, v in rec.items() if k != sensitive_column})
+        values, lo, hi = sensitive_values(records, sensitive_column,
+                                          low, high)
+        public_rows = [{k: v for k, v in rec.items() if k != sensitive_column}
+                       for rec in records]
         columns = sorted({k for row in public_rows for k in row})
         table = Table(columns)
         for row in public_rows:
             table.insert(row)
-        lo = min(values) if low is None else low
-        hi = max(values) if high is None else high
-        if lo >= hi:
-            # A degenerate envelope (constant column, or inverted explicit
-            # bounds) is silently widened so the Dataset invariant holds —
-            # but the envelope is *public* model input: the probabilistic
-            # auditors' priors, bucket grids, and therefore their
-            # deny/answer decisions all change with it.  Make the guess
-            # loud so operators pass an intentional range instead.
-            warnings.warn(
-                "degenerate sensitive-value envelope (constant column or "
-                "inverted explicit bounds) widened by 1.0 on each side; "
-                "the envelope is a public privacy parameter — pass "
-                "explicit low/high bounds instead of relying on this "
-                "fallback",
-                UserWarning, stacklevel=2,
-            )
-            lo, hi = lo - 1.0, hi + 1.0
         dataset = Dataset(values, low=lo, high=hi)
         if wal_path is not None:
             from ..resilience.wal import open_wal_auditor

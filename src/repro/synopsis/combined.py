@@ -23,7 +23,9 @@ The rules run to fixpoint after every insert; inserts are transactional
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, NamedTuple
+
+import numpy as np
 
 from ..exceptions import InconsistentAnswersError, InvalidQueryError
 from ..types import AggregateKind
@@ -59,6 +61,15 @@ class ElementRange:
         if v == self.hi and not self.hi_closed:
             return False
         return True
+
+
+class RangeTable(NamedTuple):
+    """Every element's :class:`ElementRange` as four length-``n`` arrays."""
+
+    lo: np.ndarray
+    lo_closed: np.ndarray
+    hi: np.ndarray
+    hi_closed: np.ndarray
 
 
 class CombinedSynopsis:
@@ -102,6 +113,26 @@ class CombinedSynopsis:
         lo_val, lo_closed = self.min_side.bound(element)
         assert hi_val is not None and lo_val is not None
         return ElementRange(lo_val, lo_closed, hi_val, hi_closed)
+
+    def range_table(self) -> RangeTable:
+        """:meth:`range_of` for all ``n`` elements at once.
+
+        One pass over both sides' predicates, then the determined values
+        (min side last, as in :attr:`determined`).  Built on demand:
+        copies and inserts carry no table.
+        """
+        hi, hi_closed = self.max_side.bound_arrays()
+        lo, lo_closed = self.min_side.bound_arrays()
+        for side in (self.max_side, self.min_side):
+            if not side.determined:
+                continue
+            idx = np.fromiter(side.determined.keys(), dtype=np.intp,
+                              count=len(side.determined))
+            values = np.fromiter(side.determined.values(), dtype=float,
+                                 count=len(side.determined))
+            lo[idx] = hi[idx] = values
+            lo_closed[idx] = hi_closed[idx] = True
+        return RangeTable(lo, lo_closed, hi, hi_closed)
 
     def copy(self) -> "CombinedSynopsis":
         """Independent deep copy."""
@@ -239,41 +270,43 @@ class CombinedSynopsis:
 
     def _apply_forced_witnesses(self) -> bool:
         """Pin witnesses whose feasible interval degenerates to the value."""
-        for side, opposite in ((self.max_side, self.min_side),
-                               (self.min_side, self.max_side)):
+        max_bounds = self.max_side.bound_arrays()
+        min_bounds = self.min_side.bound_arrays()
+        for side, (opp_val, opp_closed) in ((self.max_side, min_bounds),
+                                            (self.min_side, max_bounds)):
             for pid, pred in side.items():
                 if not pred.equality or pred.determines_value:
                     continue
-                forced = []
-                for j in pred.elements:
-                    opp_val, opp_closed = opposite.bound(j)
-                    if opp_val is None:
-                        continue
-                    if opp_val == pred.value and opp_closed:
-                        forced.append(j)
-                    elif side.direction * (opp_val - pred.value) > 0:
-                        # opposite bound already beyond this predicate's value
-                        raise InconsistentAnswersError(
-                            "element bounds cross at an equality predicate"
-                        )
+                idx = np.fromiter(pred.elements, dtype=np.intp,
+                                  count=len(pred.elements))
+                vals = opp_val[idx]
+                if (side.direction * (vals - pred.value) > 0).any():
+                    # opposite bound already beyond this predicate's value
+                    raise InconsistentAnswersError(
+                        "element bounds cross at an equality predicate"
+                    )
+                forced = idx[(vals == pred.value) & opp_closed[idx]]
                 if len(forced) > 1:
                     raise InconsistentAnswersError(
                         f"{len(forced)} elements forced to equal one "
                         f"predicate value"
                     )
-                if forced:
-                    side.force_witness(pid, forced[0])
+                if len(forced):
+                    side.force_witness(pid, int(forced[0]))
                     return True
         return False
 
     def _check_ranges(self) -> None:
-        for i in range(self.n):
-            rng = self.range_of(i)
-            if rng.lo > rng.hi:
-                raise InconsistentAnswersError(
-                    f"element {i} has an empty feasible range"
-                )
-            if rng.lo == rng.hi and not (rng.lo_closed and rng.hi_closed):
-                raise InconsistentAnswersError(
-                    f"element {i} has a degenerate half-open range"
-                )
+        lo, lo_closed, hi, hi_closed = self.range_table()
+        empty = lo > hi
+        half_open = (lo == hi) & ~(lo_closed & hi_closed)
+        bad = np.flatnonzero(empty | half_open)
+        if not bad.size:
+            return
+        if empty[bad[0]]:
+            raise InconsistentAnswersError(
+                "an element has an empty feasible range"
+            )
+        raise InconsistentAnswersError(
+            "an element has a degenerate half-open range"
+        )

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..exceptions import InconsistentAnswersError, InvalidQueryError
 from .predicates import SynopsisPredicate
 
@@ -94,6 +96,25 @@ class ExtremeSynopsis:
                 return None, False
             return self.limit, True
         return pred.value, pred.equality
+
+    def bound_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every element's :meth:`bound` at once, as ``(values, closed)``.
+
+        Built on demand in one pass over the predicates; nothing is
+        cached, so :meth:`copy` and :meth:`insert` carry no table.  An
+        unbounded free element reads ``(direction * inf, False)``.
+        """
+        if self.limit is None:
+            values = np.full(self.n, self.direction * np.inf)
+        else:
+            values = np.full(self.n, self.limit)
+        closed = np.full(self.n, self.limit is not None)
+        for pred in self._preds.values():
+            idx = np.fromiter(pred.elements, dtype=np.intp,
+                              count=len(pred.elements))
+            values[idx] = pred.value
+            closed[idx] = pred.equality
+        return values, closed
 
     def equality_values(self) -> Dict[float, int]:
         """Map from equality-predicate value to predicate id."""

@@ -7,6 +7,7 @@ mechanism that broke.
 """
 
 from repro.sdb.dataset import Dataset
+from repro.serving.shards import ShardSpec
 from repro.types import AuditDecision
 
 
@@ -46,3 +47,16 @@ def branch_taint(dataset: Dataset, flag: bool) -> float:
     else:
         value = 0.0
     return value
+
+
+def spec_from_cells(dataset: Dataset) -> ShardSpec:
+    return ShardSpec(index=0, values=tuple(dataset.values), low=0.0,
+                     high=1.0)
+
+
+def spec_values(spec: ShardSpec):
+    return spec.values
+
+
+def spec_index(spec: ShardSpec) -> int:
+    return spec.index

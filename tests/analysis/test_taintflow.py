@@ -48,6 +48,14 @@ def test_dataset_cell_read_is_a_source(taint_and_module):
     assert _summary(taint_and_module, "pick_cell").returns_source
 
 
+def test_shard_spec_values_are_the_only_sensitive_field(taint_and_module):
+    # A spec built from cells is a handle; reading ``values`` back off a
+    # spec is a cell read, its configuration fields are public.
+    assert not _summary(taint_and_module, "spec_from_cells").returns_source
+    assert _summary(taint_and_module, "spec_values").returns_source
+    assert not _summary(taint_and_module, "spec_index").returns_source
+
+
 def test_len_sanitizes(taint_and_module):
     summary = _summary(taint_and_module, "scrub")
     assert not summary.returns_source

@@ -13,11 +13,17 @@ from __future__ import annotations
 
 import json
 
-from .workloads import NUM_QUERIES, WORKLOADS, golden_path, run_workload
+from .workloads import (
+    NUM_QUERIES,
+    SERVING_WORKLOADS,
+    WORKLOADS,
+    golden_path,
+    run_workload,
+)
 
 
 def main() -> None:
-    for name in WORKLOADS:
+    for name in [*WORKLOADS, *SERVING_WORKLOADS]:
         decisions = run_workload(name, vectorized=True)
         reference = run_workload(name, vectorized=False)
         if decisions != reference:
@@ -27,15 +33,22 @@ def main() -> None:
             )
         path = golden_path(name)
         with path.open("w") as fh:
-            json.dump(
-                {
-                    "workload": name,
-                    "queries": NUM_QUERIES,
-                    "decisions": decisions,
-                },
-                fh, indent=1,
-            )
-            fh.write("\n")
+            if name in SERVING_WORKLOADS:
+                # One decision per line: each lists 250-500 members.
+                fh.write(f'{{"workload": "{name}", '
+                         f'"queries": {len(decisions)}, "decisions": [\n')
+                fh.write(",\n".join(json.dumps(d) for d in decisions))
+                fh.write("\n]}\n")
+            else:
+                json.dump(
+                    {
+                        "workload": name,
+                        "queries": NUM_QUERIES,
+                        "decisions": decisions,
+                    },
+                    fh, indent=1,
+                )
+                fh.write("\n")
         answered = sum(1 for d in decisions if not d["denied"])
         print(f"{name}: wrote {path.name} "
               f"({answered}/{len(decisions)} answered)")

@@ -1,9 +1,11 @@
-"""Fixed-seed 200-query workloads for the differential replay goldens.
+"""Fixed-seed workloads for the differential replay goldens.
 
-Each workload builds a probabilistic auditor over a deterministic
-dataset and replays a deterministic query stream through it.  The
-decision sequence — every deny/answer bit, with answered values in
-``float.hex`` form — is captured bitwise.  The golden files lock the
+``WORKLOADS`` are 200-query streams at small n; ``SERVING_WORKLOADS``
+are short streams at serving size.  Each workload builds a
+probabilistic auditor over a deterministic dataset and replays a
+deterministic query stream through it.  The decision sequence — every
+deny/answer bit, with answered values in ``float.hex`` form — is
+captured bitwise.  The golden files lock the
 stream: the batched NumPy serving path (``vectorized=True``), the scalar
 reference path (``vectorized=False``) and the committed golden must all
 agree float-for-float, so vectorization can never silently change a
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -32,11 +34,12 @@ NUM_QUERIES = 200
 
 
 def _query_stream(n: int, seed: int, kinds: List[AggregateKind],
-                  count: int = NUM_QUERIES) -> List[Query]:
+                  count: int = NUM_QUERIES, min_size: int = 1,
+                  max_size: Optional[int] = None) -> List[Query]:
     gen = np.random.default_rng(seed)
     stream = []
     for i in range(count):
-        size = int(gen.integers(1, n + 1))
+        size = int(gen.integers(min_size, (max_size or n) + 1))
         members = frozenset(
             int(x) for x in gen.choice(n, size=size, replace=False)
         )
@@ -81,6 +84,31 @@ WORKLOADS = {
 }
 
 
+def _maxmin_prob_n1000(vectorized: bool):
+    # The deployed shape: `serve --auditor maxmin-prob` defaults (every
+    # privacy and sampling parameter, seed 0) over 1000 records, asked
+    # alternating max/min queries of 250-500 members.  The 200-query
+    # goldens above run at n <= 40, where no decision reaches the
+    # per-element costs that dominate at serving size.
+    dataset = Dataset.uniform(1000, rng=7, duplicate_free=True)
+    auditor = MaxMinProbabilisticAuditor(dataset, rng=0,
+                                         vectorized=vectorized)
+    return auditor, _query_stream(
+        1000, 103, [AggregateKind.MAX, AggregateKind.MIN],
+        count=SERVING_NUM_QUERIES, min_size=250, max_size=500,
+    )
+
+
+#: Decisions in each serving-shape golden (one costs ~0.1-0.3 s).
+SERVING_NUM_QUERIES = 24
+
+#: Goldens at serving size; short streams, replayed by
+#: ``tests/auditors/test_golden_serving_replay.py``.
+SERVING_WORKLOADS = {
+    "maxmin_prob_n1000": _maxmin_prob_n1000,
+}
+
+
 def decision_record(query: Query, decision) -> Dict[str, object]:
     """One decision, serialised bitwise (answers as ``float.hex``)."""
     return {
@@ -95,7 +123,8 @@ def decision_record(query: Query, decision) -> Dict[str, object]:
 
 def run_workload(name: str, vectorized: bool) -> List[Dict[str, object]]:
     """Replay workload ``name`` and return its decision records."""
-    auditor, stream = WORKLOADS[name](vectorized)
+    make = WORKLOADS.get(name) or SERVING_WORKLOADS[name]
+    auditor, stream = make(vectorized)
     return [decision_record(q, auditor.audit(q)) for q in stream]
 
 

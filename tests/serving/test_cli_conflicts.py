@@ -60,6 +60,35 @@ def test_listen_missing_csv_is_a_clean_error(capsys):
     assert "error:" in capsys.readouterr().out
 
 
+def test_listen_non_numeric_sensitive_cell_is_a_clean_error(tmp_path,
+                                                             capsys):
+    csv = tmp_path / "d.csv"
+    csv.write_text("x\n1.0\nnp.float64(2.5)\n")
+    code = main(["serve", "--csv", str(csv), "--sensitive", "x",
+                 "--listen", "127.0.0.1:0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: sensitive column 'x' holds a non-numeric value" \
+        in captured.out
+    assert "2.5" not in captured.out + captured.err   # the cell stays private
+
+
+def test_listen_warns_on_degenerate_envelope(tmp_path, monkeypatch):
+    from repro.exceptions import ReproError
+    from repro.serving import shards
+
+    def stop(*args, **kwargs):
+        raise ReproError("stopped before any worker starts")
+
+    monkeypatch.setattr(shards, "ShardSupervisor", stop)
+    csv = tmp_path / "d.csv"
+    csv.write_text("x\n5.0\n5.0\n")
+    with pytest.warns(UserWarning, match="degenerate sensitive-value"):
+        code = main(["serve", "--csv", str(csv), "--sensitive", "x",
+                     "--listen", "127.0.0.1:0"])
+    assert code == 2
+
+
 def test_plain_serve_still_works_without_conflicts(tmp_path, capsys):
     csv = tmp_path / "d.csv"
     csv.write_text("x\n1.0\n2.0\n5.0\n")

@@ -90,6 +90,27 @@ def test_serve_command_missing_file(capsys):
     assert "error:" in capsys.readouterr().out
 
 
+def test_serve_non_numeric_sensitive_cell_is_a_clean_error(tmp_path,
+                                                           capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("zip,salary\n94305,100.0\n94306,np.float64(2.5)\n")
+    code = main(["serve", "--csv", str(path), "--sensitive", "salary"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: sensitive column 'salary' holds a non-numeric value" \
+        in captured.out
+    assert "2.5" not in captured.out + captured.err   # the cell stays private
+
+
+def test_non_numeric_cell_error_names_the_column_only():
+    with pytest.raises(InvalidQueryError) as exc:
+        load_csv_string("zip,salary\n1,10.0\n2,n/a\n", "salary",
+                        SumClassicAuditor)
+    assert "n/a" not in str(exc.value) and "'salary'" in str(exc.value)
+    # No chained ValueError carries the cell into a traceback either.
+    assert exc.value.__cause__ is None and exc.value.__suppress_context__
+
+
 def test_serve_via_main_help(capsys):
     with pytest.raises(SystemExit):
         main(["serve", "--help"])
