@@ -124,24 +124,28 @@ def _measure_serving():
 # Kernel microbenches: the vectorized inner loops in isolation
 # ----------------------------------------------------------------------
 
-def _ensemble_kernel():
-    """Hit-and-run ensemble (the posterior-estimation hot path)."""
+def _ensemble_kernel(n, members, chains):
+    """Hit-and-run ensemble (the posterior-estimation hot path) over one
+    equality row on ``members``, at default steps."""
     def sampler(vectorized):
-        slice_ = AffineSlice(16)
-        slice_.add_equality([1.0] * 16, 8.0)
-        return HitAndRunSampler(slice_, np.full(16, 0.5), rng=4,
+        slice_ = AffineSlice(n)
+        row = np.zeros(n)
+        row[list(members)] = 1.0
+        slice_.add_equality(row, 0.5 * len(members))
+        return HitAndRunSampler(slice_, np.full(n, 0.5), rng=4,
                                 vectorized=vectorized)
 
     fast = sampler(True)
     start = time.perf_counter()
-    out_vec = fast.samples_ensemble(400)
+    out_vec = fast.samples_ensemble(chains)
     t_vec = time.perf_counter() - start
     slow = sampler(False)
     start = time.perf_counter()
-    out_ref = slow.samples_ensemble(400)
+    out_ref = slow.samples_ensemble(chains)
     t_ref = time.perf_counter() - start
     return {
-        "chains": 400,
+        "n": n,
+        "chains": chains,
         "reference_s": round(t_ref, 4),
         "vectorized_s": round(t_vec, 4),
         "speedup": round(t_ref / t_vec, 2),
@@ -181,12 +185,17 @@ def _coloring_kernel():
 def _measure_vectorization():
     serving = _measure_serving()
     kernels = {
-        "hit_and_run_ensemble": _ensemble_kernel(),
+        "hit_and_run_ensemble": _ensemble_kernel(16, range(16), 400),
+        # The sumprob_n40 serving shape: sum-prob's trial slice for a
+        # 10-member query, num_inner = 100 chains of 2 * 4 * 39 steps.
+        "hit_and_run_ensemble_n40": _ensemble_kernel(40, range(0, 40, 4),
+                                                     100),
         "coloring_run_vs_legacy_step": _coloring_kernel(),
     }
     hot_path_speedups = [
         serving["sum_prob"]["speedup"],
         kernels["hit_and_run_ensemble"]["speedup"],
+        kernels["hit_and_run_ensemble_n40"]["speedup"],
         kernels["coloring_run_vs_legacy_step"]["speedup"],
     ]
     return {
@@ -216,7 +225,8 @@ def test_vectorized_hot_paths_meet_speedup_floor(benchmark):
     # Vectorization must never change a released bit ...
     for name, result in serving.items():
         assert result["decisions_identical"], name
-    assert report["kernels"]["hit_and_run_ensemble"]["bitwise_identical"]
+    for name in ("hit_and_run_ensemble", "hit_and_run_ensemble_n40"):
+        assert report["kernels"][name]["bitwise_identical"], name
     # ... and must clear the floor wherever batching applies (max_prob /
     # maxmin_prob serving is dominated by closed-form posteriors and
     # short chains, so their end-to-end ratios hover near 1x by design;

@@ -1,6 +1,7 @@
 """The colouring graph ``G`` derived from a combined synopsis (§3.2).
 
-Nodes are equality predicates; the colours available at a node are the
+Nodes are equality predicates (a max and a min predicate pinning one element
+to the same value are one node); the colours available at a node are the
 elements of its query set (each of which could be the predicate's witness);
 edges join predicates with intersecting query sets — the no-duplicates
 assumption forbids a shared witness.  Because max (resp. min) predicates are
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 import numpy as np
 
@@ -48,7 +49,18 @@ class ColoringGraph:
     def __init__(self, synopsis: CombinedSynopsis):
         self.synopsis = synopsis
         self.nodes: List[ColoringNode] = []
+        # The same-value rule leaves max({j}) = M and min({j}) = M, two
+        # statements of x_j = M.  They become one node, the max one, so
+        # ``j`` is one node's colour and its witness mass counts once.
+        # Max predicates come first.
+        max_pins: Set[Tuple[int, float]] = set()
         for pred in synopsis.equality_predicates():
+            if pred.determines_value:
+                pin = (min(pred.elements), pred.value)
+                if pred.is_max:
+                    max_pins.add(pin)
+                elif pin in max_pins:
+                    continue
             self.nodes.append(ColoringNode(
                 node_id=len(self.nodes),
                 elements=pred.frozen_elements(),

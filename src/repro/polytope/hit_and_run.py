@@ -9,11 +9,14 @@ The chain is inherently sequential, but almost none of its per-transition
 work has to be: the serving hot path pre-draws the whole randomness block
 for a batch of transitions (:func:`repro.rng.direction_block` /
 :func:`repro.rng.uniform_block`) and walks the chain with direct ufunc
-calls into preallocated buffers.  A scalar *reference* walk
-(``vectorized=False``) consumes the **same** pre-drawn blocks through the
-original per-step operations; the two modes are bitwise-identical (the
-differential replay suite asserts this), so vectorization changes no
-released decision bit.  Both modes keep the per-transition
+calls into preallocated buffers.  The ensemble estimator walks many
+independent chains in lockstep and turns one step's Gaussian rows into
+directions at a time, so its working set is a few small buffers.  A
+scalar *reference* walk (``vectorized=False``) consumes the **same**
+pre-drawn blocks and directions through the original per-step
+operations; the two modes are bitwise-identical (the differential replay
+suite asserts this), so vectorization changes no released decision bit.
+Both modes keep the per-transition
 :func:`~repro.resilience.faults.fault_site` and cooperative-cancellation
 checkpoints, so budgets and fault drills see every transition.
 """
@@ -25,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..exceptions import SamplingError
-from ..resilience.faults import fault_site
+from ..resilience.faults import fault_site, plan_active
 from ..rng import RngLike, as_generator, direction_block, scale_uniform, \
     uniform_block
 from .halfspace import CHORD_TOL, AffineSlice
@@ -251,14 +254,15 @@ class HitAndRunSampler:
         (default ``2 * steps_per_sample``): the chains are mutually
         independent instead of autocorrelated, and the walk vectorizes
         **across chains** — each lockstep transition processes the whole
-        ``(count, n)`` ensemble with a handful of ufunc calls.  Because
-        every chain shares the seed state, the finite-burn-in bias does
-        not average out the way a sequential chain's accumulated mixing
-        does; doubling the per-chain budget brings the bucket-probability
-        error below the sequential thinned estimator's (measured in the
-        statistical suite), at a fraction of its wall-clock cost.  This
-        is how the probabilistic auditors estimate posterior bucket
-        probabilities.  ``self.state`` is not advanced.
+        ensemble with a handful of ufunc calls on small reused buffers.
+        Because every chain shares the seed state, the finite-burn-in
+        bias does not average out the way a sequential chain's
+        accumulated mixing does; doubling the per-chain budget brings the
+        bucket-probability error below the sequential thinned
+        estimator's (measured in the statistical suite), at a fraction of
+        its wall-clock cost.  This is how the probabilistic auditors
+        estimate posterior bucket probabilities.  ``self.state`` is not
+        advanced.
 
         Cancellation checkpoints and fault sites still fire once per
         underlying transition (``count * steps`` in total), so budget
@@ -278,94 +282,185 @@ class HitAndRunSampler:
                 if checkpoint is not None:
                     checkpoint()
             return np.tile(self.state, (count, 1))
-        # Canonical block order (step-major): chain c's step-s direction is
-        # row ``s * count + c``; positions follow the same layout.
-        unit, norms = direction_block(self._rng, steps * count, dim)
+        # Canonical block order (step-major): every Gaussian, then every
+        # position; chain c's step-s draws are row ``s * count + c``.
+        gauss = self._rng.standard_normal((steps * count, dim))
         u_block = uniform_block(self._rng, steps * count)
-        # Direction preparation is shared by both modes (a single GEMM and
-        # a GEMV differ in summation order, so the rows must come from the
-        # same kernel to stay bitwise-identical).
-        directions = unit @ basis.T
-        zero = norms == 0.0
-        if zero.any():  # pragma: no cover - measure zero
-            directions[zero] = 0.0
+        directions = _EnsembleDirections(basis, gauss, count)
         if self.vectorized:
-            return self._ensemble_vectorized(directions, zero, u_block,
-                                             count, steps)
-        return self._ensemble_reference(directions, zero, u_block,
-                                        count, steps)
+            return self._ensemble_vectorized(directions, u_block, steps)
+        return self._ensemble_reference(directions, u_block, steps)
 
-    def _ensemble_reference(self, directions: np.ndarray, zero: np.ndarray,
-                            u_block: np.ndarray, count: int,
-                            steps: int) -> np.ndarray:
-        """Chain-by-chain scalar walk over the shared direction block."""
+    def _ensemble_reference(self, directions: _EnsembleDirections,
+                            u_block: np.ndarray, steps: int) -> np.ndarray:
+        """Chain-by-chain scalar walk over the same direction columns."""
         checkpoint = self._checkpoint
-        out = np.empty((count, self.slice.n))
+        n, count = self.slice.n, directions.count
+        block = np.empty((steps, n, count))
+        zero = np.zeros((steps, count), dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s in range(steps):
+                degenerate = directions.fill(s, block[s])
+                if degenerate is not None:  # pragma: no cover - measure zero
+                    zero[s] = degenerate
+        out = np.empty((count, n))
         for c in range(count):
             state = self.state.copy()
             for s in range(steps):
                 fault_site("hit_and_run.step")
                 if checkpoint is not None:
                     checkpoint()
-                row = s * count + c
-                if zero[row]:  # pragma: no cover - measure zero
+                if zero[s, c]:  # pragma: no cover - measure zero
                     continue
-                direction = directions[row]
+                direction = block[s, :, c]
                 t_lo, t_hi = self.slice.chord(state, direction)
                 if t_lo <= t_hi:
-                    t = float(scale_uniform(u_block[row], t_lo, t_hi))
+                    t = float(scale_uniform(u_block[s * count + c],
+                                            t_lo, t_hi))
                     state = state + t * direction
                     np.clip(state, self.slice.low, self.slice.high,
                             out=state)
             out[c] = state
         return out
 
-    def _ensemble_vectorized(self, directions: np.ndarray, zero: np.ndarray,
-                             u_block: np.ndarray, count: int,
-                             steps: int) -> np.ndarray:
-        """Lockstep walk of all chains; bitwise-identical to the reference
-        (elementwise chord quotients, exact min/max reductions, and a
-        ``t = 0`` no-op jump for chains whose chord is empty this step)."""
+    def _ensemble_vectorized(self, directions: _EnsembleDirections,
+                             u_block: np.ndarray, steps: int) -> np.ndarray:
+        """Lockstep walk of all chains; bitwise-identical to the reference.
+
+        The ensemble is held coordinate-major, ``(n, count)``, in a few
+        small buffers reused every step, so the chord reductions run down
+        columns over contiguous rows of ``count`` chains.  The chord
+        quotients are the reference's elementwise operations (lanes that
+        do not move are overwritten with ∓inf instead of compressed
+        away), min/max reductions are exact, and a chain whose chord is
+        empty this step jumps by ``t = 0``.  Only a step whose ``min |d|``
+        is within :data:`CHORD_TOL` builds the non-moving mask.
+        """
         checkpoint = self._checkpoint
+        # Skipping the per-transition loop changes nothing observable when
+        # no checkpoint counts it and no fault plan can fire in it.
+        per_transition = checkpoint is not None or plan_active()
         low, high = self.slice.low, self.slice.high
-        n = self.slice.n
-        states = np.tile(self.state, (count, 1))
-        lo_t = np.empty((count, n))
-        hi_t = np.empty((count, n))
-        lower = np.empty((count, n))
-        absd = np.empty((count, n))
-        still = np.empty((count, n), dtype=bool)
+        n, count = self.slice.n, directions.count
+        states = np.empty((n, count))
+        states[...] = self.state[:, None]
+        d = np.empty((n, count))
+        lo_t = np.empty((n, count))
+        hi_t = np.empty((n, count))
+        lower = np.empty((n, count))
+        t_lo = np.empty(count)
+        t_hi = np.empty(count)
         with np.errstate(divide="ignore", invalid="ignore"):
             for s in range(steps):
-                # one fault site / checkpoint per underlying transition, so
-                # budget step accounting matches the scalar reference
-                for _ in range(count):
-                    fault_site("hit_and_run.step")
-                    if checkpoint is not None:
-                        checkpoint()
-                block = directions[s * count:(s + 1) * count]
-                alive = ~zero[s * count:(s + 1) * count]
-                np.abs(block, out=absd)
-                np.less_equal(absd, CHORD_TOL, out=still)
-                if np.any(still.all(axis=1) & alive):
-                    raise SamplingError(
-                        "degenerate direction for chord computation"
-                    )
+                if per_transition:
+                    for _ in range(count):
+                        fault_site("hit_and_run.step")
+                        if checkpoint is not None:
+                            checkpoint()
+                zero = directions.fill(s, d)
                 np.subtract(low, states, out=lo_t)
-                np.divide(lo_t, block, out=lo_t)
+                np.divide(lo_t, d, out=lo_t)
                 np.subtract(high, states, out=hi_t)
-                np.divide(hi_t, block, out=hi_t)
+                np.divide(hi_t, d, out=hi_t)
                 np.minimum(lo_t, hi_t, out=lower)
                 np.maximum(lo_t, hi_t, out=hi_t)
-                np.copyto(lower, -np.inf, where=still)
-                np.copyto(hi_t, np.inf, where=still)
-                t_lo = lower.max(axis=1)
-                t_hi = hi_t.min(axis=1)
-                valid = (t_lo <= t_hi) & alive
+                absd = np.abs(d, out=lo_t)
+                if not np.minimum.reduce(absd, axis=None) > CHORD_TOL:
+                    still = absd <= CHORD_TOL
+                    stuck = still.all(axis=0)
+                    if zero is not None:  # pragma: no cover - measure zero
+                        stuck &= ~zero
+                    if stuck.any():
+                        raise SamplingError(
+                            "degenerate direction for chord computation"
+                        )
+                    np.copyto(lower, -np.inf, where=still)
+                    np.copyto(hi_t, np.inf, where=still)
+                np.maximum.reduce(lower, axis=0, out=t_lo)
+                np.minimum.reduce(hi_t, axis=0, out=t_hi)
                 t = scale_uniform(u_block[s * count:(s + 1) * count],
                                   t_lo, t_hi)
-                np.copyto(t, 0.0, where=~valid)
-                states += t[:, None] * block
+                valid = t_lo <= t_hi
+                if zero is not None:  # pragma: no cover - measure zero
+                    valid &= ~zero
+                if not valid.all():
+                    np.copyto(t, 0.0, where=~valid)
+                np.multiply(d, t, out=d)
+                np.add(states, d, out=states)
                 np.maximum(states, low, out=states)
                 np.minimum(states, high, out=states)
-        return states
+        return np.ascontiguousarray(states.T)
+
+
+#: Ensembles whose whole direction product takes at most this many
+#: multiply-adds (rows x n x dim) compute it in one GEMM up front, as all
+#: ensembles once did.  OpenBLAS (0.3.31, SkylakeX kernels) sends products
+#: this small to its small-matrix kernel, whose rows per-step calls do not
+#: reproduce bitwise.  Larger products go to its blocked kernel, whose rows
+#: one ``basis @ unit.T`` call per step reproduces exactly (checked for
+#: n = 2-100 with 1-400 chains).
+_WHOLE_BLOCK_MACS = 10**6
+
+
+def _unit_rows(gauss: np.ndarray, unit: np.ndarray,
+               norms: np.ndarray) -> None:
+    """``unit = gauss / |gauss|`` row by row, into ``unit`` and ``norms``.
+
+    The same IEEE operations per element as
+    :func:`repro.rng.direction_block` (a row-wise pairwise sum of
+    squares, one square root, one division).
+    """
+    np.multiply(gauss, gauss, out=unit)
+    np.add.reduce(unit, axis=1, out=norms)
+    np.sqrt(norms, out=norms)
+    np.divide(gauss, norms[:, None], out=unit)
+
+
+class _EnsembleDirections:
+    """The direction kernel both ensemble modes read: step ``s``'s
+    directions as columns of an ``(n, count)`` array.
+
+    Column ``c`` is chain ``c``'s Gaussian row divided by its norm, times
+    the null basis.  Small ensembles (see :data:`_WHOLE_BLOCK_MACS`),
+    and single chains, whose per-step product NumPy would hand to GEMV,
+    multiply every row in one GEMM at construction.  Larger ones
+    normalise and multiply one step's rows at a time into buffers reused
+    every step.  A zero-norm Gaussian row (measure zero) yields a zero
+    direction, which the walks skip.  Call :meth:`fill` under
+    ``np.errstate(invalid="ignore")``.
+    """
+
+    def __init__(self, basis: np.ndarray, gauss: np.ndarray,
+                 count: int) -> None:
+        self.basis = basis
+        self.gauss = gauss
+        self.count = count
+        rows, dim = gauss.shape
+        self.block: Optional[np.ndarray] = None
+        if count < 2 or rows * basis.shape[0] * dim <= _WHOLE_BLOCK_MACS:
+            unit = np.empty_like(gauss)
+            norms = np.empty(rows)
+            with np.errstate(invalid="ignore"):
+                _unit_rows(gauss, unit, norms)
+            self.block = unit @ basis.T
+            self.zero = norms == 0.0
+            self.block[self.zero] = 0.0
+        else:
+            self.unit = np.empty((count, dim))
+            self.norms = np.empty(count)
+
+    def fill(self, s: int, out: np.ndarray) -> Optional[np.ndarray]:
+        """Write step ``s``'s directions into ``out``; return the step's
+        zero-direction mask, or ``None`` when every chain moves."""
+        lo, hi = s * self.count, (s + 1) * self.count
+        if self.block is not None:
+            np.copyto(out, self.block[lo:hi].T)
+            zero = self.zero[lo:hi]
+            return zero if zero.any() else None
+        _unit_rows(self.gauss[lo:hi], self.unit, self.norms)
+        np.matmul(self.basis, self.unit.T, out=out)
+        if np.count_nonzero(self.norms) < self.count:  # pragma: no cover
+            zero = self.norms == 0.0  # measure zero
+            out[:, zero] = 0.0
+            return zero
+        return None

@@ -1,9 +1,13 @@
 """Unit tests for the colouring graph construction."""
 
+import numpy as np
 import pytest
 
+from repro.auditors.consistency import Constraint, \
+    construct_consistent_dataset
 from repro.exceptions import ColoringError
 from repro.coloring.graph import ColoringGraph, enumerate_colorings
+from repro.coloring.sampler import PosteriorSampler
 from repro.synopsis.combined import CombinedSynopsis
 from repro.types import AggregateKind
 
@@ -95,3 +99,46 @@ def test_mixing_condition_diagnostic():
     # Empty graph trivially mixes.
     empty = ColoringGraph(CombinedSynopsis(3, 0.0, 1.0))
     assert empty.mixing_condition()[0] is True
+
+
+def split_synopsis():
+    # The paper's Section 3.2 split: max{0,1,2} = 0.9 and min{2,3,4} = 0.9
+    # share the value, so x_2 = 0.9 and both sides pin element 2.
+    syn = CombinedSynopsis(5, 0.0, 1.0)
+    syn.insert(MAX, {0, 1, 2}, 0.9)
+    syn.insert(MIN, {2, 3, 4}, 0.9)
+    return syn
+
+
+def test_same_value_pin_is_one_node():
+    syn = split_synopsis()
+    assert [(p.is_max, sorted(p.elements)) for p in
+            syn.equality_predicates()] == [(True, [2]), (False, [2])]
+    graph = ColoringGraph(syn)
+    assert [(v.is_max, sorted(v.elements), v.value) for v in graph.nodes] \
+        == [(True, [2], 0.9)]
+    assert graph.neighbors(0) == []
+    assert graph.find_valid_coloring() == {0: 2}
+    # A singleton node still fails Lemma 2, before and after merging.
+    assert not graph.satisfies_lemma2()
+
+
+def test_same_value_pin_samples_with_unit_witness_mass():
+    sampler = PosteriorSampler(split_synopsis(), rng=0)
+    dataset = sampler.sample_dataset()
+    assert dataset[2] == 0.9
+    assert max(dataset[j] for j in (0, 1, 2)) == 0.9
+    assert min(dataset[j] for j in (2, 3, 4)) == 0.9
+    probs = sampler.estimate_interval_probabilities(
+        10, np.linspace(0.0, 1.0, 5))
+    assert probs[2].tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert np.allclose(probs.sum(axis=1), 1.0)
+
+
+def test_same_value_pin_constructs_a_consistent_dataset():
+    constraints = [Constraint(MAX, frozenset({0, 1, 2}), 0.9),
+                   Constraint(MIN, frozenset({2, 3, 4}), 0.9)]
+    values = construct_consistent_dataset(constraints, 5, rng=1)
+    assert values[2] == 0.9
+    assert max(values[:3]) == 0.9 and min(values[2:]) == 0.9
+    assert len(set(values)) == 5

@@ -13,7 +13,7 @@ same doubles as its loop, so no released decision can move.
 import itertools
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coloring.graph import ColoringGraph
@@ -283,9 +283,6 @@ def test_posterior_paths_match_per_element_loops(case, count, gamma, seed):
     for element, weight in loop_weights(graph).items():
         assert float(graph.weights[element]).hex() == weight.hex()
 
-    # An element pinned by a max and a min predicate of the same value
-    # is one colour of two adjacent nodes: no valid colouring, no chain.
-    assume(graph.is_valid(graph.coloring_from_dataset(values)))
     # count=0 leaves no witness mass, so determined elements take the
     # point-range branch; count>0 exercises the witness mass.
     edges = np.linspace(0.0, 1.0, gamma + 1)

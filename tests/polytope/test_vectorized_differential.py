@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.polytope.halfspace import AffineSlice
-from repro.polytope.hit_and_run import HitAndRunSampler
+from repro.polytope.hit_and_run import HitAndRunSampler, _EnsembleDirections
+from repro.rng import direction_block
 
 
 def box_2d():
@@ -115,3 +116,43 @@ def test_ensemble_on_point_slice_returns_the_point():
 def test_zero_count_ensemble_is_empty():
     sampler = HitAndRunSampler(box_2d(), np.array([0.5, 0.5]), rng=0)
     assert sampler.samples_ensemble(0).shape == (0, 2)
+
+
+# ----------------------------------------------------------------------
+# The ensemble's direction kernel == the one-call product it replaced
+# ----------------------------------------------------------------------
+
+def sum_slice(n, rows, seed):
+    s = AffineSlice(n, 0.0, 1000.0)
+    gen = np.random.default_rng(seed)
+    for _ in range(rows):
+        row = np.zeros(n)
+        size = int(gen.integers(2, min(n, 20) + 1))
+        row[gen.choice(n, size=size, replace=False)] = 1
+        s.add_equality(row, 100.0)
+    return s
+
+
+@pytest.mark.parametrize("n,rows,count,steps", [
+    (40, 1, 100, 40),   # the sumprob_n40 shape, per-step product
+    (20, 1, 100, 40),   # n % 8 == 4: a per-step unit @ basis.T differs
+    (28, 2, 100, 40),
+    (60, 3, 100, 20),
+    (12, 1, 20, 16),    # small enough for the one-call product
+    (20, 1, 5, 40),     # ... where a per-step basis @ unit.T differs
+    (40, 1, 1, 300),    # one chain: a per-step product would be a GEMV
+])
+def test_directions_equal_the_one_call_product(n, rows, count, steps):
+    # Every step's directions must be the rows the ensemble once took
+    # from one `direction_block` + GEMM over all steps, bit for bit.
+    basis = sum_slice(n, rows, seed=n).null_basis()
+    dim = basis.shape[1]
+    unit, _ = direction_block(np.random.default_rng(5), steps * count, dim)
+    expected = unit @ basis.T
+    gauss = np.random.default_rng(5).standard_normal((steps * count, dim))
+    directions = _EnsembleDirections(basis, gauss, count)
+    out = np.empty((n, count))
+    for s in range(steps):
+        assert directions.fill(s, out) is None
+        rows_s = expected[s * count:(s + 1) * count]
+        assert np.array_equal(out.view(np.int64), rows_s.T.view(np.int64))
