@@ -6,7 +6,8 @@ Three tables (see docs/ROBUSTNESS.md):
    only, WAL without fsync, and the full durable WAL (fsync per record) —
    the price of the "answer released ⇒ record durable" invariant;
 2. crash-recovery time (parse + heal + replay, with and without verify
-   mode) as a function of journal length;
+   mode) as a function of journal length, for a WAL directory that never
+   checkpoints;
 3. the same recovery with checkpoints: replay is bounded by the
    checkpoint interval instead of growing with the log, which is the
    point of ``repro.resilience.checkpoint``.
@@ -29,11 +30,8 @@ import numpy as np
 from repro.auditors.sum_classic import SumClassicAuditor
 from repro.persistence import JournaledAuditor
 from repro.reporting.tables import format_table
-from repro.resilience.checkpoint import (
-    CheckpointPolicy,
-    open_checkpointed_auditor,
-)
-from repro.resilience.wal import WriteAheadLog, recover_journaled
+from repro.resilience.checkpoint import CheckpointPolicy
+from repro.resilience.wal import open_wal_auditor
 from repro.sdb.dataset import Dataset
 from repro.types import sum_query
 
@@ -44,6 +42,8 @@ QUERIES = 150
 CHECKPOINT_EVERY = 128
 RESULT_PATH = Path(__file__).resolve().parents[1] / \
     "BENCH_fault_recovery.json"
+#: The full-replay baseline: a WAL directory that never checkpoints.
+NEVER = CheckpointPolicy(every_records=None)
 
 
 def _query_stream(rng):
@@ -78,11 +78,10 @@ def _measure_append_overhead():
         return JournaledAuditor(bare())
 
     def wal(fsync):
-        path = os.path.join(tmp, f"fsync-{fsync}.wal")
-        if os.path.exists(path):
-            os.remove(path)
-        log = WriteAheadLog.create(path, _make_dataset(), fsync=fsync)
-        return JournaledAuditor(bare(), wal=log)
+        wrapped, _ = open_wal_auditor(tempfile.mkdtemp(dir=tmp),
+                                      SumClassicAuditor, _make_dataset(),
+                                      fsync=fsync, policy=NEVER)
+        return wrapped
 
     rows = []
     baseline = None
@@ -102,35 +101,29 @@ def _measure_recovery():
     tmp = tempfile.mkdtemp()
     rows = []
     for events in (100, 400, 1600):
-        path = os.path.join(tmp, f"recover-{events}.wal")
-        log = WriteAheadLog.create(path, _make_dataset(), fsync=False)
-        wrapped = JournaledAuditor(SumClassicAuditor(_make_dataset()),
-                                   wal=log)
-        rng = np.random.default_rng(7)
-        posed = 0
-        while posed < events:
-            for query in _query_stream(rng):
-                if posed >= events:
-                    break
-                wrapped.audit(query)
-                posed += 1
-        wrapped.close()
+        path = os.path.join(tmp, f"recover-{events}")
+        wrapped, _ = open_wal_auditor(path, SumClassicAuditor,
+                                      _make_dataset(), fsync=False,
+                                      policy=NEVER)
+        _pose(wrapped, events)
+        dataset = _make_dataset()
 
         start = time.perf_counter()
-        recovered, _ = recover_journaled(
-            path, lambda ds: SumClassicAuditor(ds), fsync=False
-        )
+        recovered, _ = open_wal_auditor(path, SumClassicAuditor, dataset,
+                                        fsync=False, policy=NEVER)
         replay = time.perf_counter() - start
         assert len(recovered.trail) == events
         recovered.close()
 
         start = time.perf_counter()
-        recovered, _ = recover_journaled(
-            path, lambda ds: SumClassicAuditor(ds), fsync=False, verify=True
-        )
+        recovered, _ = open_wal_auditor(path, SumClassicAuditor, dataset,
+                                        fsync=False, verify=True,
+                                        policy=NEVER)
         verify = time.perf_counter() - start
         recovered.close()
-        rows.append((events, f"{os.path.getsize(path) / 1024:.0f}",
+        size = sum(os.path.getsize(os.path.join(path, name))
+                   for name in os.listdir(path))
+        rows.append((events, f"{size / 1024:.0f}",
                      f"{replay * 1e3:.1f}", f"{verify * 1e3:.1f}"))
     return rows
 
@@ -172,13 +165,19 @@ def _measure_checkpointed_recovery():
     policy = CheckpointPolicy(every_records=CHECKPOINT_EVERY)
     series = []
     for events in (100, 400, 1600):
-        # Full-replay baseline: single-file WAL, no checkpoints.
-        path = os.path.join(tmp, f"flat-{events}.wal")
-        log = WriteAheadLog.create(path, _make_dataset(), fsync=False)
-        _pose(JournaledAuditor(factory(_make_dataset()), wal=log), events)
+        # Dataset construction is hoisted out of the timed windows — both
+        # columns time *recovery* (parse + heal + replay).
+        dataset = _make_dataset()
+
+        # Full-replay baseline: a WAL directory that never checkpoints.
+        flat = os.path.join(tmp, f"flat-{events}")
+        wrapped, _ = open_wal_auditor(flat, factory, _make_dataset(),
+                                      policy=NEVER, fsync=False)
+        _pose(wrapped, events)
 
         def flat_once():
-            recovered, _ = recover_journaled(path, factory, fsync=False)
+            recovered, _ = open_wal_auditor(flat, factory, dataset,
+                                            policy=NEVER, fsync=False)
             replayed = len(recovered.trail)
             recovered.close()
             return replayed
@@ -187,19 +186,15 @@ def _measure_checkpointed_recovery():
         assert replayed == events
 
         # Checkpointed directory: recovery loads the newest snapshot and
-        # replays only the post-checkpoint suffix.  Dataset construction
-        # is hoisted out of the timed window — both columns time
-        # *recovery* (parse + heal + replay), and the flat path never
-        # rebuilds the dataset inside its window.
+        # replays only the post-checkpoint suffix.
         directory = os.path.join(tmp, f"ckpt-{events}")
-        wrapped, _ = open_checkpointed_auditor(
+        wrapped, _ = open_wal_auditor(
             directory, factory, _make_dataset(), policy=policy,
             fsync=False)
         _pose(wrapped, events)
-        dataset = _make_dataset()
 
         def ckpt_once():
-            recovered, _ = open_checkpointed_auditor(
+            recovered, _ = open_wal_auditor(
                 directory, factory, dataset, policy=policy, fsync=False)
             replayed = len(recovered.trail)
             recovery = recovered.wal.last_recovery

@@ -35,10 +35,10 @@ from repro.resilience.replication import (
     Follower,
     LocalLink,
     ProcessLink,
-    open_replicated_auditor,
     promote_replica,
     replica_events,
 )
+from repro.resilience.wal import open_wal_auditor
 from repro.sdb.dataset import Dataset
 from repro.types import sum_query
 
@@ -99,7 +99,7 @@ def _measure_ship_throughput(queries):
                                     policy=POLICY))
             for i in range(followers)
         ]
-        wrapped, _ = open_replicated_auditor(
+        wrapped, _ = open_wal_auditor(
             pdir, SumClassicAuditor, _make_dataset(),
             replicate_to=links, policy=POLICY)
         start = time.perf_counter()
@@ -117,7 +117,7 @@ def _measure_follower_lag_and_failover(queries):
     pdir = os.path.join(tmp, "primary")
     fdir = os.path.join(tmp, "follower")
     link = TimedLink(ProcessLink(fdir, policy=POLICY))
-    wrapped, _ = open_replicated_auditor(
+    wrapped, _ = open_wal_auditor(
         pdir, SumClassicAuditor, _make_dataset(),
         replicate_to=[link], policy=POLICY)
     for query in queries:

@@ -50,7 +50,6 @@ class ForkSafetyConfig:
     #: package classes that wrap an OS-level handle (fd, file, socket)
     handle_classes: Tuple[str, ...] = (
         "repro.persistence.AuditJournal",
-        "repro.resilience.wal.WriteAheadLog",
         "repro.resilience.checkpoint.CheckpointedWal",
     )
     #: factory calls binding a handle to a local

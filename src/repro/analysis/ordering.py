@@ -22,7 +22,7 @@ path.  These rules prove the ordering statically:
 Delegation is understood: in a non-journal-holding class, ``return
 self.auditor.audit(query)`` passes the whole release+journal obligation
 down, so it *satisfies* domination; inside a journal boundary class (one
-whose attrs hold an ``AuditJournal``/``WriteAheadLog``) only real appends
+whose attrs hold an ``AuditJournal`` or a WAL) only real appends
 count — reordering ``JournaledAuditor.audit`` is exactly what WAL001 is
 for.
 """
@@ -63,7 +63,6 @@ class OrderingConfig:
     #: append obligation inside these
     boundary_attr_types: Tuple[str, ...] = (
         "repro.persistence.AuditJournal",
-        "repro.resilience.wal.WriteAheadLog",
     )
     boundary_attr_names: Tuple[str, ...] = ("journal", "wal")
     #: module-name tokens marking sampler/chain hot-path modules (BUD001)

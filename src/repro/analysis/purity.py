@@ -21,10 +21,10 @@ exactly once:
   ``secrets.*``, ``datetime.now`` …; ``time.monotonic`` (and the other
   monotonic clocks) is *allowed* — it is the budget layer's sanctioned
   deadline clock and never feeds a released value;
-* **journal appends** — ``AuditJournal.record_decision`` /
-  ``record_replay`` / ``record_update`` and ``WriteAheadLog.append``
-  (resolved or name-based, including ``getattr(obj, "record_replay", …)``
-  indirection);
+* **journal appends** — ``CheckpointedWal.append`` and the
+  ``record_decision`` / ``record_replay`` / ``record_update`` calling
+  conventions (resolved or name-based, including
+  ``getattr(obj, "record_replay", …)`` indirection);
 * **budget checkpoints** — ``BudgetScope.checkpoint`` and the
   ``checkpoint`` / ``_checkpoint`` calling conventions;
 * **fault sites** — ``repro.resilience.faults.fault_site``.
@@ -89,11 +89,6 @@ class EffectConfig:
     rngish_receivers: Tuple[str, ...] = ("rng", "gen", "random")
     #: fully-resolved functions that append a decision/replay/update record
     append_functions: FrozenSet[str] = frozenset({
-        "repro.persistence.AuditJournal.record_decision",
-        "repro.persistence.AuditJournal.record_replay",
-        "repro.persistence.AuditJournal.record_refusal",
-        "repro.persistence.AuditJournal.record_update",
-        "repro.resilience.wal.WriteAheadLog.append",
         "repro.resilience.checkpoint.CheckpointedWal.append",
         "repro.resilience.checkpoint.CheckpointedWal.raw_append",
         "repro.resilience.replication.ReplicatingWal.append",

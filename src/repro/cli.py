@@ -120,17 +120,18 @@ def _build_parser() -> argparse.ArgumentParser:
                             "sum-prob", "max-prob", "maxmin-prob"],
                    default="sum")
     p.add_argument("--journal", default=None,
-                   help="write the audit journal to this JSON file on exit")
-    p.add_argument("--wal", default=None,
-                   help="crash-safe write-ahead audit log file; every "
+                   help="without --wal: write the in-memory audit journal "
+                        "to this JSON file on exit")
+    p.add_argument("--wal", default=None, metavar="DIR",
+                   help="crash-safe write-ahead audit log directory; every "
                         "decision is fsynced before its answer is printed, "
                         "and an existing log is recovered and replayed")
     p.add_argument("--checkpoint-every", type=int, default=None,
                    metavar="N",
-                   help="with --wal (then a directory): snapshot auditor "
-                        "state every N journal records, so recovery "
-                        "replays only the post-checkpoint suffix and old "
-                        "segments are compacted away")
+                   help="with --wal: snapshot auditor state every N "
+                        "journal records, so recovery replays only the "
+                        "post-checkpoint suffix and old segments are "
+                        "compacted away")
     p.add_argument("--checkpoint-bytes", type=int, default=None,
                    metavar="BYTES",
                    help="with --wal: also checkpoint once the active log "
@@ -156,8 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="serve the audit HTTP API instead of the stdin "
                         "SQL loop: one supervised worker process audits "
                         "every user's queries with one pooled auditor "
-                        "and the checkpointed WAL in --wal "
-                        "(see docs/API.md)")
+                        "and the WAL directory in --wal, which is "
+                        "required (see docs/API.md)")
     p.add_argument("--user-rate", type=float, default=None,
                    help="with --listen: per-user sustained queries/second "
                         "admission limit; sheds surface as HTTP 429 and "
@@ -546,12 +547,21 @@ def _cmd_serve(args, stdin=None) -> int:
             "follower only re-releases replicated decisions")
     if replicate_to and not args.wal:
         return conflict(
-            "--replicate-to requires --wal (the primary's checkpointed "
-            "WAL directory)")
+            "--replicate-to requires --wal (the primary's WAL directory)")
     if listen and args.journal:
         return conflict(
             "--journal belongs to the stdin SQL loop; with --listen "
             "the audit worker persists its WAL (use --wal)")
+    if args.journal and args.wal:
+        return conflict(
+            "--journal is incompatible with --wal: the WAL directory is "
+            "the journal, and only it holds the events its snapshots "
+            "cover")
+    if listen and not args.wal:
+        return conflict(
+            "--listen requires --wal: a restarted audit worker recovers "
+            "every released answer from its WAL directory, and without "
+            "one it would forget them")
 
     if listen:
         return _serve_http(args)
@@ -645,6 +655,7 @@ def _serve_http(args) -> int:
 
     from .exceptions import ReproError
     from .io import read_records
+    from .resilience.wal import SINGLE_FILE_LOG
     from .sdb.engine import sensitive_values
     from .serving import AuditServer, DeadlinePolicy, ServerConfig
     from .serving.shards import ShardSpec, ShardSupervisor
@@ -669,7 +680,12 @@ def _serve_http(args) -> int:
         print(f"error: {exc}")
         return 2
 
-    if args.wal and os.path.isdir(args.wal) and any(
+    if os.path.isfile(args.wal):
+        # Checked here as well as in open_wal_auditor, so the refusal
+        # reaches the operator instead of dying with the spawned worker.
+        print(f"error: {SINGLE_FILE_LOG}")
+        return 2
+    if os.path.isdir(args.wal) and any(
             re.fullmatch(r"shard-\d+", name) for name in os.listdir(args.wal)):
         # The old layout kept one WAL per user shard in DIR/shard-NN/.
         # Serving beside them would start an empty transcript and forget

@@ -53,12 +53,12 @@ def load_csv_database(path: str, sensitive_column: str,
                       replicate_to: Any = None) -> StatisticalDatabase:
     """Build an audited :class:`StatisticalDatabase` from a CSV file.
 
-    ``wal_path`` enables the crash-safe write-ahead audit log,
+    ``wal_path`` names the crash-safe write-ahead audit log directory,
     ``checkpoint`` (a :class:`~repro.resilience.checkpoint.
-    CheckpointPolicy`) upgrades it to the segmented, checkpointed WAL
-    with bounded recovery replay, and ``replicate_to`` (replica
-    directories or replication links) ships the decision stream to
-    follower replicas (see :meth:`StatisticalDatabase.from_records`).
+    CheckpointPolicy`) sets when it snapshots to bound recovery replay,
+    and ``replicate_to`` (replica directories or replication links)
+    ships the decision stream to follower replicas (see
+    :meth:`StatisticalDatabase.from_records`).
     """
     with open(path, newline="") as handle:
         records = read_records(handle)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
 from .exceptions import ReproError
 from .resilience.faults import fault_site
@@ -34,6 +34,71 @@ class JournalError(ReproError):
     """The journal is malformed or diverges from the auditor's behaviour."""
 
 
+def _decision_event(query: Query, decision: AuditDecision) -> Dict[str, Any]:
+    """An audited query and its outcome."""
+    event: Dict[str, Any] = {
+        "type": "query",
+        "kind": query.kind.value,
+        "members": sorted(query.query_set),
+        "denied": decision.denied,
+    }
+    if decision.answered:
+        event["value"] = decision.value
+    if decision.denied and decision.reason is not None:
+        event["reason"] = decision.reason.value
+    return event
+
+
+def _replay_event(query: Query, decision: AuditDecision) -> Dict[str, Any]:
+    """A cache-served re-release of a past decision.
+
+    Replays keep the disclosure log complete without implying any new
+    audit state; :func:`replay_events` skips them (the original ``query``
+    event already carries the state change).
+    """
+    event: Dict[str, Any] = {
+        "type": "query_replay",
+        "kind": query.kind.value,
+        "members": sorted(query.query_set),
+        "denied": decision.denied,
+    }
+    if decision.answered:
+        event["value"] = decision.value
+    return event
+
+
+def _refusal_event(query: Query, decision: AuditDecision) -> Dict[str, Any]:
+    """A fail-closed refusal that never consulted the auditor.
+
+    Admission control and the sampler circuit breaker deny queries
+    *before* the audit decision procedure runs; the refusal still goes
+    into the disclosure log (denials are observable outputs too), but
+    :func:`replay_events` re-logs it without re-auditing — even in verify
+    mode, because there is no auditor decision to re-check.
+    """
+    event: Dict[str, Any] = {
+        "type": "denial",
+        "kind": query.kind.value,
+        "members": sorted(query.query_set),
+    }
+    if decision.reason is not None:
+        event["reason"] = decision.reason.value
+    return event
+
+
+def _update_event(event) -> Dict[str, Any]:
+    """An update event in its journalled form."""
+    if isinstance(event, Modify):
+        return {"type": "modify", "index": event.index,
+                "value": event.value}
+    if isinstance(event, Insert):
+        return {"type": "insert", "value": event.value,
+                "public": dict(event.public or {})}
+    if isinstance(event, Delete):
+        return {"type": "delete", "index": event.index}
+    raise JournalError(f"unknown update event {event!r}")  # pragma: no cover
+
+
 @dataclass
 class AuditJournal:
     """An ordered, serialisable record of an auditor's lifetime."""
@@ -42,10 +107,6 @@ class AuditJournal:
     low: float
     high: float
     events: List[Dict[str, Any]]
-
-    # ------------------------------------------------------------------
-    # Capture
-    # ------------------------------------------------------------------
 
     @staticmethod
     def begin(dataset: Dataset) -> "AuditJournal":
@@ -56,77 +117,6 @@ class AuditJournal:
             high=dataset.high,
             events=[],
         )
-
-    def record_decision(self, query: Query,
-                        decision: AuditDecision) -> Dict[str, Any]:
-        """Append an audited query and its outcome; returns the event."""
-        event: Dict[str, Any] = {
-            "type": "query",
-            "kind": query.kind.value,
-            "members": sorted(query.query_set),
-            "denied": decision.denied,
-        }
-        if decision.answered:
-            event["value"] = decision.value
-        if decision.denied and decision.reason is not None:
-            event["reason"] = decision.reason.value
-        self.events.append(event)
-        return event
-
-    def record_replay(self, query: Query,
-                      decision: AuditDecision) -> Dict[str, Any]:
-        """Append a cache-served re-release of a past decision.
-
-        Replays keep the disclosure log complete without implying any new
-        audit state; :meth:`restore` skips them (the original ``query``
-        event already carries the state change).
-        """
-        event: Dict[str, Any] = {
-            "type": "query_replay",
-            "kind": query.kind.value,
-            "members": sorted(query.query_set),
-            "denied": decision.denied,
-        }
-        if decision.answered:
-            event["value"] = decision.value
-        self.events.append(event)
-        return event
-
-    def record_refusal(self, query: Query,
-                       decision: AuditDecision) -> Dict[str, Any]:
-        """Append a fail-closed refusal that never consulted the auditor.
-
-        Admission control and the sampler circuit breaker deny queries
-        *before* the audit decision procedure runs; the refusal still goes
-        into the disclosure log (denials are observable outputs too), but
-        :meth:`restore` re-logs it without re-auditing — even in verify
-        mode, because there is no auditor decision to re-check.
-        """
-        event: Dict[str, Any] = {
-            "type": "denial",
-            "kind": query.kind.value,
-            "members": sorted(query.query_set),
-        }
-        if decision.reason is not None:
-            event["reason"] = decision.reason.value
-        self.events.append(event)
-        return event
-
-    def record_update(self, event) -> Dict[str, Any]:
-        """Append an update event; returns the journalled dict."""
-        record: Dict[str, Any]
-        if isinstance(event, Modify):
-            record = {"type": "modify", "index": event.index,
-                      "value": event.value}
-        elif isinstance(event, Insert):
-            record = {"type": "insert", "value": event.value,
-                      "public": dict(event.public or {})}
-        elif isinstance(event, Delete):
-            record = {"type": "delete", "index": event.index}
-        else:  # pragma: no cover - defensive
-            raise JournalError(f"unknown update event {event!r}")
-        self.events.append(record)
-        return record
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -268,90 +258,73 @@ class JournaledAuditor:
     """Wraps any auditor, journalling every decision and update.
 
     Drop-in replacement: exposes ``audit`` / ``apply_update`` plus the
-    journal.  Use :meth:`AuditJournal.restore` after a restart.
+    disclosure trail.  Decisions, cache replays, refusals and updates all
+    reach the log through one path, :meth:`_journal`.
 
-    With a :class:`~repro.resilience.wal.WriteAheadLog` attached, every
-    decision and update is durably appended (fsync-per-record) *before*
+    With a WAL attached (see :func:`repro.resilience.wal.open_wal_auditor`)
+    every event is durably appended (fsync-per-record) *before*
     :meth:`audit` returns — an answer is never released unless the log
     already remembers it, so no crash can make the auditor forget a
-    disclosure.  After a crash, recover with
-    :func:`repro.resilience.wal.recover_journaled`.
+    disclosure.  The WAL is then the only copy of the log and ``journal``
+    is ``None``.  Without one, events collect in the in-memory
+    :class:`AuditJournal` ``journal``; use :meth:`AuditJournal.restore`
+    after a restart.
     """
 
-    def __init__(self, auditor, wal=None, journal: AuditJournal = None):
+    def __init__(self, auditor, wal=None):
         self.auditor = auditor
-        self.journal = (AuditJournal.begin(auditor.dataset)
-                        if journal is None else journal)
         self.wal = wal
+        self.journal: Optional[AuditJournal] = (
+            AuditJournal.begin(auditor.dataset) if wal is None else None)
 
     def audit(self, query: Query) -> AuditDecision:
         """Audit and journal; with a WAL, persist before releasing."""
         decision = self.auditor.audit(query)
-        fault_site("journal.pre-record")
-        event = self.journal.record_decision(query, decision)
-        if self.wal is not None:
-            self.wal.append(event)
-            self._maybe_checkpoint()
-        fault_site("journal.post-record")
+        self._journal(_decision_event(query, decision))
         return decision
 
     def record_replay(self, query: Query, decision: AuditDecision) -> None:
         """Durably log a cache-served re-release before it goes out.
 
         The wrapped auditor is *not* re-run (a replayed bit carries no new
-        information and must not mutate audit state), but the journal/WAL
-        still gains a ``query_replay`` event — cache hits never bypass the
+        information and must not mutate audit state), but the log still
+        gains a ``query_replay`` event — cache hits never bypass the
         disclosure log.
         """
         self.trail.record(query, decision)
-        fault_site("journal.pre-record")
-        event = self.journal.record_replay(query, decision)
-        if self.wal is not None:
-            self.wal.append(event)
-            self._maybe_checkpoint()
-        fault_site("journal.post-record")
+        self._journal(_replay_event(query, decision))
 
     def record_refusal(self, query: Query, decision: AuditDecision) -> None:
         """Durably log a fail-closed refusal before it goes out.
 
         Used by the overload layer (admission control, circuit breaker)
         for denials that never consulted the wrapped auditor: the denial
-        is trail-recorded and journalled/WAL-appended like any other
-        decision, but carries a dedicated ``denial`` event type so replay
-        never tries to re-audit it.
+        is trail-recorded and logged like any other decision, but carries
+        a dedicated ``denial`` event type so replay never tries to
+        re-audit it.
         """
         self.trail.record(query, decision)
-        fault_site("journal.pre-record")
-        event = self.journal.record_refusal(query, decision)
-        if self.wal is not None:
-            self.wal.append(event)
-            self._maybe_checkpoint()
-        fault_site("journal.post-record")
+        self._journal(_refusal_event(query, decision))
 
     def apply_update(self, event) -> None:
         """Apply and journal an update (durably, when a WAL is attached)."""
         self.auditor.apply_update(event)
-        fault_site("journal.pre-record")
-        record = self.journal.record_update(event)
-        if self.wal is not None:
-            self.wal.append(record)
-            self._maybe_checkpoint()
-        fault_site("journal.post-record")
+        self._journal(_update_event(event))
 
-    def _maybe_checkpoint(self) -> None:
-        """Give a checkpoint-capable WAL a chance to snapshot and compact.
+    def _journal(self, event: Dict[str, Any]) -> None:
+        """Log one event: append it, then give the WAL its checkpoint.
 
-        The single-file :class:`~repro.resilience.wal.WriteAheadLog` has no
-        such hook; the segmented
-        :class:`~repro.resilience.checkpoint.CheckpointedWal` snapshots the
-        wrapped auditor's state when its record/byte thresholds trip.
-        Runs *after* the decision's own record is durable, so a crash at
-        any point inside the checkpoint leaves a WAL that still replays to
+        The checkpoint runs *after* the event's own record is durable, so
+        a crash at any point inside it leaves a WAL that still replays to
         exactly the same state.
         """
-        trigger = getattr(self.wal, "maybe_checkpoint", None)
-        if trigger is not None:
-            trigger(self.auditor)
+        fault_site("journal.pre-record")
+        if self.journal is not None:
+            self.journal.events.append(event)
+        else:
+            self.wal.append(event)
+            self.wal.maybe_checkpoint(self.auditor)
+        fault_site("journal.post-record")
 
     def close(self) -> None:
         """Close the attached WAL, if any."""

@@ -6,8 +6,10 @@ of that guarantee:
 
 * :mod:`repro.resilience.wal` — a crash-safe write-ahead audit log: every
   decision is durably persisted (fsync-per-record, checksummed) *before*
-  its answer is released, and recovery replays the log through the journal
-  restore path;
+  its answer is released, into a checkpointed log directory
+  (:mod:`~repro.resilience.checkpoint`) optionally replicated to followers
+  (:mod:`~repro.resilience.replication`); ``open_wal_auditor`` creates or
+  recovers it;
 * :mod:`repro.resilience.budget` — per-query deadlines and resource
   budgets with cooperative cancellation inside the MCMC samplers, bounded
   deterministic retry-and-reseed on :class:`~repro.exceptions.SamplingError`,
@@ -46,12 +48,11 @@ from .overload import (
 #: ``.wal``/``.checkpoint`` import ``repro.persistence`` for the journal
 #: types — eager re-export here would close that cycle during interpreter
 #: start-up.
-_WAL_EXPORTS = ("WriteAheadLog", "open_wal_auditor", "recover_journaled")
+_WAL_EXPORTS = ("open_wal_auditor",)
 _CHECKPOINT_EXPORTS = (
     "CheckpointPolicy",
     "CheckpointedWal",
     "RecoveryInfo",
-    "open_checkpointed_auditor",
 )
 _REPLICATION_EXPORTS = (
     "FencedError",
@@ -62,7 +63,6 @@ _REPLICATION_EXPORTS = (
     "ProcessLink",
     "ReplicatingWal",
     "ReplicationError",
-    "open_replicated_auditor",
     "promote_replica",
     "replica_events",
 )
@@ -108,14 +108,10 @@ __all__ = [
     "ReplicationError",
     "Stall",
     "TokenBucket",
-    "WriteAheadLog",
     "fault_site",
     "inject",
-    "open_checkpointed_auditor",
-    "open_replicated_auditor",
     "open_wal_auditor",
     "promote_replica",
-    "recover_journaled",
     "replica_events",
     "run_fail_closed",
 ]

@@ -1,12 +1,13 @@
 """Checkpointed, segmented write-ahead audit log with compaction.
 
-The single-file :class:`~repro.resilience.wal.WriteAheadLog` replays its
-entire history on every restart, so recovery time grows without bound —
-the opposite of an always-on online auditor.  This module bounds both
-recovery time and disk usage while keeping the fail-closed contract:
+The audit log's one on-disk format.  A log that only ever grew would
+replay its entire history on every restart, so recovery time would grow
+without bound — the opposite of an always-on online auditor.  This
+module bounds both recovery time and disk usage while keeping the
+fail-closed contract:
 
-* the log is split into **segments** (append-only files in the same
-  checksummed frame format as the single-file WAL);
+* the log is split into **segments** (append-only files of checksummed
+  records, framed as described in :mod:`repro.resilience.wal`);
 * a **checkpoint** atomically persists a snapshot of the auditor's full
   decision state (temp-file + rename + parent-directory fsync), seals the
   active segment, and starts a fresh one;
@@ -31,11 +32,15 @@ inside a CRC-checked frame, which catches torn or bit-rotted snapshots;
 it is *not* a defence against an adversary who can write the WAL
 directory — the directory carries the same trust as the audit log itself.
 
-Durability invariant (unchanged from the single-file WAL): an answer is
-released only after its record is fsynced into the active segment.  Every
-checkpoint/compaction step is crash-atomic: whatever instant the process
-dies, recovery reconstructs the exact decision state — the chaos sweep in
+Durability invariant: an answer is released only after its record is
+fsynced into the active segment.  Every checkpoint/compaction step is
+crash-atomic: whatever instant the process dies, recovery reconstructs
+the exact decision state — the chaos sweep in
 ``tests/resilience/test_chaos.py`` proves it at every instrumented point.
+
+Serving code opens a log through
+:func:`repro.resilience.wal.open_wal_auditor`, which creates or recovers
+it and attaches the replicas.
 """
 
 from __future__ import annotations
@@ -46,20 +51,15 @@ import pickle
 from dataclasses import dataclass
 from typing import IO, Any, Dict, List, Mapping, Optional, Tuple
 
-from ..persistence import (
-    AuditJournal,
-    JournaledAuditor,
-    JournalError,
-    replay_events,
-)
+from ..persistence import JournaledAuditor, JournalError, replay_events
 from ..sdb.dataset import Dataset
 from .faults import fault_site, plan_active
 from .wal import (
     WAL_VERSION,
     AuditorFactory,
-    WriteAheadLog,
     _decode_record,
     _encode_record,
+    _parse_records,
     fsync_directory,
 )
 
@@ -76,6 +76,15 @@ def _segment_name(seq: int) -> str:
 
 def _snapshot_name(seq: int) -> str:
     return f"snapshot-{seq:06d}.snap"
+
+
+def _dataset_header(dataset: Dataset) -> Dict[str, Any]:
+    """The manifest's record of the dataset a log was recorded over."""
+    return {
+        "values": [float(v) for v in dataset.values],
+        "low": float(dataset.low),
+        "high": float(dataset.high),
+    }
 
 
 @dataclass(frozen=True)
@@ -135,14 +144,11 @@ class CheckpointedWal:
     """Segmented WAL directory with snapshots, a manifest, and compaction.
 
     Construct via :meth:`create` (fresh directory) or :meth:`recover`
-    (after a crash or clean shutdown); serving code normally goes through
-    :func:`open_checkpointed_auditor` or
-    :func:`repro.resilience.wal.open_wal_auditor` with a directory path.
+    (after a crash or clean shutdown); serving code goes through
+    :func:`repro.resilience.wal.open_wal_auditor`.
 
-    Drop-in for :class:`~repro.resilience.wal.WriteAheadLog` where
-    :class:`~repro.persistence.JournaledAuditor` is concerned: it exposes
-    the same ``append``/``close`` surface plus ``maybe_checkpoint``, which
-    the journalled auditor calls after every durable append.
+    :class:`~repro.persistence.JournaledAuditor` calls :meth:`append`
+    for every event and then :meth:`maybe_checkpoint`.
     """
 
     def __init__(self, directory: str,
@@ -199,11 +205,7 @@ class CheckpointedWal:
                 )
             os.unlink(path)  # empty stray from a crashed create()
         wal = cls(directory, policy=policy, fsync=fsync)
-        wal._dataset_header = {
-            "values": [float(v) for v in dataset.values],
-            "low": float(dataset.low),
-            "high": float(dataset.high),
-        }
+        wal._dataset_header = _dataset_header(dataset)
         wal._segments = [{"name": _segment_name(1), "base": 0,
                           "count": None}]
         wal._next_seq = 2
@@ -278,23 +280,18 @@ class CheckpointedWal:
                 suffix.extend(records[max(0, base_events - base):])
             replayed = replay_events(auditor, dataset, suffix,
                                      verify=verify)
-            journal_events = suffix
             snapshot_name: Optional[str] = str(chosen["name"])
         elif int(wal._segments[0]["base"]) == 0:
-            all_events = [record for seg in wal._segments
-                          for record in seg_records[seg["name"]]]
-            journal = AuditJournal(
-                initial_values=[float(v)
-                                for v in wal._dataset_header["values"]],
-                low=float(wal._dataset_header["low"]),
-                high=float(wal._dataset_header["high"]),
-                events=all_events,
-            )
-            auditor, dataset = journal.restore(auditor_factory,
-                                               verify=verify)
+            header = wal._dataset_header
+            dataset = Dataset(list(header["values"]), low=header["low"],
+                              high=header["high"])
+            auditor = auditor_factory(dataset)
+            replayed = replay_events(
+                auditor, dataset,
+                [record for seg in wal._segments
+                 for record in seg_records[seg["name"]]],
+                verify=verify)
             base_events = 0
-            replayed = len(all_events)
-            journal_events = all_events
             snapshot_name = None
         else:
             raise JournalError(
@@ -318,15 +315,7 @@ class CheckpointedWal:
             orphans_removed=removed,
         )
         wal.last_recovery = info
-        restored = AuditJournal(
-            initial_values=[float(v)
-                            for v in wal._dataset_header["values"]],
-            low=float(wal._dataset_header["low"]),
-            high=float(wal._dataset_header["high"]),
-            events=list(journal_events),
-        )
-        return JournaledAuditor(auditor, wal=wal, journal=restored), \
-            dataset, info
+        return JournaledAuditor(auditor, wal=wal), dataset, info
 
     # ------------------------------------------------------------------
     # Appending
@@ -599,7 +588,7 @@ class CheckpointedWal:
                     f"segment {name} ({exc}); restore from a replica or "
                     f"archive"
                 ) from exc
-            records, good_bytes = WriteAheadLog._parse(raw, path)
+            records, good_bytes = _parse_records(raw, path)
             if good_bytes < len(raw):
                 if pos != len(self._segments) - 1:
                     raise JournalError(
@@ -734,42 +723,3 @@ def _load_snapshot(path: str, expected_events: int) -> Any:
         )
     return pickle.loads(base64.b64decode(payload["state"]))
 
-
-def open_checkpointed_auditor(
-        directory: str, auditor_factory: AuditorFactory, dataset: Dataset,
-        fsync: bool = True, verify: bool = False,
-        policy: Optional[CheckpointPolicy] = None,
-        wal_cls: Optional[type] = None,
-) -> Tuple[JournaledAuditor, Dataset]:
-    """Open-or-recover a checkpointed WAL directory (serving entry point).
-
-    Mirrors :func:`repro.resilience.wal.open_wal_auditor`: an existing
-    manifest is recovered (``dataset`` must match the manifest's initial
-    dataset) and serving resumes with bounded replay; otherwise a fresh
-    checkpointed WAL is created over ``dataset``.
-
-    ``wal_cls`` substitutes a :class:`CheckpointedWal` subclass (the
-    replication layer passes its shipping primary here).
-    """
-    cls = wal_cls or CheckpointedWal
-    directory = directory.rstrip("/").rstrip(os.sep) or directory
-    if os.path.exists(os.path.join(directory, MANIFEST_NAME)):
-        wrapped, live, _info = cls.recover(
-            directory, auditor_factory, policy=policy, fsync=fsync,
-            verify=verify,
-        )
-        journal = wrapped.journal
-        same = (
-            journal.initial_values == [float(v) for v in dataset.values]
-            and journal.low == float(dataset.low)
-            and journal.high == float(dataset.high)
-        )
-        if not same:
-            raise JournalError(
-                f"checkpointed WAL {directory!r} was recorded over a "
-                f"different dataset; refusing to resume (pass a fresh "
-                f"WAL directory or the original data)"
-            )
-        return wrapped, live
-    wal = cls.create(directory, dataset, policy=policy, fsync=fsync)
-    return JournaledAuditor(auditor_factory(dataset), wal=wal), dataset

@@ -36,16 +36,16 @@ from ..exceptions import ReproError
 #: Every instrumented fault site, by name.  ``FaultPlan`` validates against
 #: this registry so a typo in a test cannot silently inject nothing.
 KNOWN_SITES = frozenset({
-    # JournaledAuditor.audit / apply_update: decision computed, nothing
-    # persisted yet (a crash here loses the in-flight decision — safe,
-    # because the answer was never released).
+    # JournaledAuditor._journal, for every decision, replay, refusal and
+    # update: computed, nothing persisted yet (a crash here loses the
+    # in-flight decision — safe, because the answer was never released).
     "journal.pre-record",
     # After the WAL append + fsync, before the answer is returned (a crash
     # here persists a decision whose answer may never have been seen —
     # recovery conservatively treats it as disclosed).
     "journal.post-record",
-    # Inside WriteAheadLog.append, after the first half of the record bytes
-    # (a crash here leaves a torn tail for recovery to truncate).
+    # Inside CheckpointedWal.append, after the first half of the record
+    # bytes (a crash here leaves a torn tail for recovery to truncate).
     "wal.mid-append",
     # After the record is durable (between fsync and append returning).
     "wal.post-fsync",

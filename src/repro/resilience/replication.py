@@ -59,7 +59,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -82,11 +81,16 @@ from .checkpoint import (
     CheckpointPolicy,
     CheckpointedWal,
     RecoveryInfo,
+    _dataset_header,
     _read_manifest,
-    open_checkpointed_auditor,
 )
 from .faults import fault_site
-from .wal import AuditorFactory, WriteAheadLog, _decode_record, _encode_record
+from .wal import (
+    AuditorFactory,
+    _decode_record,
+    _encode_record,
+    _parse_records,
+)
 
 # ----------------------------------------------------------------------
 # Frame protocol
@@ -214,8 +218,9 @@ class Follower:
 
     With an ``auditor_factory`` the follower also maintains a *live*
     replayed auditor (re-audit-free fold of each event) and a decision
-    cache for read-only serving; without one (the process-follower
-    default) it is a pure durability replica.
+    cache for read-only serving; without one (process followers, and the
+    replica directories :func:`~repro.resilience.wal.open_wal_auditor`
+    attaches) it is a pure durability replica.
 
     ``clock`` (default ``time.monotonic``) timestamps frame arrivals so
     :meth:`primary_stale` can drive failover decisions.
@@ -603,9 +608,9 @@ def promote_replica(directory: str, auditor_factory: AuditorFactory,
 def replica_events(directory: str) -> List[Dict[str, Any]]:
     """Read-only parse of every durable event a WAL directory holds.
 
-    Used by tests and benchmarks to compare a primary's and a replica's
-    decision streams without mutating either (a torn tail is ignored,
-    not healed).
+    The WAL is the only copy of the log, so this is how it is read —
+    e.g. to compare a primary's and a replica's decision streams —
+    without mutating it (a torn tail is ignored, not healed).
     """
     wal = CheckpointedWal(directory)
     wal._load_manifest(_read_manifest(directory))
@@ -614,7 +619,7 @@ def replica_events(directory: str) -> List[Dict[str, Any]]:
         path = os.path.join(directory, str(seg["name"]))
         with open(path, "rb") as handle:
             raw = handle.read()
-        records, _good = WriteAheadLog._parse(raw, path)
+        records, _good = _parse_records(raw, path)
         events.extend(records)
     return events
 
@@ -884,43 +889,8 @@ class ReplicatingWal(CheckpointedWal):
 
 
 # ----------------------------------------------------------------------
-# Serving wiring
+# Read-only serving
 # ----------------------------------------------------------------------
-
-def open_replicated_auditor(
-        directory: str, auditor_factory: AuditorFactory, dataset: Dataset,
-        replicate_to: Sequence[Any] = (),
-        policy: Optional[CheckpointPolicy] = None,
-        fsync: bool = True, verify: bool = False,
-) -> Tuple[JournaledAuditor, Dataset]:
-    """Open-or-recover a *replicating* checkpointed WAL primary.
-
-    ``replicate_to`` entries are either link objects (anything with
-    ``send``/``close`` — :class:`LocalLink`, :class:`ProcessLink`) or
-    replica directory paths, which become in-process read replicas
-    (a :class:`Follower` built with the same ``auditor_factory`` behind
-    a :class:`LocalLink`).  Every target is snapshot-install synced on
-    attach, so stale replicas catch up before the first answer is
-    released.
-    """
-    wrapped, live = open_checkpointed_auditor(
-        directory, auditor_factory, dataset, fsync=fsync, verify=verify,
-        policy=policy, wal_cls=ReplicatingWal,
-    )
-    wal = wrapped.wal
-    try:
-        for target in replicate_to:
-            if isinstance(target, str):
-                target = LocalLink(Follower.open(
-                    target, auditor_factory=auditor_factory,
-                    policy=wal.policy, fsync=fsync,
-                ))
-            wal.attach(target, sync=True)
-    except Exception:
-        wrapped.close()
-        raise
-    return wrapped, live
-
 
 class FollowerReadOnlyAuditor:
     """Serves a follower's replicated decisions; denies everything else.
@@ -936,12 +906,7 @@ class FollowerReadOnlyAuditor:
                  dataset: Optional[Dataset] = None) -> None:
         header = follower.dataset_header
         if dataset is not None and header is not None:
-            same = (
-                [float(v) for v in dataset.values] == header["values"]
-                and float(dataset.low) == float(header["low"])
-                and float(dataset.high) == float(header["high"])
-            )
-            if not same:
+            if _dataset_header(dataset) != header:
                 raise ReplicationError(
                     f"replica {follower.directory!r} replicates a "
                     f"different dataset; refusing to serve its "

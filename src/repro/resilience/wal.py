@@ -1,16 +1,19 @@
-"""Crash-safe write-ahead audit log (WAL).
+"""Crash-safe write-ahead audit log (WAL): record framing and the opener.
 
-File format (version 1) — append-only, one record per line::
+The audit log is a checkpointed WAL *directory* (see
+:mod:`repro.resilience.checkpoint`): a ``MANIFEST`` naming the initial
+dataset, the live log segments and the retained snapshots.  Every file in
+it — segment records, the manifest, snapshots — and every record shipped
+to a replica uses one frame, one record per line::
 
     <crc32 of payload, 8 hex digits> <space> <payload JSON> <newline>
 
-The first record is a header carrying the WAL version and the initial
-dataset (values and public envelope); every subsequent record is one
-journal event — exactly the dicts :class:`~repro.persistence.AuditJournal`
-accumulates, so recovery replays the WAL through the existing journal
-restore path (including its *verify* mode for deterministic auditors).
+Segment records are exactly the journal events
+:class:`~repro.persistence.JournaledAuditor` emits, so recovery replays
+them through the journal's replay path (including its *verify* mode for
+deterministic auditors).
 
-Durability contract: :meth:`WriteAheadLog.append` writes, flushes, and
+Durability contract: ``CheckpointedWal.append`` writes, flushes, and
 ``fsync``\\ s before returning, and :class:`~repro.persistence.
 JournaledAuditor` appends *before* releasing an answer.  Therefore: **an
 answer was released ⇒ its record is durable**.  The converse may fail — a
@@ -23,8 +26,10 @@ tail*, i.e. a final record that is incomplete (no newline) or fails its
 checksum, as a crash mid-``write`` can leave.  The tail is truncated and
 serving resumes from the last durable record; the in-flight answer was
 never released, so nothing is forgotten.  Damage anywhere *before* the
-tail is not a crash artefact of this append-only format — it is corruption
+tail is not a crash artefact of an append-only file — it is corruption
 or tampering — and raises :class:`~repro.persistence.JournalError`.
+
+:func:`open_wal_auditor` is the one way to open or recover a log.
 """
 
 from __future__ import annotations
@@ -32,15 +37,31 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from typing import IO, Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..persistence import AuditJournal, JournalError, JournaledAuditor
+from ..persistence import JournalError, JournaledAuditor
 from ..sdb.dataset import Dataset
-from .faults import fault_site, plan_active
 
 WAL_VERSION = 1
 
 AuditorFactory = Callable[[Dataset], Any]
+
+#: Why a WAL path naming a regular file is refused.  Constant on purpose:
+#: the refusal depends only on the path's type, never on its contents.
+SINGLE_FILE_LOG = (
+    "the WAL path names a regular file, the retired single-file audit "
+    "log format; refusing to overwrite it or to start an empty log beside "
+    "the answers it holds — pass a WAL directory"
+)
 
 
 def fsync_directory(path: str) -> None:
@@ -95,252 +116,93 @@ def _decode_record(line: bytes, index: int) -> Dict[str, Any]:
     return payload
 
 
-class WriteAheadLog:
-    """Append-only, fsync-per-record audit log with checksummed records."""
+def _parse_records(raw: bytes, path: str
+                   ) -> Tuple[List[Dict[str, Any]], int]:
+    """Decode all complete records; returns ``(records, good_bytes)``.
 
-    def __init__(self, path: str, fsync: bool = True) -> None:
-        self.path = path
-        self._fsync = fsync
-        self._handle: Optional[IO[bytes]] = open(path, "ab")
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def create(cls, path: str, dataset: Dataset,
-               fsync: bool = True) -> "WriteAheadLog":
-        """Start a fresh WAL for ``dataset``; refuses to overwrite."""
-        if os.path.exists(path) and os.path.getsize(path) > 0:
-            raise JournalError(
-                f"WAL {path!r} already exists; use WriteAheadLog.recover() "
-                f"to resume it or remove the file to start over"
-            )
-        wal = cls(path, fsync=fsync)
-        if fsync:
-            # The log file itself must survive a crash immediately after
-            # creation: its directory entry is parent-dir metadata, which
-            # the per-record fsync never covers.
-            fsync_directory(os.path.dirname(os.path.abspath(path)))
-        # audit: LEAK003 -- the WAL header IS the server's durable dataset
-        # copy (recovery rebuilds from it); it never leaves the trust boundary
-        wal.append({
-            "type": "header",
-            "wal_version": WAL_VERSION,
-            "dataset": {
-                "values": [float(v) for v in dataset.values],
-                "low": float(dataset.low),
-                "high": float(dataset.high),
-            },
-        })
-        return wal
-
-    @classmethod
-    def recover(cls, path: str,
-                fsync: bool = True) -> Tuple["WriteAheadLog", AuditJournal]:
-        """Reopen a WAL after a crash: parse, heal the tail, and return
-        ``(wal, journal)`` with the log positioned for further appends.
-
-        A torn final record (crash mid-write) is truncated away; any other
-        damage raises :class:`JournalError` with the failing record index.
-        """
+    Only the *final* record may be damaged (torn tail); a bad record
+    with durable records after it is corruption and raises.
+    """
+    records: List[Dict[str, Any]] = []
+    offset = 0
+    index = 0
+    while offset < len(raw):
+        newline = raw.find(b"\n", offset)
+        if newline < 0:
+            break  # incomplete final line: torn tail
+        line = raw[offset:newline]
         try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise JournalError(f"cannot read WAL {path!r}: {exc}") from exc
-        records, good_bytes = cls._parse(raw, path)
-        if good_bytes < len(raw):
-            # Torn tail from a crash mid-append: truncate to the last
-            # durable record before resuming.
-            with open(path, "r+b") as handle:
-                handle.truncate(good_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
-        journal = cls._journal_from_records(records, path)
-        return cls(path, fsync=fsync), journal
-
-    @staticmethod
-    def _parse(raw: bytes, path: str) -> Tuple[List[Dict[str, Any]], int]:
-        """Decode all complete records; returns ``(records, good_bytes)``.
-
-        Only the *final* record may be damaged (torn tail); a bad record
-        with durable records after it is corruption and raises.
-        """
-        records: List[Dict[str, Any]] = []
-        offset = 0
-        index = 0
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            if newline < 0:
-                break  # incomplete final line: torn tail
-            line = raw[offset:newline]
-            try:
-                payload = _decode_record(line, index)
-            except ValueError as exc:
-                # A damaged *final* record is a torn tail; a damaged record
-                # with durable records after it cannot be a crash artefact
-                # of an append-only log — that is corruption or tampering.
-                if raw[newline + 1:].strip():
-                    raise JournalError(
-                        f"WAL {path!r} is corrupt before its tail "
-                        f"({exc}); refusing to serve from a damaged audit "
-                        f"history — restore from a replica or archive"
-                    ) from exc
-                break
-            records.append(payload)
-            offset = newline + 1
-            index += 1
-        return records, offset
-
-    @staticmethod
-    def _journal_from_records(records: List[Dict[str, Any]],
-                              path: str) -> AuditJournal:
-        if not records:
-            raise JournalError(
-                f"WAL {path!r} has no durable header record; the file is "
-                f"empty or its first record is torn — start a fresh WAL"
-            )
-        header = records[0]
-        if header.get("type") != "header":
-            raise JournalError(
-                f"WAL {path!r} does not start with a header record "
-                f"(got {header.get('type')!r})"
-            )
-        version = header.get("wal_version")
-        if version != WAL_VERSION:
-            raise JournalError(
-                f"WAL {path!r} has unsupported version {version!r} "
-                f"(this build reads version {WAL_VERSION}); upgrade or "
-                f"migrate the log before serving"
-            )
-        dataset = header.get("dataset") or {}
-        try:
-            return AuditJournal(
-                initial_values=[float(v) for v in dataset["values"]],
-                low=float(dataset["low"]),
-                high=float(dataset["high"]),
-                events=records[1:],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise JournalError(
-                f"WAL {path!r} header is malformed: {exc}"
-            ) from exc
-
-    # ------------------------------------------------------------------
-    # Appending
-    # ------------------------------------------------------------------
-
-    def append(self, event: Mapping[str, Any]) -> None:
-        """Durably append one record (write + flush + fsync)."""
-        if self._handle is None:
-            raise JournalError(f"WAL {self.path!r} is closed")
-        data = _encode_record(event)
-        half = len(data) // 2
-        self._handle.write(data[:half])
-        if plan_active():
-            # Make the half-written state visible before a simulated kill,
-            # the way a real partial page write would be.
-            self._handle.flush()
-        fault_site("wal.mid-append")
-        self._handle.write(data[half:])
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
-        fault_site("wal.post-fsync")
-
-    def close(self) -> None:
-        """Close the underlying file handle."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "WriteAheadLog":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+            payload = _decode_record(line, index)
+        except ValueError as exc:
+            # A damaged *final* record is a torn tail; a damaged record
+            # with durable records after it cannot be a crash artefact
+            # of an append-only log — that is corruption or tampering.
+            if raw[newline + 1:].strip():
+                raise JournalError(
+                    f"WAL {path!r} is corrupt before its tail "
+                    f"({exc}); refusing to serve from a damaged audit "
+                    f"history — restore from a replica or archive"
+                ) from exc
+            break
+        records.append(payload)
+        offset = newline + 1
+        index += 1
+    return records, offset
 
 
-# ----------------------------------------------------------------------
-# Auditor wiring
-# ----------------------------------------------------------------------
-
-def open_wal_auditor(path: str, auditor_factory: AuditorFactory,
+def open_wal_auditor(directory: str, auditor_factory: AuditorFactory,
                      dataset: Dataset, fsync: bool = True,
-                     verify: bool = False,
-                     checkpoint: Any = None,
-                     replicate_to: Any = None,
+                     verify: bool = False, policy: Any = None,
+                     replicate_to: Optional[Sequence[Any]] = None,
                      ) -> Tuple[JournaledAuditor, Dataset]:
-    """Open-or-recover: the single entry point serving code should use.
+    """Open-or-recover the WAL directory: the one entry point serving
+    code uses.
 
-    If ``path`` holds a WAL, recover from it (``dataset`` must match the
-    WAL's initial dataset — serving a log recorded over different data is
-    refused); otherwise start a fresh WAL over ``dataset``.  Returns the
-    WAL-backed auditor and its live dataset.
+    If ``directory`` holds a manifest, recover from it (``dataset`` must
+    match the log's initial dataset — serving a log recorded over
+    different data is refused); otherwise start a fresh log over
+    ``dataset``.  A path naming a regular file is refused
+    (:data:`SINGLE_FILE_LOG`) and left untouched.  Returns the WAL-backed
+    auditor and its live dataset; ``.wal.last_recovery`` says what a
+    recovery did.
 
-    ``checkpoint`` (a :class:`~repro.resilience.checkpoint.
-    CheckpointPolicy`), or a ``path`` that is a directory (or ends with a
-    path separator), selects the *checkpointed* segmented WAL instead of
-    the single-file log: snapshots bound recovery replay to the
-    post-checkpoint suffix and compaction bounds disk usage.  See
-    :mod:`repro.resilience.checkpoint`.
-
-    ``replicate_to`` (a sequence of replica directory paths or link
-    objects) upgrades further to the *replicating* primary — ``path``
-    must then be a checkpointed WAL directory, and every answer is
-    released only after all replicas acknowledge its record.  See
-    :mod:`repro.resilience.replication`.
+    ``policy`` is the :class:`~repro.resilience.checkpoint.
+    CheckpointPolicy` (default: checkpoint every 256 records).
+    ``replicate_to`` entries are replication links (anything with
+    ``send``/``close``) or replica directory paths, which become
+    in-process durability-only followers; every target is
+    snapshot-install synced before this returns, and from then on an
+    answer is released only after every replica acknowledges its record
+    (see :mod:`repro.resilience.replication`).
     """
-    if replicate_to:
-        from .replication import open_replicated_auditor
+    from .checkpoint import MANIFEST_NAME, _dataset_header
+    from .replication import Follower, LocalLink, ReplicatingWal
 
-        return open_replicated_auditor(
-            path, auditor_factory, dataset, replicate_to=replicate_to,
-            policy=checkpoint, fsync=fsync, verify=verify,
+    if os.path.isfile(directory):
+        raise JournalError(SINGLE_FILE_LOG)
+    if os.path.exists(os.path.join(directory, MANIFEST_NAME)):
+        wrapped, live, _info = ReplicatingWal.recover(
+            directory, auditor_factory, policy=policy, fsync=fsync,
+            verify=verify,
         )
-    if checkpoint is not None or os.path.isdir(path) \
-            or path.endswith(("/", os.sep)):
-        from .checkpoint import open_checkpointed_auditor
-
-        return open_checkpointed_auditor(
-            path, auditor_factory, dataset, fsync=fsync, verify=verify,
-            policy=checkpoint,
-        )
-    if os.path.exists(path) and os.path.getsize(path) > 0:
-        wrapped, replayed = recover_journaled(path, auditor_factory,
-                                              fsync=fsync, verify=verify)
-        journal = wrapped.journal
-        same = (
-            journal.initial_values == [float(v) for v in dataset.values]
-            and journal.low == float(dataset.low)
-            and journal.high == float(dataset.high)
-        )
-        if not same:
-            raise JournalError(
-                f"WAL {path!r} was recorded over a different dataset; "
-                f"refusing to resume (pass a fresh WAL path or the "
-                f"original data)"
-            )
-        return wrapped, replayed
-    wal = WriteAheadLog.create(path, dataset, fsync=fsync)
-    return JournaledAuditor(auditor_factory(dataset), wal=wal), dataset
-
-
-def recover_journaled(path: str, auditor_factory: AuditorFactory,
-                      fsync: bool = True, verify: bool = False
-                      ) -> Tuple[JournaledAuditor, Dataset]:
-    """Crash recovery: replay the WAL at ``path`` into a live auditor.
-
-    The WAL's records are replayed through :meth:`AuditJournal.restore`
-    (``verify=True`` re-runs every decision — only meaningful for
-    deterministic auditors) and the returned :class:`JournaledAuditor`
-    keeps appending to the healed log.
-    """
-    wal, journal = WriteAheadLog.recover(path, fsync=fsync)
+    else:
+        wal = ReplicatingWal.create(directory, dataset, policy=policy,
+                                    fsync=fsync)
+        wrapped, live = JournaledAuditor(auditor_factory(dataset),
+                                         wal=wal), dataset
     try:
-        auditor, dataset = journal.restore(auditor_factory, verify=verify)
+        if wrapped.wal._dataset_header != _dataset_header(dataset):
+            raise JournalError(
+                f"WAL {directory!r} was recorded over a different "
+                f"dataset; refusing to resume (pass a fresh WAL directory "
+                f"or the original data)"
+            )
+        for target in replicate_to or ():
+            if isinstance(target, str):
+                target = LocalLink(Follower.open(
+                    target, policy=wrapped.wal.policy, fsync=fsync))
+            wrapped.wal.attach(target)
     except Exception:
-        wal.close()
+        wrapped.close()
         raise
-    return JournaledAuditor(auditor, wal=wal, journal=journal), dataset
+    return wrapped, live

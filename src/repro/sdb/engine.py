@@ -138,28 +138,27 @@ class StatisticalDatabase:
         :class:`~repro.sdb.dataset.Dataset` and must return an auditor.
 
         With ``wal_path`` set the auditor is backed by a crash-safe
-        write-ahead audit log (see :mod:`repro.resilience.wal`): if the
-        file already holds a WAL recorded over this data it is recovered
+        write-ahead audit log directory (see :mod:`repro.resilience.wal`):
+        if it already holds a WAL recorded over this data it is recovered
         and replayed (``verify_wal=True`` re-runs every decision — only
         meaningful for deterministic auditors), otherwise a fresh log is
         started.  Every decision is then durably persisted before its
         answer is released.
 
         ``checkpoint`` (a :class:`~repro.resilience.checkpoint.
-        CheckpointPolicy`) selects the segmented, checkpointed WAL —
-        ``wal_path`` then names a directory; snapshots bound recovery
-        replay to the post-checkpoint suffix and compaction bounds disk
-        usage.
+        CheckpointPolicy`) sets when the WAL snapshots: snapshots bound
+        recovery replay to the post-checkpoint suffix and compaction
+        bounds disk usage.
 
         ``replicate_to`` (replica directory paths or replication link
-        objects; implies the checkpointed WAL) ships every record to
-        follower replicas and releases answers only after they all
-        acknowledge — see :mod:`repro.resilience.replication`.
+        objects) ships every record to follower replicas and releases
+        answers only after they all acknowledge — see
+        :mod:`repro.resilience.replication`.
         """
         if replicate_to and wal_path is None:
             raise InvalidQueryError(
-                "replicate_to requires wal_path (the primary's "
-                "checkpointed WAL directory)"
+                "replicate_to requires wal_path (the primary's WAL "
+                "directory)"
             )
         values, lo, hi = sensitive_values(records, sensitive_column,
                                           low, high)
@@ -175,7 +174,7 @@ class StatisticalDatabase:
 
             wrapped, live = open_wal_auditor(wal_path, auditor_factory,
                                              dataset, verify=verify_wal,
-                                             checkpoint=checkpoint,
+                                             policy=checkpoint,
                                              replicate_to=replicate_to)
             return StatisticalDatabase(table, live, wrapped)
         return StatisticalDatabase(table, dataset, auditor_factory(dataset))

@@ -50,10 +50,10 @@ class MultiUserFrontend:
         on every past answer, so forgetting one would let an attacker
         replay old queries against a weakened gate.
     wal_path:
-        Optional path to a crash-safe write-ahead audit log (see
+        Optional crash-safe write-ahead audit log directory (see
         :mod:`repro.resilience.wal`).  Pooled mode only: a WAL records one
         auditor's decision stream, and in independent mode there is one
-        auditor per user.  If the file already holds a WAL over this
+        auditor per user.  If the directory already holds a WAL over this
         dataset it is recovered and replayed.
     admission:
         Optional :class:`~repro.resilience.overload.AdmissionController`.
@@ -63,15 +63,13 @@ class MultiUserFrontend:
         unaudited answer.
     checkpoint:
         Optional :class:`~repro.resilience.checkpoint.CheckpointPolicy`
-        selecting the segmented, checkpointed WAL (``wal_path`` then
-        names a directory): snapshots bound recovery to the
-        post-checkpoint suffix and compaction bounds disk usage.
+        for the WAL: snapshots bound recovery to the post-checkpoint
+        suffix and compaction bounds disk usage.
     replicate_to:
         Optional replica directories / replication links (pooled mode
-        with a WAL only; implies the checkpointed WAL).  The pooled
-        auditor becomes a replicating primary: every decision is shipped
-        to the followers and an answer is released only after they all
-        acknowledge it — see :mod:`repro.resilience.replication`.
+        with a WAL only).  Every decision is shipped to the followers
+        and an answer is released only after they all acknowledge it —
+        see :mod:`repro.resilience.replication`.
     """
 
     MODES = ("pooled", "independent")
@@ -99,8 +97,8 @@ class MultiUserFrontend:
             )
         if replicate_to and wal_path is None:
             raise InvalidQueryError(
-                "replicate_to requires wal_path (the primary's "
-                "checkpointed WAL directory)"
+                "replicate_to requires wal_path (the primary's WAL "
+                "directory)"
             )
         self.dataset = dataset
         self.mode = mode
@@ -112,7 +110,7 @@ class MultiUserFrontend:
 
                 self._pooled, self.dataset = open_wal_auditor(
                     wal_path, auditor_factory, dataset, verify=verify_wal,
-                    checkpoint=checkpoint, replicate_to=replicate_to,
+                    policy=checkpoint, replicate_to=replicate_to,
                 )
             else:
                 self._pooled = auditor_factory(dataset)

@@ -71,9 +71,10 @@ class ShardSpec:
     """Everything needed to (re)build the audit worker — picklable, so
     a spawn-context child can reconstruct the worker from scratch.
 
-    ``wal_dir`` selects the worker's checkpointed WAL directory
-    (``None`` = in-memory journal only); ``replicate_to`` adds follower
-    replica directories.
+    ``wal_dir`` is the worker's WAL directory, which a restarted worker
+    recovers (a worker without one would forget every answer it released
+    before the restart); ``replicate_to`` adds follower replica
+    directories.
     """
 
     #: There is one worker, so its index is always 0.  The traced
@@ -82,9 +83,9 @@ class ShardSpec:
     values: Tuple[float, ...]
     low: float
     high: float
+    wal_dir: str
     auditor: str = "sum"
     seed: int = 0
-    wal_dir: Optional[str] = None
     checkpoint_every: Optional[int] = None
     checkpoint_bytes: Optional[int] = None
     replicate_to: Tuple[str, ...] = ()
@@ -136,33 +137,30 @@ class ShardWorker:
 
     ``handle`` speaks the picklable request/response dict protocol the
     transports ship; it is the single release point of the serving tier,
-    and every outcome it returns is already journalled (durably, when
-    the worker carries a WAL) before the dict leaves this method.
+    and every outcome it returns is already durable in the WAL before
+    the dict leaves this method.  Callers send one request at a time
+    (see :class:`ShardSupervisor`).
     """
 
     def __init__(self, spec: ShardSpec,
                  budget_clock: Optional[Clock] = None) -> None:
         self.spec = spec
         self._budget_clock = budget_clock
-        checkpoint = None
-        if spec.wal_dir is not None:
-            checkpoint = CheckpointPolicy(
-                every_records=spec.checkpoint_every or 256,
-                every_bytes=spec.checkpoint_bytes,
-            )
         dataset = Dataset(list(spec.values), low=spec.low, high=spec.high)
         self.frontend = MultiUserFrontend(
             dataset, _auditor_factory(spec), mode="pooled",
-            wal_path=spec.wal_dir, checkpoint=checkpoint,
-            replicate_to=list(spec.replicate_to) or None,
+            wal_path=spec.wal_dir,
+            checkpoint=CheckpointPolicy(
+                every_records=spec.checkpoint_every or 256,
+                every_bytes=spec.checkpoint_bytes,
+            ),
+            replicate_to=spec.replicate_to,
         )
         self.admission: Optional[AdmissionController] = None
         if spec.user_rate is not None:
             self.admission = AdmissionController(AdmissionPolicy(
                 user_rate=spec.user_rate, user_burst=spec.user_burst,
             ))
-        self._seq = 0
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Request handling
@@ -275,13 +273,18 @@ class ShardWorker:
         fault_site("shard.post-journal")
         return self._respond(user, query, decision, shed=True)
 
+    def _logged_events(self) -> int:
+        """Records in the WAL: after a decision's append, its number.
+
+        The number survives worker restarts, so the event ``seq`` (the
+        SSE ``id``) never repeats.
+        """
+        return self.frontend._pooled.wal.total_events
+
     def _respond(self, user: str, query: Query, decision: AuditDecision,
                  shed: bool) -> Dict[str, Any]:
-        with self._lock:
-            self._seq += 1
-            seq = self._seq
         event = {
-            "seq": seq,
+            "seq": self._logged_events(),
             "user": user,
             "kind": query.kind.value,
             "members": sorted(query.query_set),
@@ -295,7 +298,7 @@ class ShardWorker:
             "ok": True,
             "users": self.frontend.users(),
             "denials": self.frontend.denial_counts(),
-            "events": self._seq,
+            "events": self._logged_events(),
         }
         if self.admission is not None:
             stats["shed"] = self.admission.shed_counts()
@@ -303,9 +306,7 @@ class ShardWorker:
 
     def close(self) -> None:
         """Close the worker's WAL (flushes replication links too)."""
-        closer = getattr(self.frontend._pooled, "close", None)
-        if closer is not None:
-            closer()
+        self.frontend._pooled.close()
 
 
 # ----------------------------------------------------------------------

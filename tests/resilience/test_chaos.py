@@ -20,11 +20,9 @@ import tempfile
 import pytest
 
 from repro.auditors.sum_classic import SumClassicAuditor
-from repro.resilience.checkpoint import (
-    CheckpointPolicy,
-    open_checkpointed_auditor,
-)
+from repro.resilience.checkpoint import CheckpointPolicy
 from repro.resilience.faults import FaultPlan, InjectedCrash, inject
+from repro.resilience.wal import open_wal_auditor
 from repro.sdb.dataset import Dataset
 from repro.types import sum_query
 
@@ -84,8 +82,8 @@ MAX_OCCURRENCES = 64
 def baseline():
     """Released decisions of the uncrashed checkpointed run."""
     directory = os.path.join(tempfile.mkdtemp(), "wal")
-    wrapped, _ = open_checkpointed_auditor(directory, factory,
-                                           make_dataset(), policy=POLICY)
+    wrapped, _ = open_wal_auditor(directory, factory,
+                                  make_dataset(), policy=POLICY)
     decisions = [wrapped.audit(q) for q in QUERIES]
     wrapped.close()
     assert [d.denied for d in decisions].count(True) >= 2
@@ -106,7 +104,7 @@ def crash_run(site, occurrence):
         resume_from = 0
         wrapped = None
         try:
-            wrapped, _ = open_checkpointed_auditor(
+            wrapped, _ = open_wal_auditor(
                 directory, factory, make_dataset(), policy=POLICY)
         except InjectedCrash:
             pass  # crashed during creation: recovery starts from nothing
@@ -122,7 +120,7 @@ def crash_run(site, occurrence):
                     break
         crash_fired = bool(plan.fired)
         if crash_fired or wrapped is None:
-            recovered, _ = open_checkpointed_auditor(
+            recovered, _ = open_wal_auditor(
                 directory, factory, make_dataset(), policy=POLICY,
                 verify=True)
             info = recovered.wal.last_recovery
@@ -180,7 +178,7 @@ def test_double_crash_still_converges(baseline):
     released = {}
     resume_from = 0
     with inject(FaultPlan.crash_at("checkpoint.pre-commit", 0)):
-        wrapped, _ = open_checkpointed_auditor(
+        wrapped, _ = open_wal_auditor(
             directory, factory, make_dataset(), policy=POLICY)
         for i, query in enumerate(QUERIES):
             try:
@@ -190,7 +188,7 @@ def test_double_crash_still_converges(baseline):
                 resume_from = i
                 break
     with inject(FaultPlan.crash_at("wal.mid-append", 2)):
-        recovered, _ = open_checkpointed_auditor(
+        recovered, _ = open_wal_auditor(
             directory, factory, make_dataset(), policy=POLICY, verify=True)
         for i in range(resume_from, len(QUERIES)):
             try:
@@ -199,7 +197,7 @@ def test_double_crash_still_converges(baseline):
             except InjectedCrash:
                 resume_from = i
                 break
-    final, _ = open_checkpointed_auditor(
+    final, _ = open_wal_auditor(
         directory, factory, make_dataset(), policy=POLICY, verify=True)
     for i in range(resume_from, len(QUERIES)):
         released[i] = final.audit(QUERIES[i])

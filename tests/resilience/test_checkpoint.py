@@ -20,9 +20,8 @@ from repro.resilience.checkpoint import (
     MANIFEST_NAME,
     CheckpointPolicy,
     CheckpointedWal,
-    open_checkpointed_auditor,
 )
-from repro.resilience.wal import WriteAheadLog, open_wal_auditor
+from repro.resilience.wal import open_wal_auditor
 from repro.sdb.dataset import Dataset
 from repro.types import sum_query
 
@@ -59,7 +58,7 @@ POLICY = CheckpointPolicy(every_records=4)
 
 def serve(directory, queries=QUERIES, policy=POLICY, verify=False):
     """Open (or recover) the checkpointed WAL and audit ``queries``."""
-    wrapped, _ = open_checkpointed_auditor(
+    wrapped, _ = open_wal_auditor(
         directory, factory, make_dataset(), policy=policy, verify=verify,
     )
     decisions = [wrapped.audit(q) for q in queries]
@@ -131,17 +130,17 @@ def test_compaction_disabled_keeps_full_history(tmp_path):
 
 
 def test_open_wal_auditor_dispatches_directories(tmp_path, baseline):
-    """The single serving entry point routes directory paths (and explicit
-    checkpoint policies) to the checkpointed implementation."""
+    """The single serving entry point opens every log as a checkpointed
+    directory, with or without an explicit policy."""
     directory = str(tmp_path / "waldir")
     wrapped, _ = open_wal_auditor(directory, factory, make_dataset(),
-                                  checkpoint=POLICY)
+                                  policy=POLICY)
     assert isinstance(wrapped.wal, CheckpointedWal)
     decisions = [(d.denied, d.value)
                  for d in (wrapped.audit(q) for q in QUERIES[:2])]
     wrapped.close()
     assert decisions == baseline[:2]
-    # Reopen via the directory path alone — no policy needed to dispatch.
+    # Reopen via the directory path alone — the default policy applies.
     wrapped, _ = open_wal_auditor(directory, factory, make_dataset())
     assert isinstance(wrapped.wal, CheckpointedWal)
     wrapped.close()
@@ -150,7 +149,7 @@ def test_open_wal_auditor_dispatches_directories(tmp_path, baseline):
 def test_byte_trigger_checkpoints(tmp_path):
     directory = str(tmp_path / "wal")
     policy = CheckpointPolicy(every_records=None, every_bytes=1)
-    wrapped, _ = open_checkpointed_auditor(
+    wrapped, _ = open_wal_auditor(
         directory, factory, make_dataset(), policy=policy)
     wrapped.audit(QUERIES[0])
     wrapped.audit(QUERIES[1])
@@ -271,7 +270,7 @@ def test_dataset_mismatch_is_refused(tmp_path):
     serve(directory)
     other = Dataset([1.0, 2.0, 3.0], low=0.0, high=10.0)
     with pytest.raises(JournalError, match="different dataset"):
-        open_checkpointed_auditor(directory, factory, other, policy=POLICY)
+        open_wal_auditor(directory, factory, other, policy=POLICY)
 
 
 def test_create_refuses_unmanifested_history(tmp_path):
@@ -302,34 +301,12 @@ def test_recovery_sweeps_orphans(tmp_path):
 # Property tests (Hypothesis)
 # ----------------------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
-@given(cut=st.integers(min_value=0, max_value=10**9))
-def test_torn_tail_heals_at_every_byte_offset_single_file(tmp_path_factory,
-                                                          cut):
-    """Truncating the single-file WAL anywhere inside its final record
-    (any byte offset) recovers to exactly the prefix stream."""
-    path = str(tmp_path_factory.mktemp("wal") / "audit.wal")
-    wrapped, _ = open_wal_auditor(path, factory, make_dataset())
-    for query in QUERIES[:4]:
-        wrapped.audit(query)
-    wrapped.close()
-    raw = open(path, "rb").read()
-    boundary = raw.rstrip(b"\n").rfind(b"\n") + 1  # last record starts here
-    tail_len = len(raw) - boundary
-    offset = boundary + cut % tail_len  # every offset inside the record
-    with open(path, "r+b") as handle:
-        handle.truncate(offset)
-    recovered, journal = WriteAheadLog.recover(path)
-    recovered.close()
-    assert len(journal.events) == 3  # header excluded; final event torn
-    assert open(path, "rb").read() == raw[:boundary]
-
-
 @settings(max_examples=40, deadline=None)
 @given(cut=st.integers(min_value=0, max_value=10**9))
 def test_torn_active_segment_heals_at_every_byte_offset(tmp_path_factory,
                                                         cut):
-    """Same property for the checkpointed WAL's active segment."""
+    """Truncating the active segment anywhere inside its final record
+    (any byte offset) recovers to exactly the prefix stream."""
     directory = str(tmp_path_factory.mktemp("wal") / "dir")
     serve(directory, queries=QUERIES[:6])  # checkpoint at 4, 2 live events
     manifest = json.loads(

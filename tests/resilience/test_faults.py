@@ -15,7 +15,8 @@ import pytest
 
 from repro.auditors.sum_classic import SumClassicAuditor
 from repro.exceptions import ReproError
-from repro.persistence import JournalError, JournaledAuditor
+from repro.persistence import JournaledAuditor
+from repro.resilience.checkpoint import MANIFEST_NAME
 from repro.resilience.faults import (
     KNOWN_SITES,
     Crash,
@@ -27,7 +28,7 @@ from repro.resilience.faults import (
     inject,
     plan_active,
 )
-from repro.resilience.wal import open_wal_auditor, recover_journaled
+from repro.resilience.wal import open_wal_auditor
 from repro.sdb.dataset import Dataset
 from repro.types import sum_query
 
@@ -52,13 +53,14 @@ QUERIES = [
     sum_query([3]),         # denied: single element
 ]
 
-#: Sites on the audit path, with the occurrence offset of query 0
-#: (the WAL sites see the header append as occurrence 0).
+#: Sites on the audit path, with the occurrence offset of query 0.  A
+#: log directory keeps its dataset in the manifest, so every site fires
+#: first for query 0; the ids keep the drills' established names.
 AUDIT_PATH_SITES = [
-    ("journal.pre-record", 0),
-    ("wal.mid-append", 1),
-    ("wal.post-fsync", 1),
-    ("journal.post-record", 0),
+    pytest.param("journal.pre-record", 0, id="journal.pre-record-0"),
+    pytest.param("wal.mid-append", 0, id="wal.mid-append-1"),
+    pytest.param("wal.post-fsync", 0, id="wal.post-fsync-1"),
+    pytest.param("journal.post-record", 0, id="journal.post-record-0"),
 ]
 
 
@@ -130,7 +132,7 @@ def crash_recover_replay(site, query_index, occurrence_offset):
 
     Returns the full list of *released* decisions, in query order.
     """
-    path = os.path.join(tempfile.mkdtemp(), "audit.wal")
+    path = os.path.join(tempfile.mkdtemp(), "wal")
     released = {}
     plan = FaultPlan.crash_at(site, query_index + occurrence_offset)
     with inject(plan):
@@ -148,7 +150,8 @@ def crash_recover_replay(site, query_index, occurrence_offset):
         # The dead process's answer was never released; the client resumes
         # by retrying every unacknowledged query against the recovered
         # auditor (verify mode re-checks the whole durable history).
-        recovered, _ = recover_journaled(path, factory, verify=True)
+        recovered, _ = open_wal_auditor(path, factory, make_dataset(),
+                                        verify=True)
         for i in range(crashed_at, len(QUERIES)):
             released[i] = recovered.audit(QUERIES[i])
         recovered.close()
@@ -179,14 +182,19 @@ def test_no_crash_turns_a_denial_into_an_answer(site, offset, baseline):
 
 
 def test_crash_during_header_write_means_fresh_start(tmp_path):
-    """A crash while the header is being written leaves a torn, headerless
-    file; recovery refuses it with guidance rather than serving."""
-    path = str(tmp_path / "audit.wal")
-    with inject(FaultPlan.crash_at("wal.mid-append", 0)):
+    """A crash while the manifest (the log's header) is first written
+    leaves no manifest and only an empty segment: nothing was ever
+    journalled, so the next open starts a fresh log over the strays."""
+    path = str(tmp_path / "wal")
+    with inject(FaultPlan.crash_at("manifest.mid-write", 0)):
         with pytest.raises(InjectedCrash):
             open_wal_auditor(path, factory, make_dataset())
-    with pytest.raises(JournalError, match="start a fresh WAL"):
-        recover_journaled(path, factory)
+    assert MANIFEST_NAME not in os.listdir(path)
+    wrapped, _ = open_wal_auditor(path, factory, make_dataset())
+    assert wrapped.wal.last_recovery is None
+    assert len(wrapped.trail) == 0
+    wrapped.close()
+    assert sorted(os.listdir(path)) == [MANIFEST_NAME, "segment-000001.log"]
 
 
 def test_durable_but_unreleased_decision_is_treated_as_disclosed():
@@ -194,12 +202,13 @@ def test_durable_but_unreleased_decision_is_treated_as_disclosed():
     answer was never seen.  Recovery must keep it — the fail-closed
     resolution of the ambiguity — because the attacker *may* have seen
     the answer even though the server never saw it acknowledged."""
-    path = os.path.join(tempfile.mkdtemp(), "audit.wal")
+    path = os.path.join(tempfile.mkdtemp(), "wal")
     wrapped, _ = open_wal_auditor(path, factory, make_dataset())
     with inject(FaultPlan.crash_at("journal.post-record")):
         with pytest.raises(InjectedCrash):
             wrapped.audit(sum_query([0, 1, 2, 3]))
-    recovered, _ = recover_journaled(path, factory, verify=True)
+    recovered, _ = open_wal_auditor(path, factory, make_dataset(),
+                                    verify=True)
     # The unreleased total is kept in the history...
     assert len(recovered.trail) == 1
     # ...so the subset query — answerable against an empty history, but a

@@ -21,7 +21,8 @@ from repro.resilience.overload import (
     CircuitBreaker,
     TokenBucket,
 )
-from repro.resilience.wal import recover_journaled
+from repro.resilience.replication import replica_events
+from repro.resilience.wal import open_wal_auditor
 from repro.sdb.dataset import Dataset
 from repro.sdb.multiuser import MultiUserFrontend
 from repro.types import DenialReason, sum_query
@@ -108,7 +109,7 @@ def test_burst_yields_journalled_denials_never_exceptions(tmp_path):
     clock = FaultClock()
     frontend = MultiUserFrontend(
         make_dataset(), factory, mode="pooled",
-        wal_path=str(tmp_path / "audit.wal"),
+        wal_path=str(tmp_path / "wal"),
         admission=AdmissionController(AdmissionPolicy(
             user_rate=0.001, user_burst=3, clock=clock.now)),
     )
@@ -121,15 +122,15 @@ def test_burst_yields_journalled_denials_never_exceptions(tmp_path):
         assert decision.denied
         assert decision.reason == DenialReason.RESOURCE_EXHAUSTED
     assert frontend.denial_counts() == {"mallory": 7}
-    # The shed queries are first-class journal events...
-    events = frontend._pooled.journal.events
+    # The shed queries are first-class, durable WAL events...
+    events = replica_events(str(tmp_path / "wal"))
     assert [e["type"] for e in events].count("denial") == 7
     frontend._pooled.close()
-    # ...durably WAL-journalled, and replay re-logs them without
-    # re-auditing (verify mode would diverge otherwise: there is no
-    # auditor decision behind a shed query to re-check).
-    recovered, _ = recover_journaled(str(tmp_path / "audit.wal"), factory,
-                                     verify=True)
+    # ...and replay re-logs them without re-auditing (verify mode would
+    # diverge otherwise: there is no auditor decision behind a shed query
+    # to re-check).
+    recovered, _ = open_wal_auditor(str(tmp_path / "wal"), factory,
+                                    make_dataset(), verify=True)
     assert len(recovered.trail) == 10
     assert recovered.trail.denial_count() == 7
     recovered.close()
@@ -284,15 +285,13 @@ def test_probabilistic_auditor_degrades_through_the_breaker():
 
 def test_journaled_auditor_passes_refusals_through(tmp_path):
     """record_refusal reaches the WAL even without a frontend."""
-    from repro.resilience.wal import open_wal_auditor
-    from repro.types import AuditDecision
-
-    path = str(tmp_path / "audit.wal")
+    path = str(tmp_path / "wal")
     wrapped, _ = open_wal_auditor(path, factory, make_dataset())
     assert isinstance(wrapped, JournaledAuditor)
     wrapped.record_refusal(sum_query([0]), exhausted())
     wrapped.close()
-    recovered, _ = recover_journaled(path, factory, verify=True)
+    recovered, _ = open_wal_auditor(path, factory, make_dataset(),
+                                    verify=True)
     assert len(recovered.trail) == 1
     assert recovered.trail.denial_count() == 1
     recovered.close()

@@ -18,11 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.auditors.sum_classic import SumClassicAuditor
-from repro.resilience.checkpoint import (
-    MANIFEST_NAME,
-    CheckpointPolicy,
-    open_checkpointed_auditor,
-)
+from repro.resilience.checkpoint import MANIFEST_NAME, CheckpointPolicy
 from repro.resilience.replication import (
     FRAME_APPEND,
     FRAME_HEADER,
@@ -38,11 +34,10 @@ from repro.resilience.replication import (
     ReplicationError,
     _b64,
     encode_frame,
-    open_replicated_auditor,
     promote_replica,
     replica_events,
 )
-from repro.resilience.wal import _encode_record
+from repro.resilience.wal import _encode_record, open_wal_auditor
 from repro.sdb.dataset import Dataset
 from repro.sdb.updates import Modify
 from repro.types import sum_query
@@ -95,7 +90,7 @@ def serve_pair(queries=QUERIES, policy=POLICY):
     """A primary replicating to one in-process follower; serve queries."""
     pdir, fdir = tmpdir("primary"), tmpdir("follower")
     follower = Follower.open(fdir, auditor_factory=factory, policy=policy)
-    wrapped, _ = open_replicated_auditor(
+    wrapped, _ = open_wal_auditor(
         pdir, factory, make_dataset(),
         replicate_to=[LocalLink(follower)], policy=policy,
     )
@@ -105,7 +100,7 @@ def serve_pair(queries=QUERIES, policy=POLICY):
 
 def released_baseline():
     """The decision stream of an unreplicated checkpointed run."""
-    wrapped, _ = open_checkpointed_auditor(
+    wrapped, _ = open_wal_auditor(
         tmpdir("baseline"), factory, make_dataset(), policy=POLICY)
     decisions = [wrapped.audit(q) for q in QUERIES]
     wrapped.close()
@@ -189,11 +184,33 @@ def test_released_stream_matches_the_unreplicated_run():
             for d in decisions] == released_baseline()
 
 
+def test_replica_directories_are_durability_only_followers():
+    """A directory named in replicate_to keeps a bitwise copy of the log
+    and nothing else: no second live auditor replays the stream."""
+    pdir, rdir = tmpdir("primary"), tmpdir("replica")
+    wrapped, _ = open_wal_auditor(pdir, factory, make_dataset(),
+                                  replicate_to=[rdir], policy=POLICY)
+    decisions = [wrapped.audit(q) for q in QUERIES[:7]]
+    [link] = wrapped.wal.links
+    assert link.follower.history is None
+    assert link.follower.live_dataset is None
+    wrapped.close()
+    # Reopening re-syncs the replica before the next answer is released.
+    wrapped, _ = open_wal_auditor(pdir, factory, make_dataset(),
+                                  replicate_to=[rdir], policy=POLICY)
+    decisions += [wrapped.audit(q) for q in QUERIES[7:]]
+    wrapped.close()
+    assert [(d.denied, d.value, d.reason)
+            for d in decisions] == released_baseline()
+    assert replica_events(rdir) == replica_events(pdir)
+    assert stored_files(rdir) == stored_files(pdir)
+
+
 def test_late_attach_snapshot_installs_the_backlog():
     """A follower attached mid-stream is synced to a full copy before
     the next answer is released."""
     pdir = tmpdir("primary")
-    wrapped, _ = open_replicated_auditor(pdir, factory, make_dataset(),
+    wrapped, _ = open_wal_auditor(pdir, factory, make_dataset(),
                                          policy=POLICY)
     for query in QUERIES[:7]:
         wrapped.audit(query)
@@ -224,7 +241,7 @@ def test_sync_refuses_to_rewind_replicated_history():
     wrapped.close()
     follower = Follower.open(fdir, auditor_factory=factory, policy=POLICY)
     with pytest.raises(ReplicationError, match="rewind"):
-        open_replicated_auditor(tmpdir("fresh"), factory, make_dataset(),
+        open_wal_auditor(tmpdir("fresh"), factory, make_dataset(),
                                 replicate_to=[LocalLink(follower)],
                                 policy=POLICY)
 
@@ -300,7 +317,7 @@ def shipped_stream():
         follower = Follower.open(fdir, auditor_factory=factory,
                                  policy=POLICY)
         tee = TeeLink(LocalLink(follower))
-        wrapped, _ = open_replicated_auditor(
+        wrapped, _ = open_wal_auditor(
             pdir, factory, make_dataset(), replicate_to=[tee],
             policy=POLICY)
         for query in QUERIES:
@@ -440,7 +457,7 @@ class MisbehavingLink:
     ({"type": "ack", "events": 0, "epoch": 0}, "divergence"),
 ])
 def test_bad_acknowledgements_withhold_the_answer(ack, match):
-    wrapped, _ = open_replicated_auditor(tmpdir("primary"), factory,
+    wrapped, _ = open_wal_auditor(tmpdir("primary"), factory,
                                          make_dataset(), policy=POLICY)
     wrapped.wal.attach(MisbehavingLink(ack), sync=False)
     with pytest.raises(ReplicationError, match=match):
@@ -452,7 +469,7 @@ def test_bad_acknowledgements_withhold_the_answer(ack, match):
 
 
 def test_fenced_ack_raises_fenced_error_on_the_sender():
-    wrapped, _ = open_replicated_auditor(tmpdir("primary"), factory,
+    wrapped, _ = open_wal_auditor(tmpdir("primary"), factory,
                                          make_dataset(), policy=POLICY)
     wrapped.wal.attach(
         MisbehavingLink({"type": "fenced", "error": "superseded"}),
@@ -497,7 +514,7 @@ def test_process_follower_holds_a_bitwise_replica():
     """End to end across the process boundary: a spawned follower keeps
     the same live stream and the same stored bytes."""
     pdir, fdir = tmpdir("primary"), tmpdir("follower")
-    wrapped, _ = open_replicated_auditor(
+    wrapped, _ = open_wal_auditor(
         pdir, factory, make_dataset(),
         replicate_to=[ProcessLink(fdir, policy=POLICY)], policy=POLICY)
     decisions = [wrapped.audit(q) for q in QUERIES]

@@ -35,10 +35,10 @@ from repro.resilience.replication import (
     FencedError,
     Follower,
     LocalLink,
-    open_replicated_auditor,
     promote_replica,
     replica_events,
 )
+from repro.resilience.wal import open_wal_auditor
 from repro.sdb.dataset import Dataset
 from repro.types import sum_query
 
@@ -105,7 +105,7 @@ def fresh_pair():
 
 def open_pair(pdir, fdir, verify=False):
     follower = Follower.open(fdir, auditor_factory=factory, policy=POLICY)
-    wrapped, _ = open_replicated_auditor(
+    wrapped, _ = open_wal_auditor(
         pdir, factory, make_dataset(),
         replicate_to=[LocalLink(follower)], policy=POLICY, verify=verify,
     )
@@ -317,7 +317,7 @@ def test_fenced_old_primary_rejected_after_swept_failover():
     promoted.close()
     # The old primary reconnects to a re-opened replica of the promoted
     # directory — its epoch-0 frames must be refused at the door.
-    resurrected, _ = open_replicated_auditor(
+    resurrected, _ = open_wal_auditor(
         pdir, factory, make_dataset(), policy=POLICY, verify=True)
     reopened = Follower.open(fdir, auditor_factory=factory, policy=POLICY)
     with pytest.raises(FencedError):

@@ -226,16 +226,13 @@ def wal_db(path):
 
 
 def wal_event_types(path):
-    from repro.resilience.wal import WriteAheadLog
+    from repro.resilience.replication import replica_events
 
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    records, _ = WriteAheadLog._parse(raw, path)
-    return [r.get("type") for r in records[1:]]  # drop the header
+    return [r.get("type") for r in replica_events(path)]
 
 
 def test_cache_hit_appends_query_replay_to_wal():
-    path = os.path.join(tempfile.mkdtemp(), "audit.wal")
+    path = os.path.join(tempfile.mkdtemp(), "wal")
     db = wal_db(path)
     db.query(Eq("zip", 94305), AggregateKind.SUM)
     db.query(Eq("zip", 94305), AggregateKind.SUM)   # cache hit
@@ -243,15 +240,13 @@ def test_cache_hit_appends_query_replay_to_wal():
 
 
 def test_restore_skips_replay_events():
-    path = os.path.join(tempfile.mkdtemp(), "audit.wal")
+    path = os.path.join(tempfile.mkdtemp(), "wal")
     db = wal_db(path)
     first = db.query(Eq("zip", 94305), AggregateKind.SUM)
     db.query(Eq("zip", 94305), AggregateKind.SUM)
     db.auditor.close()
 
-    from repro.resilience.wal import recover_journaled
-
-    recovered, _ = recover_journaled(path, lambda ds: SumClassicAuditor(ds))
+    recovered = wal_db(path).auditor
     # One real disclosure restored; the replay added no duplicate state.
     assert len(recovered.trail) == 1
     assert recovered.trail.events[0].decision.value == first.value
@@ -262,7 +257,7 @@ def test_replay_is_logged_before_release_under_fault_injection():
     # Inject a failure at journal.pre-record on the *replay* occurrence:
     # the cache hit must crash before releasing its answer, proving the
     # WAL append sits on the replay path, not after it.
-    path = os.path.join(tempfile.mkdtemp(), "audit.wal")
+    path = os.path.join(tempfile.mkdtemp(), "wal")
     db = wal_db(path)
     db.query(Eq("zip", 94305), AggregateKind.SUM)   # occurrence 0
     plan = FaultPlan({"journal.pre-record": [Raise(ReproError)]})

@@ -122,7 +122,7 @@ def test_explicit_envelope_does_not_warn(recwarn):
 
 
 def test_from_records_with_wal_recovers_history(tmp_path):
-    path = str(tmp_path / "audit.wal")
+    path = str(tmp_path / "wal")
     records = [
         {"zip": 1, "salary": 10.0},
         {"zip": 1, "salary": 20.0},

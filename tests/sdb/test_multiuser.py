@@ -78,11 +78,11 @@ def test_wal_requires_pooled_mode():
     data = Dataset([1.0, 2.0])
     with pytest.raises(InvalidQueryError, match="pooled"):
         MultiUserFrontend(data, lambda ds: SumClassicAuditor(ds),
-                          mode="independent", wal_path="/nowhere.wal")
+                          mode="independent", wal_path="/nowhere/wal")
 
 
 def test_pooled_frontend_recovers_from_wal(tmp_path):
-    path = str(tmp_path / "audit.wal")
+    path = str(tmp_path / "wal")
 
     def build():
         data = Dataset([10.0, 20.0, 30.0], low=0.0, high=50.0)

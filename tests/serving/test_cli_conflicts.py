@@ -105,18 +105,73 @@ def test_listen_refuses_the_old_per_shard_wal_layout(tmp_path, capsys,
     assert sorted(p.name for p in wal.iterdir()) == ["shard-00", "shard-01"]
 
 
+def test_listen_without_wal_exits_2(tmp_path, capsys, monkeypatch):
+    """A worker without a WAL would forget every released answer when it
+    restarts, so --listen refuses to start one."""
+    from repro.exceptions import ReproError
+    from repro.serving import shards
+
+    def never(*args, **kwargs):
+        raise ReproError("a worker was built without a WAL")
+
+    monkeypatch.setattr(shards, "ShardSupervisor", never)
+    csv = tmp_path / "d.csv"
+    csv.write_text("x\n1.0\n2.0\n5.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--csv", str(csv), "--sensitive", "x",
+              "--listen", "127.0.0.1:0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--listen requires --wal" in err
+
+
+def test_journal_with_wal_exits_2(tmp_path, capsys):
+    """The WAL directory is the journal; an exported journal could only
+    hold the events after its newest snapshot."""
+    csv = tmp_path / "d.csv"
+    csv.write_text("x\n1.0\n2.0\n5.0\n")
+    journal, wal = tmp_path / "j.json", tmp_path / "wal"
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--csv", str(csv), "--sensitive", "x",
+              "--wal", str(wal), "--journal", str(journal)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--journal is incompatible with --wal" in err
+    assert not journal.exists() and not wal.exists()
+
+
+def test_listen_refuses_a_single_file_wal(tmp_path, capsys, monkeypatch):
+    from repro.resilience.wal import SINGLE_FILE_LOG
+    from repro.serving import shards
+
+    def never(*args, **kwargs):  # pragma: no cover - must not be reached
+        raise AssertionError("a worker started beside a single-file log")
+
+    monkeypatch.setattr(shards, "ShardSupervisor", never)
+    csv = tmp_path / "d.csv"
+    csv.write_text("x\n1.0\n2.0\n5.0\n")
+    old_log = tmp_path / "audit.wal"
+    old_log.write_bytes(b"0123abcd {}\n")
+    code = main(["serve", "--csv", str(csv), "--sensitive", "x",
+                 "--listen", "127.0.0.1:0", "--wal", str(old_log)])
+    assert code == 2
+    assert capsys.readouterr().out == f"error: {SINGLE_FILE_LOG}\n"
+    assert old_log.read_bytes() == b"0123abcd {}\n"
+
+
 def test_listen_requires_host_port_shape(tmp_path, capsys):
     csv = tmp_path / "d.csv"
     csv.write_text("x\n1.0\n2.0\n")
     code = main(["serve", "--csv", str(csv), "--sensitive", "x",
-                 "--listen", "no-port-here"])
+                 "--listen", "no-port-here", "--wal", str(tmp_path / "w")])
     assert code == 2
     assert "HOST:PORT" in capsys.readouterr().out
 
 
-def test_listen_missing_csv_is_a_clean_error(capsys):
+def test_listen_missing_csv_is_a_clean_error(tmp_path, capsys):
     code = main(["serve", "--csv", "/no/such/file.csv", "--sensitive",
-                 "x", "--listen", "127.0.0.1:0"])
+                 "x", "--listen", "127.0.0.1:0",
+                 "--wal", str(tmp_path / "w")])
     assert code == 2
     assert "error:" in capsys.readouterr().out
 
@@ -126,7 +181,7 @@ def test_listen_non_numeric_sensitive_cell_is_a_clean_error(tmp_path,
     csv = tmp_path / "d.csv"
     csv.write_text("x\n1.0\nnp.float64(2.5)\n")
     code = main(["serve", "--csv", str(csv), "--sensitive", "x",
-                 "--listen", "127.0.0.1:0"])
+                 "--listen", "127.0.0.1:0", "--wal", str(tmp_path / "w")])
     captured = capsys.readouterr()
     assert code == 2
     assert "error: sensitive column 'x' holds a non-numeric value" \
@@ -146,7 +201,8 @@ def test_listen_warns_on_degenerate_envelope(tmp_path, monkeypatch):
     csv.write_text("x\n5.0\n5.0\n")
     with pytest.warns(UserWarning, match="degenerate sensitive-value"):
         code = main(["serve", "--csv", str(csv), "--sensitive", "x",
-                     "--listen", "127.0.0.1:0"])
+                     "--listen", "127.0.0.1:0",
+                     "--wal", str(tmp_path / "w")])
     assert code == 2
 
 

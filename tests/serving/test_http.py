@@ -48,10 +48,9 @@ class Harness:
         self.supervisor.close()
 
 
-def make_spec(tmp_path=None, **overrides):
-    kwargs = dict(values=VALUES, low=0.0, high=100.0, auditor="sum", seed=0)
-    if tmp_path is not None:
-        kwargs["wal_dir"] = str(tmp_path / "wal")
+def make_spec(tmp_path, **overrides):
+    kwargs = dict(values=VALUES, low=0.0, high=100.0, auditor="sum", seed=0,
+                  wal_dir=str(tmp_path / "wal"))
     kwargs.update(overrides)
     return ShardSpec(**kwargs)
 
@@ -243,6 +242,57 @@ def test_crashed_shard_serves_503_until_recovery(tmp_path):
         res = client.query("alice", "sum", [0, 1, 2])
         assert res.ok and res.payload == {"denied": False, "value": 60.0}
         assert client.health().payload["status"] == "serving"
+    finally:
+        h.stop()
+
+
+def test_a_restarted_worker_remembers_every_released_answer(tmp_path):
+    """The worker's WAL outlives it: after a crash and restart, the
+    narrowing query a second identity asks is still denied."""
+    now = [0.0]
+    h = Harness(make_spec(tmp_path), backoff_base=1.0, clock=lambda: now[0])
+    try:
+        client = h.client()
+        first = client.query("u0", "sum", range(6))
+        assert first.payload == {"denied": False, "value": 210.0}
+        h.supervisor.crash_worker()
+        now[0] += 10.0
+        second = client.query("u4", "sum", range(1, 6))
+        assert h.supervisor.restarts == 1
+        assert second.status == 200
+        assert second.payload["denied"]
+        assert second.payload["reason"] == "full-disclosure"
+    finally:
+        h.stop()
+
+
+def test_sse_ids_keep_rising_across_a_worker_restart(tmp_path):
+    """An event's id is its WAL record number, so a client resuming with
+    Last-Event-ID after a crash drill never sees an id twice."""
+    now = [0.0]
+    h = Harness(make_spec(tmp_path), backoff_base=1.0, clock=lambda: now[0])
+    try:
+        client = h.client()
+        received = []
+        consumer = threading.Thread(target=lambda: received.extend(
+            client.events(limit=4, timeout=30)), daemon=True)
+        consumer.start()
+        deadline = time.monotonic() + 10.0
+        while client.stats().payload["sse_subscribers"] == 0:
+            assert time.monotonic() < deadline, "subscriber never registered"
+            time.sleep(0.02)
+        client.query("alice", "sum", range(6))
+        client.query("alice", "sum", [0, 1, 2])
+        h.supervisor.crash_worker()
+        now[0] += 10.0
+        client.query("bob", "sum", [3, 4, 5])
+        client.query("bob", "sum", [0, 1])
+        consumer.join(15.0)
+        assert not consumer.is_alive()
+        ids = [event["seq"] for event in received]
+        assert ids[2] > max(ids[:2])
+        assert ids == sorted(set(ids))
+        assert client.stats().payload["worker"]["events"] == ids[-1]
     finally:
         h.stop()
 

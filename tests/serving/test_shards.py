@@ -1,6 +1,8 @@
 """The audit worker, the spawn transport, and the restart supervisor."""
 
 import itertools
+import os
+import tempfile
 
 import pytest
 
@@ -18,9 +20,9 @@ VALUES = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 
 
 def make_spec(tmp_path=None, **overrides):
-    kwargs = dict(values=VALUES, low=0.0, high=100.0, auditor="sum", seed=0)
-    if tmp_path is not None:
-        kwargs["wal_dir"] = str(tmp_path / "wal")
+    root = str(tmp_path) if tmp_path is not None else tempfile.mkdtemp()
+    kwargs = dict(values=VALUES, low=0.0, high=100.0, auditor="sum", seed=0,
+                  wal_dir=os.path.join(root, "wal"))
     kwargs.update(overrides)
     return ShardSpec(**kwargs)
 

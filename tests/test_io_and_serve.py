@@ -120,7 +120,7 @@ def test_serve_via_main_help(capsys):
 def test_serve_with_wal_recovers_across_restarts(tmp_path, capsys):
     path = tmp_path / "salaries.csv"
     path.write_text(CSV_TEXT)
-    wal_path = tmp_path / "audit.wal"
+    wal_path = tmp_path / "wal"
 
     import argparse
 
@@ -139,6 +139,24 @@ def test_serve_with_wal_recovers_across_restarts(tmp_path, capsys):
     # The restarted process remembers the total from the WAL: answering
     # eng here is fine, but the session count shows the replayed history.
     assert "session: 2 queries" in second
+
+
+def test_serve_refuses_a_single_file_wal(tmp_path, capsys):
+    """A --wal naming a regular file (the retired single-file log) exits
+    2 and leaves the file byte-identical."""
+    from repro.resilience.wal import SINGLE_FILE_LOG
+
+    path = tmp_path / "salaries.csv"
+    path.write_text(CSV_TEXT)
+    old_log = tmp_path / "audit.wal"
+    old_log.write_bytes(b"0123abcd {\"type\":\"header\"}\n")
+    code = main(["serve", "--csv", str(path), "--sensitive", "salary",
+                 "--wal", str(old_log)])
+    assert code == 2
+    assert f"error: {SINGLE_FILE_LOG}" in capsys.readouterr().out
+    assert old_log.read_bytes() == b"0123abcd {\"type\":\"header\"}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "audit.wal", "salaries.csv"]
 
 
 def test_serve_probabilistic_auditor_with_deadline(tmp_path, capsys):
