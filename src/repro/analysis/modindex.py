@@ -16,7 +16,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -87,6 +87,11 @@ class ModuleInfo:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: 1-based line numbers carrying a violation pragma.
     pragmas: Dict[int, Pragma] = field(default_factory=dict)
+    #: how often each name is bound anywhere in the module (assignment
+    #: targets, parameters, imports, defs, classes; every scope)
+    bindings: Dict[str, int] = field(default_factory=dict)
+    #: module-level ``NAME = "literal"`` names bound nowhere else
+    string_constants: Set[str] = field(default_factory=set)
 
 
 class PackageIndex:
@@ -166,6 +171,19 @@ class PackageIndex:
             return None
         return target_mod, node
 
+    def is_string_constant(self, module: str, name: str) -> bool:
+        """Does ``name`` as written in ``module`` (directly or through an
+        import) denote a module-level string constant?"""
+        mod = self.modules.get(module)
+        if mod is None or mod.bindings.get(name) != 1:
+            return False
+        if name in mod.string_constants:
+            return True
+        target = mod.imports.get(name)
+        resolved = self.resolve_dotted(target) if target else None
+        return (resolved is not None
+                and resolved[1] in self.modules[resolved[0]].string_constants)
+
     def qualify(self, module: str, name: str) -> Optional[str]:
         """The fully-qualified dotted target a name refers to, if imported."""
         mod = self.modules.get(module)
@@ -217,6 +235,36 @@ def _module_name(package: str, package_dir: Path, path: Path) -> str:
     if parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join([package] + parts)
+
+
+def _collect_bindings(tree: ast.Module) -> Dict[str, int]:
+    counts: Dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.arg):
+            name = node.arg
+        elif isinstance(node, ast.alias):
+            name = (node.asname or node.name).split(".")[0]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            name = node.name
+        else:
+            continue
+        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def _collect_string_constants(tree: ast.Module,
+                              bindings: Dict[str, int]) -> Set[str]:
+    return {node.targets[0].id for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and bindings[node.targets[0].id] == 1
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)}
 
 
 def _collect_imports(module: str, tree: ast.Module,
@@ -353,6 +401,9 @@ def build_index(package_dir: Union[str, Path],
         info = ModuleInfo(name=name, path=path, tree=tree)
         info.imports = _collect_imports(name, tree, is_package)
         info.pragmas = _collect_pragmas(source)
+        info.bindings = _collect_bindings(tree)
+        info.string_constants = _collect_string_constants(tree,
+                                                          info.bindings)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 info.functions[node.name] = node

@@ -48,7 +48,7 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .callgraph import ClassInfo, ResolvedCall, Resolver, TypeEnv
 from .cfg import CFG, StmtNode, build_cfg, stmt_expr_nodes
@@ -256,23 +256,29 @@ def snippet(node: ast.AST, limit: int = 88) -> str:
     return text
 
 
-def constantish(expr: Optional[ast.expr]) -> bool:
+def constantish(expr: Optional[ast.expr],
+                named_constant: Callable[[str], bool]) -> bool:
     """Is a denial-detail expression built from constants only?
 
-    Constants, f-strings over constants, concatenation of constants, and
-    ``DenialReason.*``/``*.value`` enum renderings qualify; anything else
-    (a name, a computed size, an interpolated threshold) does not.
+    Constants, f-strings over constants, concatenation of constants,
+    names for which ``named_constant`` holds (module-level string
+    constants), and ``DenialReason.*``/``*.value`` enum renderings
+    qualify; anything else (a local name, a computed size, an
+    interpolated threshold) does not.
     """
     if expr is None:
         return True
     if isinstance(expr, ast.Constant):
         return True
+    if isinstance(expr, ast.Name):
+        return named_constant(expr.id)
     if isinstance(expr, ast.JoinedStr):
-        return all(constantish(v) for v in expr.values)
+        return all(constantish(v, named_constant) for v in expr.values)
     if isinstance(expr, ast.FormattedValue):
-        return constantish(expr.value)
+        return constantish(expr.value, named_constant)
     if isinstance(expr, ast.BinOp):
-        return constantish(expr.left) and constantish(expr.right)
+        return (constantish(expr.left, named_constant)
+                and constantish(expr.right, named_constant))
     if isinstance(expr, ast.Attribute):
         text = attr_text(expr)
         return text is not None and text.startswith("DenialReason.")
@@ -829,7 +835,9 @@ class TaintEngine:
                         detail = kw.value
             if detail is not None:
                 origins = self.expr_taint(detail, state, ctx)
-                is_const = constantish(detail)
+                is_const = constantish(
+                    detail, lambda name: self.index.is_string_constant(
+                        ctx.module, name))
                 if origins or not is_const:
                     events.append(SinkEvent(
                         kind="deny", node=call,

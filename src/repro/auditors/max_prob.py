@@ -41,7 +41,13 @@ from ..rng import (
 )
 from ..sdb.dataset import Dataset
 from ..synopsis.extreme_synopsis import ExtremeSynopsis, MaxSynopsis
-from ..types import AggregateKind, AuditDecision, DenialReason, Query
+from ..types import (
+    SAMPLED_BREACH_DETAIL,
+    AggregateKind,
+    AuditDecision,
+    DenialReason,
+    Query,
+)
 from .base import Auditor
 
 
@@ -167,6 +173,8 @@ class MaxProbabilisticAuditor(Auditor):
         if num_samples is None:
             suggested = (1.0 / delta) * math.log(1.0 / delta)
             num_samples = int(min(400, max(60, math.ceil(suggested))))
+        if num_samples < 1:
+            raise PrivacyParameterError("num_samples must be positive")
         self.num_samples = num_samples
         self._rng = as_generator(rng)
         self.budget = budget
@@ -288,7 +296,9 @@ class MaxProbabilisticAuditor(Auditor):
                              scope: Optional[BudgetScope],
                              gen: np.random.Generator
                              ) -> Optional[AuditDecision]:
-        members = query.sorted_indices()
+        members = list(query.sorted_indices())
+        # The whole block is drawn before any check, so stopping early
+        # skips no draw: the stream ends where full evaluation ends it.
         samples = self.sample_consistent_datasets(self.num_samples, gen)
         unsafe = 0
         for s in range(self.num_samples):
@@ -296,25 +306,24 @@ class MaxProbabilisticAuditor(Auditor):
                 # No inner MCMC chain here: one Monte Carlo draw is the
                 # natural cancellation granularity.
                 scope.checkpoint()
-            sample = samples[s]
-            answer = float(sample[list(members)].max())
+            answer = float(samples[s][members].max())
             trial = self._synopsis.copy()
             try:
                 trial.insert(query.query_set, answer)
             except InconsistentAnswersError:  # pragma: no cover - measure zero
                 unsafe += 1
-                continue
-            if not algorithm1_safe(trial, self.grid, self.lam,
-                                   distribution=self.distribution):
-                unsafe += 1
-        if unsafe / self.num_samples > self.threshold:
-            # audit: LEAK001 -- breach count from seeded *simulatable* sampling
-            # over the public prior; num_samples/threshold are policy constants
-            return AuditDecision.deny(
-                DenialReason.PARTIAL_DISCLOSURE,
-                f"{unsafe}/{self.num_samples} sampled answers breach the "
-                f"lambda band (threshold {self.threshold:.4g})",
-            )
+            else:
+                if not algorithm1_safe(trial, self.grid, self.lam,
+                                       distribution=self.distribution):
+                    unsafe += 1
+            # Both tests are monotone in the final count, so the first one
+            # to hold fixes the decision full evaluation would reach.
+            if unsafe / self.num_samples > self.threshold:
+                return AuditDecision.deny(DenialReason.PARTIAL_DISCLOSURE,
+                                          SAMPLED_BREACH_DETAIL)
+            remaining = self.num_samples - s - 1
+            if (unsafe + remaining) / self.num_samples <= self.threshold:
+                return None
         return None
 
     def _record_answer(self, query: Query, value: float) -> None:

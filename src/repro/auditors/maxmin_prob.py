@@ -26,7 +26,7 @@ from typing import List, Optional, Set
 
 import numpy as np
 
-from ..coloring.graph import ColoringGraph
+from ..coloring.graph import lemma2_holds, predicate_graph
 from ..coloring.sampler import PosteriorSampler
 from ..exceptions import InconsistentAnswersError, PrivacyParameterError
 from ..privacy.compromise import ratios_within_band
@@ -36,7 +36,13 @@ from ..resilience.overload import CircuitBreaker
 from ..rng import RngLike, as_generator
 from ..sdb.dataset import Dataset
 from ..synopsis.combined import CombinedSynopsis
-from ..types import AggregateKind, AuditDecision, DenialReason, Query
+from ..types import (
+    SAMPLED_BREACH_DETAIL,
+    AggregateKind,
+    AuditDecision,
+    DenialReason,
+    Query,
+)
 from .base import Auditor
 from .candidates import candidate_answers
 
@@ -121,7 +127,7 @@ class MaxMinProbabilisticAuditor(Auditor):
                 trial = self._synopsis.what_if(query.kind, query.query_set, a)
             except InconsistentAnswersError:
                 continue
-            if not ColoringGraph(trial).satisfies_lemma2():
+            if not lemma2_holds(*predicate_graph(trial)):
                 return True
         return False
 
@@ -213,13 +219,8 @@ class MaxMinProbabilisticAuditor(Auditor):
                                       tol=self.mc_tolerance):
                 unsafe += 1
         if unsafe / self.num_outer > self.threshold:
-            # audit: LEAK001 -- breach count from seeded *simulatable* sampling
-            # over the public prior; num_outer is a policy constant
-            return AuditDecision.deny(
-                DenialReason.PARTIAL_DISCLOSURE,
-                f"{unsafe}/{self.num_outer} sampled answers breach the "
-                f"lambda band",
-            )
+            return AuditDecision.deny(DenialReason.PARTIAL_DISCLOSURE,
+                                      SAMPLED_BREACH_DETAIL)
         return None
 
     def _record_answer(self, query: Query, value: float) -> None:

@@ -29,7 +29,13 @@ from ..resilience.budget import Budget, BudgetScope, run_fail_closed
 from ..resilience.overload import CircuitBreaker
 from ..rng import RngLike, as_generator
 from ..sdb.dataset import Dataset
-from ..types import AggregateKind, AuditDecision, DenialReason, Query
+from ..types import (
+    SAMPLED_BREACH_DETAIL,
+    AggregateKind,
+    AuditDecision,
+    DenialReason,
+    Query,
+)
 from .base import Auditor
 
 
@@ -167,13 +173,8 @@ class SumProbabilisticAuditor(Auditor):
                                       tol=self.mc_tolerance):
                 unsafe += 1
         if unsafe / self.num_outer > self.threshold:
-            # audit: LEAK001 -- breach count from seeded *simulatable* sampling
-            # over the public prior; num_outer is a policy constant
-            return AuditDecision.deny(
-                DenialReason.PARTIAL_DISCLOSURE,
-                f"{unsafe}/{self.num_outer} sampled answers breach the "
-                f"lambda band",
-            )
+            return AuditDecision.deny(DenialReason.PARTIAL_DISCLOSURE,
+                                      SAMPLED_BREACH_DETAIL)
         return None
 
     def _record_answer(self, query: Query, value: float) -> None:

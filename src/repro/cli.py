@@ -681,8 +681,8 @@ def _serve_http(args) -> int:
         return 2
 
     if os.path.isfile(args.wal):
-        # Checked here as well as in open_wal_auditor, so the refusal
-        # reaches the operator instead of dying with the spawned worker.
+        # The worker's open_wal_auditor refuses this too, but only after
+        # a process is spawned; no worker starts beside a single-file log.
         print(f"error: {SINGLE_FILE_LOG}")
         return 2
     if os.path.isdir(args.wal) and any(

@@ -33,6 +33,58 @@ class ColoringNode:
     is_max: bool
 
 
+def predicate_graph(synopsis: CombinedSynopsis
+                    ) -> Tuple[List[ColoringNode], List[List[int]]]:
+    """The colouring graph's nodes and ascending adjacency lists.
+
+    Structure only: no range table and no colour weights, so a caller that
+    reads node sizes and degrees (the Lemma 2 guard) pays for nothing else.
+    """
+    nodes: List[ColoringNode] = []
+    # The same-value rule leaves max({j}) = M and min({j}) = M, two
+    # statements of x_j = M.  They become one node, the max one, so
+    # ``j`` is one node's colour and its witness mass counts once.
+    # Max predicates come first.
+    max_pins: Set[Tuple[int, float]] = set()
+    for pred in synopsis.equality_predicates():
+        if pred.determines_value:
+            pin = (min(pred.elements), pred.value)
+            if pred.is_max:
+                max_pins.add(pin)
+            elif pin in max_pins:
+                continue
+        nodes.append(ColoringNode(
+            node_id=len(nodes),
+            elements=pred.frozen_elements(),
+            value=pred.value,
+            is_max=pred.is_max,
+        ))
+    # Within a side predicates are pairwise disjoint, so each element has
+    # at most one max and one min owner, and the edges are exactly the
+    # (max, min) owner pairs.  Max nodes precede min nodes, so the sorted
+    # pairs fill every adjacency list in ascending order.
+    k = len(nodes)
+    max_owner = np.full(synopsis.n, -1)
+    min_owner = np.full(synopsis.n, -1)
+    for node in nodes:
+        owner = max_owner if node.is_max else min_owner
+        owner[list(node.elements)] = node.node_id
+    shared = (max_owner >= 0) & (min_owner >= 0)
+    pairs = np.unique(max_owner[shared] * k + min_owner[shared])
+    adjacency: List[List[int]] = [[] for _ in nodes]
+    for u, w in zip((pairs // k).tolist(), (pairs % k).tolist()):
+        adjacency[u].append(w)
+        adjacency[w].append(u)
+    return nodes, adjacency
+
+
+def lemma2_holds(nodes: List[ColoringNode],
+                 adjacency: List[List[int]]) -> bool:
+    """Lemma 2 precondition: ``|S(v)| >= d_v + 2`` for every node."""
+    return all(len(v.elements) >= len(adjacency[v.node_id]) + 2
+               for v in nodes)
+
+
 class ColoringGraph:
     """Graph over equality predicates with weighted colours.
 
@@ -48,43 +100,9 @@ class ColoringGraph:
 
     def __init__(self, synopsis: CombinedSynopsis):
         self.synopsis = synopsis
-        self.nodes: List[ColoringNode] = []
-        # The same-value rule leaves max({j}) = M and min({j}) = M, two
-        # statements of x_j = M.  They become one node, the max one, so
-        # ``j`` is one node's colour and its witness mass counts once.
-        # Max predicates come first.
-        max_pins: Set[Tuple[int, float]] = set()
-        for pred in synopsis.equality_predicates():
-            if pred.determines_value:
-                pin = (min(pred.elements), pred.value)
-                if pred.is_max:
-                    max_pins.add(pin)
-                elif pin in max_pins:
-                    continue
-            self.nodes.append(ColoringNode(
-                node_id=len(self.nodes),
-                elements=pred.frozen_elements(),
-                value=pred.value,
-                is_max=pred.is_max,
-            ))
+        self.nodes, self._adjacency = predicate_graph(synopsis)
         #: Every element's feasible interval ``R_i``, built once.
         self.ranges: RangeTable = synopsis.range_table()
-        # Within a side predicates are pairwise disjoint, so each element
-        # has at most one max and one min owner, and the edges are exactly
-        # the (max, min) owner pairs.  Max nodes precede min nodes, so the
-        # sorted pairs fill every adjacency list in ascending order.
-        k = len(self.nodes)
-        max_owner = np.full(synopsis.n, -1)
-        min_owner = np.full(synopsis.n, -1)
-        for node in self.nodes:
-            owner = max_owner if node.is_max else min_owner
-            owner[list(node.elements)] = node.node_id
-        shared = (max_owner >= 0) & (min_owner >= 0)
-        pairs = np.unique(max_owner[shared] * k + min_owner[shared])
-        self._adjacency: List[List[int]] = [[] for _ in self.nodes]
-        for u, w in zip((pairs // k).tolist(), (pairs % k).tolist()):
-            self._adjacency[u].append(w)
-            self._adjacency[w].append(u)
         # Colour weights ``1/|R_i|``, indexed by element.  Propagation
         # guarantees multi-element predicates only contain elements with
         # non-degenerate ranges; singleton predicates have a single forced
@@ -121,9 +139,7 @@ class ColoringGraph:
 
     def satisfies_lemma2(self) -> bool:
         """Lemma 2 precondition: ``|S(v)| >= d_v + 2`` for every node."""
-        return all(
-            len(v.elements) >= self.degree(v.node_id) + 2 for v in self.nodes
-        )
+        return lemma2_holds(self.nodes, self._adjacency)
 
     def mixing_condition(self) -> Tuple[bool, float, float]:
         """Lemma 3 diagnostic: ``m > Δ(1 + 2 p_max / p_min)``.

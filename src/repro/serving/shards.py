@@ -43,6 +43,7 @@ from ..exceptions import (
     ReproError,
     UnsupportedQueryError,
 )
+from ..persistence import JournalError
 from ..resilience.budget import Budget
 from ..resilience.checkpoint import CheckpointPolicy
 from ..resilience.faults import InjectedCrash, fault_site
@@ -313,9 +314,30 @@ class ShardWorker:
 # Transports
 # ----------------------------------------------------------------------
 
+def _boot_error(exc: Exception) -> str:
+    """What a worker that failed to boot tells the operator.
+
+    Journal and OS errors name paths and constants only; any other
+    exception could quote data, so only its class name crosses the pipe.
+    """
+    if isinstance(exc, (JournalError, OSError)):
+        return str(exc)
+    return exc.__class__.__name__
+
+
 def _shard_process_main(conn: Any, spec: ShardSpec) -> None:
-    """Entry point of a spawned worker process."""
-    worker = ShardWorker(spec)
+    """Entry point of a spawned worker process.
+
+    A worker that cannot boot (say, its WAL was recorded over other
+    data) answers the boot ping with the reason and exits.
+    """
+    try:
+        worker = ShardWorker(spec)
+    except Exception as exc:
+        conn.recv()
+        conn.send({"ok": False, "error": _boot_error(exc)})
+        conn.close()
+        return
     try:
         while True:
             try:
@@ -368,8 +390,11 @@ class ProcessShardHandle:
         self._process.start()
         child.close()
         # Fail fast at boot: a worker that cannot recover its WAL must
-        # not be marked serving.
-        self.request({"op": "ping"})
+        # not be marked serving, and its reason reaches the operator.
+        reply = self.request({"op": "ping"})
+        if not reply.get("ok"):
+            self.close()
+            raise ReproError(reply["error"])
 
     def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         try:

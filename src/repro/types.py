@@ -94,6 +94,14 @@ class DenialReason(enum.Enum):
     RESOURCE_EXHAUSTED = "resource-exhausted"
 
 
+#: The detail of every sampled ``PARTIAL_DISCLOSURE`` denial.  Constant on
+#: purpose: a breach count would be one more output channel, and an
+#: auditor that stops at the first breach has no full count to report.
+SAMPLED_BREACH_DETAIL = (
+    "sampled answers breach the lambda band more often than delta/2T allows"
+)
+
+
 @dataclass(frozen=True)
 class AuditDecision:
     """The auditor's verdict on one query: an answer or a denial."""

@@ -10,7 +10,10 @@ twin (constants and ``len()`` projections only).
 import threading
 
 from repro.sdb.dataset import Dataset
-from repro.types import AuditDecision, DenialReason
+from repro.types import SAMPLED_BREACH_DETAIL, AuditDecision, DenialReason
+
+POLICY_DETAIL = "policy limit reached"
+RETRY_DETAIL = "retry later"
 
 
 class LeakyExceptions:
@@ -30,6 +33,11 @@ class LeakyExceptions:
         return AuditDecision.deny(DenialReason.POLICY,
                                   f"failed after {attempts} tries")
 
+    def deny_shadowed_constant(self, attempts: int) -> AuditDecision:
+        # a second binding anywhere in the module disqualifies the name
+        RETRY_DETAIL = f"failed after {attempts} tries"
+        return AuditDecision.deny(DenialReason.POLICY, RETRY_DETAIL)
+
 
 class CleanExceptions:
     """LEAK001 true negatives: constant reasons after touching the data."""
@@ -44,6 +52,15 @@ class CleanExceptions:
             return AuditDecision.deny(DenialReason.POLICY,
                                       "policy threshold exceeded")
         return AuditDecision.answer(0.0)
+
+    def deny_named_constant(self, dataset: Dataset) -> AuditDecision:
+        if max(dataset.values) > 0:
+            return AuditDecision.deny(DenialReason.POLICY, POLICY_DETAIL)
+        return AuditDecision.answer(0.0)
+
+    def deny_imported_constant(self) -> AuditDecision:
+        return AuditDecision.deny(DenialReason.PARTIAL_DISCLOSURE,
+                                  SAMPLED_BREACH_DETAIL)
 
     def deny_documented(self, attempts: int) -> AuditDecision:
         # audit: LEAK001 -- attempt counter is operational, not data

@@ -78,6 +78,7 @@ def test_every_rule_has_a_true_positive(fixture_report):
     assert ("LeakyExceptions", "raise_with_value") in fired
     assert ("LeakyExceptions", "deny_with_value") in fired
     assert ("LeakyExceptions", "deny_nonconstant") in fired  # strict mode
+    assert ("LeakyExceptions", "deny_shadowed_constant") in fired
     assert ("LeakyLogging", "print_value") in fired
     assert ("LeakyReplication", "ship_cell") in fired
     assert ("SharedCache", "remember") in fired
@@ -86,6 +87,8 @@ def test_every_rule_has_a_true_positive(fixture_report):
 def test_scrubbed_twins_stay_silent(fixture_report):
     clean = {("CleanExceptions", "raise_scrubbed"),
              ("CleanExceptions", "deny_scrubbed"),
+             ("CleanExceptions", "deny_named_constant"),
+             ("CleanExceptions", "deny_imported_constant"),
              ("LeakyLogging", "print_size"),
              ("LeakyReplication", "ship_count"),
              ("SharedCache", "remember_size"),

@@ -1,10 +1,11 @@
-"""Differential replay at serving size: the n=1000 ``maxmin-prob`` golden.
+"""Differential replay at serving size: the n=1000 goldens.
 
-The 200-query goldens run at n <= 40.  This one pins the deployed shape
+The 200-query goldens run at n <= 40.  These pin the deployed shape
 — CLI-default parameters over 1000 records, 250-500-member queries — so
-per-element work that only matters at that size (range tables, witness
-mass, colour weights) is locked bitwise too.  Both the vectorized
-serving path and the scalar reference path must replay it exactly.
+work that only matters at that size is locked bitwise too: range
+tables, witness mass and colour weights for ``maxmin-prob``, and
+``max-prob``'s early exit at delta/2T * N < 1.  Both the vectorized
+serving path and the scalar reference path must replay them exactly.
 """
 
 import pytest

@@ -127,6 +127,8 @@ def test_parameter_validation():
         MaxProbabilisticAuditor(data, delta=0.0)
     with pytest.raises(PrivacyParameterError):
         MaxProbabilisticAuditor(data, rounds=0)
+    with pytest.raises(PrivacyParameterError):
+        MaxProbabilisticAuditor(data, num_samples=0)
 
 
 def test_denial_does_not_change_synopsis():

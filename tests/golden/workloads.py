@@ -99,6 +99,19 @@ def _maxmin_prob_n1000(vectorized: bool):
     )
 
 
+def _max_prob_n1000(vectorized: bool):
+    # `serve --auditor max-prob` defaults over 1000 records, asked max
+    # queries of 250-500 members.  Here delta/2T * N = 0.015 < 1, so one
+    # unsafe sample decides a denial; most denials here first breach late
+    # in the block, and the answers evaluate all N samples.
+    dataset = Dataset.uniform(1000, rng=7, duplicate_free=True)
+    auditor = MaxProbabilisticAuditor(dataset, rng=0, vectorized=vectorized)
+    return auditor, _query_stream(
+        1000, 104, [AggregateKind.MAX],
+        count=SERVING_NUM_QUERIES, min_size=250, max_size=500,
+    )
+
+
 #: Decisions in each serving-shape golden (one costs ~0.1-0.3 s).
 SERVING_NUM_QUERIES = 24
 
@@ -106,6 +119,7 @@ SERVING_NUM_QUERIES = 24
 #: ``tests/auditors/test_golden_serving_replay.py``.
 SERVING_WORKLOADS = {
     "maxmin_prob_n1000": _maxmin_prob_n1000,
+    "max_prob_n1000": _max_prob_n1000,
 }
 
 

@@ -5,6 +5,8 @@ usage + a specific message on stderr and exit code 2 — not a bare print
 on stdout with an ambiguous status.
 """
 
+import io
+
 import pytest
 
 from repro.cli import main
@@ -157,6 +159,28 @@ def test_listen_refuses_a_single_file_wal(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert capsys.readouterr().out == f"error: {SINGLE_FILE_LOG}\n"
     assert old_log.read_bytes() == b"0123abcd {}\n"
+
+
+def test_listen_reports_why_the_worker_could_not_boot(tmp_path, capsys,
+                                                      monkeypatch):
+    # A WAL recorded over one CSV, then served with --listen over another:
+    # the spawned worker refuses to resume, and its reason (not a dead
+    # pipe) reaches the operator.
+    first = tmp_path / "a.csv"
+    first.write_text("x\n1.0\n2.0\n5.0\n")
+    second = tmp_path / "b.csv"
+    second.write_text("x\n1.0\n2.0\n6.0\n")
+    wal = str(tmp_path / "audit.d")
+    monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+    assert main(["serve", "--csv", str(first), "--sensitive", "x",
+                 "--wal", wal]) == 0
+    capsys.readouterr()
+    code = main(["serve", "--csv", str(second), "--sensitive", "x",
+                 "--listen", "127.0.0.1:0", "--wal", wal])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: WAL ")
+    assert "recorded over a different dataset" in out
 
 
 def test_listen_requires_host_port_shape(tmp_path, capsys):
