@@ -13,7 +13,7 @@ test:
 
 # The crash/recover/replay drills (docs/ROBUSTNESS.md).
 faults:
-	PYTHONPATH=src $(PY) -m pytest -q -m faults tests/resilience/
+	PYTHONPATH=src $(PY) -m pytest -q -m faults tests/
 
 # ruff/mypy may be absent in the offline container; the in-tree analyzer
 # (`repro-audit lint`) always runs.

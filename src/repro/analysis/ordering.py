@@ -43,7 +43,7 @@ from .findings import (
     Frame,
 )
 from .modindex import ClassInfo, FunctionNode, PackageIndex
-from .purity import EffectEngine, getattr_append_locals, iter_calls
+from .purity import EffectEngine, iter_calls
 
 
 @dataclass
@@ -166,7 +166,6 @@ class _OrderingChecker:
                    self_class: Optional[ClassInfo], env: TypeEnv,
                    boundary: bool) -> None:
         graph = build_cfg(node)
-        bound = getattr_append_locals(node, self.engine.config)
         real_append_sids: Set[int] = set()
         delegate_sids: Set[int] = set()
         satisfying_sids: Set[int] = set()
@@ -174,8 +173,7 @@ class _OrderingChecker:
             appends = False
             delegates = False
             for call in stmt_expr_nodes(stmt, (ast.Call,)):
-                facts = self.engine.merged_facts(call, module, env,
-                                                 getattr_appends=bound)
+                facts = self.engine.merged_facts(call, module, env)
                 appends |= facts.appends
                 delegates |= facts.delegates_audit
             if appends:
@@ -211,11 +209,11 @@ class _OrderingChecker:
                         "audit-journal append (fail-closed ordering)",
                 self_class=self_class, method=node.name)
 
-        self._check_wal002(module, node, self_class, env, bound)
+        self._check_wal002(module, node, self_class, env)
 
     def _check_wal002(self, module: str, node: FunctionNode,
-                      self_class: Optional[ClassInfo], env: TypeEnv,
-                      bound: Set[str]) -> None:
+                      self_class: Optional[ClassInfo],
+                      env: TypeEnv) -> None:
         tries: List[ast.Try] = []
 
         def visit(current: ast.AST) -> None:
@@ -230,8 +228,7 @@ class _OrderingChecker:
         visit(node)
         for stmt in tries:
             try_appends = any(
-                self.engine.merged_facts(call, module, env,
-                                         getattr_appends=bound).appends
+                self.engine.merged_facts(call, module, env).appends
                 for body_stmt in stmt.body
                 for call in iter_calls(body_stmt))
             if not try_appends:

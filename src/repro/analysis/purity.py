@@ -22,9 +22,8 @@ exactly once:
   monotonic clocks) is *allowed* — it is the budget layer's sanctioned
   deadline clock and never feeds a released value;
 * **journal appends** — ``CheckpointedWal.append`` and the
-  ``record_decision`` / ``record_replay`` / ``record_update`` calling
-  conventions (resolved or name-based, including
-  ``getattr(obj, "record_replay", …)`` indirection);
+  ``record_decision`` / ``record_replay`` / ``record_refusal`` /
+  ``record_update`` calling conventions (resolved or name-based);
 * **budget checkpoints** — ``BudgetScope.checkpoint`` and the
   ``checkpoint`` / ``_checkpoint`` calling conventions;
 * **fault sites** — ``repro.resilience.faults.fault_site``.
@@ -91,12 +90,7 @@ class EffectConfig:
     append_functions: FrozenSet[str] = frozenset({
         "repro.resilience.checkpoint.CheckpointedWal.append",
         "repro.resilience.checkpoint.CheckpointedWal.raw_append",
-        "repro.resilience.replication.ReplicatingWal.append",
         "repro.resilience.replication.Follower._apply_append",
-        # serving tier: the frontend's deny-before-audit entry point
-        # journals through the auditor's disclosure trail
-        "repro.sdb.multiuser.MultiUserFrontend.refuse",
-        "repro.sdb.multiuser.MultiUserFrontend._record_refusal",
     })
     #: method names that journal by convention, on any receiver
     append_method_names: FrozenSet[str] = frozenset({
@@ -211,28 +205,6 @@ def dotted_callee(func: ast.expr, index: PackageIndex,
     return f"{target}.{rest}" if rest else target
 
 
-def getattr_append_locals(node: FunctionNode,
-                          config: EffectConfig) -> Set[str]:
-    """Locals bound via ``x = getattr(obj, "record_replay", ...)``."""
-    names: Set[str] = set()
-    for call in iter_calls(node):
-        if not (isinstance(call.func, ast.Name)
-                and call.func.id == "getattr" and len(call.args) >= 2):
-            continue
-        attr = call.args[1]
-        if not (isinstance(attr, ast.Constant)
-                and isinstance(attr.value, str)
-                and attr.value in config.append_method_names):
-            continue
-        parent_assigns = [s for s in ast.walk(node)
-                          if isinstance(s, ast.Assign) and s.value is call]
-        for assign in parent_assigns:
-            for target in assign.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-    return names
-
-
 def _seed_argument_missing(call: ast.Call) -> bool:
     """True when a factory call carries no seed (or a literal None seed)."""
     if call.args:
@@ -268,8 +240,8 @@ class EffectEngine:
 
     # -- per-call classification ---------------------------------------
 
-    def call_facts(self, call: ast.Call, module: str, env: TypeEnv,
-                   getattr_appends: Optional[Set[str]] = None) -> CallFacts:
+    def call_facts(self, call: ast.Call, module: str,
+                   env: TypeEnv) -> CallFacts:
         """Classify the primitive effects of one call site."""
         config = self.config
         facts = CallFacts()
@@ -332,14 +304,12 @@ class EffectEngine:
                 facts.checkpoints = True
             if name == "fault_site":
                 facts.fault_site = True
-            if getattr_appends and name in getattr_appends:
-                facts.appends = True
         return facts
 
-    def merged_facts(self, call: ast.Call, module: str, env: TypeEnv,
-                     getattr_appends: Optional[Set[str]] = None) -> CallFacts:
+    def merged_facts(self, call: ast.Call, module: str,
+                     env: TypeEnv) -> CallFacts:
         """Primitive facts OR the transitive summary of the resolved callee."""
-        facts = self.call_facts(call, module, env, getattr_appends)
+        facts = self.call_facts(call, module, env)
         resolved = facts.resolved
         if resolved is not None and resolved.node is not None:
             summary = self._summaries.get(id(resolved.node))
@@ -377,10 +347,8 @@ class EffectEngine:
             edges: Set[int] = set()
             env = self.resolver.param_env(module, node,
                                           self_class=self_class)
-            bound = getattr_append_locals(node, self.config)
             for call in iter_calls(node):
-                facts = self.call_facts(call, module, env,
-                                        getattr_appends=bound)
+                facts = self.call_facts(call, module, env)
                 summary.draws_randomness |= bool(facts.draws
                                                  or facts.unseeded_rng)
                 summary.appends_journal |= facts.appends

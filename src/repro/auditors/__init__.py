@@ -25,6 +25,10 @@ Auditor                            Section    Compromise notion
 ================================  =========  ============================
 """
 
+from typing import Any, Callable, Dict, Tuple
+
+from ..exceptions import InvalidQueryError
+from ..sdb.dataset import Dataset
 from .base import Auditor
 from .count_trivial import CountAuditor, DispatchingAuditor
 from .deny_all import DenyAllAuditor
@@ -38,7 +42,38 @@ from .overlap_restriction import OverlapRestrictionAuditor
 from .sum_classic import SumClassicAuditor
 from .sum_prob import SumProbabilisticAuditor
 
+#: The auditors ``serve --auditor`` offers: name -> (class, probabilistic).
+#: Both serving paths (the stdin loop and the HTTP audit worker) build
+#: from this table.
+SERVED_AUDITORS: Dict[str, Tuple[Callable[..., Auditor], bool]] = {
+    "sum": (SumClassicAuditor, False),
+    "max": (MaxClassicAuditor, False),
+    "maxmin": (MaxMinClassicAuditor, False),
+    "sum-prob": (SumProbabilisticAuditor, True),
+    "max-prob": (MaxProbabilisticAuditor, True),
+    "maxmin-prob": (MaxMinProbabilisticAuditor, True),
+}
+
+
+def served_auditor_factory(name: str, seed: int = 0,
+                           budget: Any = None) -> Callable[[Dataset], Auditor]:
+    """The factory of the served auditor ``name``.
+
+    A probabilistic auditor draws from ``seed`` and decides under
+    ``budget`` (a :class:`~repro.resilience.budget.Budget` or ``None``);
+    the classic ones are closed-form and take neither.
+    """
+    if name not in SERVED_AUDITORS:
+        raise InvalidQueryError(f"unknown auditor name {name!r}")
+    cls, probabilistic = SERVED_AUDITORS[name]
+    if probabilistic:
+        return lambda dataset: cls(dataset, rng=seed, budget=budget)
+    return cls
+
+
 __all__ = [
+    "SERVED_AUDITORS",
+    "served_auditor_factory",
     "Auditor",
     "CountAuditor",
     "DispatchingAuditor",

@@ -76,6 +76,24 @@ class Auditor(abc.ABC):
             )
         return self._deny_reason(query) is None
 
+    def record_replay(self, query: Query, decision: AuditDecision) -> None:
+        """Log a cache-served re-release of a past decision on the trail.
+
+        Nothing is re-decided: a replayed bit carries no new information
+        and must not touch audit state.  A journalled auditor
+        (:class:`~repro.persistence.JournaledAuditor`) also logs it.
+        """
+        self.trail.record(query, decision)
+
+    def record_refusal(self, query: Query, decision: AuditDecision) -> None:
+        """Log a fail-closed refusal that never consulted this auditor.
+
+        Admission sheds and expired deadlines deny before the decision
+        procedure runs; the denial is still an output, so it goes on the
+        trail.  A journalled auditor also logs it.
+        """
+        self.trail.record(query, decision)
+
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------

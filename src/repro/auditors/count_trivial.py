@@ -59,21 +59,27 @@ class DispatchingAuditor:
 
     def audit(self, query: Query) -> AuditDecision:
         """Route to the auditor registered for the query's kind."""
-        auditor = self._auditors.get(query.kind)
-        if auditor is None:
-            raise UnsupportedQueryError(
-                f"no auditor registered for {query.kind.value} queries"
-            )
-        return auditor.audit(query)
+        return self._responsible(query).audit(query)
 
     def would_answer(self, query: Query) -> bool:
         """Side-effect-free probe on the responsible auditor."""
+        return self._responsible(query).would_answer(query)
+
+    def record_replay(self, query: Query, decision: AuditDecision) -> None:
+        """Log a cache-served re-release on the responsible auditor."""
+        self._responsible(query).record_replay(query, decision)
+
+    def record_refusal(self, query: Query, decision: AuditDecision) -> None:
+        """Log a fail-closed refusal on the responsible auditor."""
+        self._responsible(query).record_refusal(query, decision)
+
+    def _responsible(self, query: Query) -> Auditor:
         auditor = self._auditors.get(query.kind)
         if auditor is None:
             raise UnsupportedQueryError(
                 f"no auditor registered for {query.kind.value} queries"
             )
-        return auditor.would_answer(query)
+        return auditor
 
     def apply_update(self, event) -> None:
         """Broadcast updates to every registered auditor."""

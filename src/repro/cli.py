@@ -38,6 +38,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .auditors import SERVED_AUDITORS
+
     parser = argparse.ArgumentParser(
         prog="repro-audit",
         description="Query-auditing experiments from "
@@ -115,9 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True, help="CSV file with a header row")
     p.add_argument("--sensitive", required=True,
                    help="name of the sensitive column")
-    p.add_argument("--auditor",
-                   choices=["sum", "max", "maxmin",
-                            "sum-prob", "max-prob", "maxmin-prob"],
+    p.add_argument("--auditor", choices=list(SERVED_AUDITORS),
                    default="sum")
     p.add_argument("--journal", default=None,
                    help="without --wal: write the in-memory audit journal "
@@ -139,9 +139,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicate-to", action="append", default=None,
                    metavar="DIR",
                    help="with --wal: ship every decision to a follower "
-                        "replica process keeping a bitwise copy of the "
-                        "audit log under DIR; answers are released only "
-                        "after every follower acknowledges (repeatable)")
+                        "replica keeping a bitwise copy of the audit log "
+                        "under DIR; answers are released only after every "
+                        "follower acknowledges (repeatable).  The stdin "
+                        "loop runs each follower as its own process; "
+                        "under --listen it is an in-process follower of "
+                        "the audit worker")
     p.add_argument("--follow", default=None, metavar="DIR",
                    help="serve as a read-only follower replica over the "
                         "replicated audit log in DIR: replicated "
@@ -452,28 +455,15 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_serve(args, stdin=None) -> int:
-    from .auditors.max_classic import MaxClassicAuditor
-    from .auditors.max_prob import MaxProbabilisticAuditor
-    from .auditors.maxmin_classic import MaxMinClassicAuditor
-    from .auditors.maxmin_prob import MaxMinProbabilisticAuditor
-    from .auditors.sum_classic import SumClassicAuditor
-    from .auditors.sum_prob import SumProbabilisticAuditor
+    from .auditors import SERVED_AUDITORS, served_auditor_factory
     from .exceptions import ReproError
-    from .io import load_csv_database
+    from .io import read_csv
     from .persistence import JournaledAuditor
     from .resilience import Budget
+    from .resilience.checkpoint import CheckpointPolicy
+    from .sdb.engine import StatisticalDatabase, split_records
     from .sdb.sql import execute_sql
 
-    classic = {
-        "sum": SumClassicAuditor,
-        "max": MaxClassicAuditor,
-        "maxmin": MaxMinClassicAuditor,
-    }
-    probabilistic = {
-        "sum-prob": SumProbabilisticAuditor,
-        "max-prob": MaxProbabilisticAuditor,
-        "maxmin-prob": MaxMinProbabilisticAuditor,
-    }
     # Argument conflicts fail through argparse when the args came from
     # the real parser (usage + message on stderr, exit code 2); hand-built
     # Namespaces (tests, embedding) keep the print-and-return contract.
@@ -485,43 +475,23 @@ def _cmd_serve(args, stdin=None) -> int:
         print(f"error: {message}")
         return 2
 
-    if args.auditor in classic:
-        if args.deadline is not None:
-            return conflict(
-                "--deadline applies to the probabilistic auditors; "
-                "the classic decision procedures are closed-form")
+    probabilistic = SERVED_AUDITORS[args.auditor][1]
+    if args.deadline is not None and not probabilistic:
+        return conflict(
+            "--deadline applies to the probabilistic auditors; "
+            "the classic decision procedures are closed-form")
+    factory = served_auditor_factory(
+        args.auditor, args.seed,
+        Budget(wall_time=args.deadline) if args.deadline is not None
+        else None)
 
-        def base_factory(dataset):
-            return classic[args.auditor](dataset)
-    else:
-        budget = (Budget(wall_time=args.deadline)
-                  if args.deadline is not None else None)
-
-        def base_factory(dataset):
-            return probabilistic[args.auditor](dataset, rng=args.seed,
-                                               budget=budget)
-
-    if args.wal:
-        # open_wal_auditor wraps the raw auditor itself; replay-verify only
-        # the deterministic classics (probabilistic replays restore state
-        # without re-deciding).
-        factory = base_factory
-    else:
-        def factory(dataset):
-            return JournaledAuditor(base_factory(dataset))
-
-    checkpoint = None
     checkpoint_every = getattr(args, "checkpoint_every", None)
     checkpoint_bytes = getattr(args, "checkpoint_bytes", None)
-    if checkpoint_every is not None or checkpoint_bytes is not None:
-        if not args.wal:
-            return conflict(
-                "--checkpoint-every/--checkpoint-bytes require --wal "
-                "(a WAL directory)")
-        from .resilience.checkpoint import CheckpointPolicy
-
-        checkpoint = CheckpointPolicy(every_records=checkpoint_every,
-                                      every_bytes=checkpoint_bytes)
+    if ((checkpoint_every is not None or checkpoint_bytes is not None)
+            and not args.wal):
+        return conflict(
+            "--checkpoint-every/--checkpoint-bytes require --wal "
+            "(a WAL directory)")
 
     replicate_to = getattr(args, "replicate_to", None)
     follow = getattr(args, "follow", None)
@@ -569,29 +539,37 @@ def _cmd_serve(args, stdin=None) -> int:
     follower = None
     links = []
     try:
+        table, dataset = split_records(read_csv(args.csv, args.sensitive),
+                                       args.sensitive)
         if follow:
             from .resilience.replication import (
                 Follower,
                 FollowerReadOnlyAuditor,
             )
 
-            follower = Follower.open(follow, auditor_factory=base_factory)
+            follower = Follower.open(follow, auditor_factory=factory)
+            auditor = FollowerReadOnlyAuditor(follower, dataset)
+        elif args.wal:
+            from .resilience.wal import open_wal_auditor
 
-            def factory(dataset):  # noqa: F811 - follower overrides WAL
-                return FollowerReadOnlyAuditor(follower, dataset)
-        elif replicate_to:
-            from .resilience.replication import ProcessLink
+            policy = CheckpointPolicy.from_flags(checkpoint_every,
+                                                 checkpoint_bytes)
+            if replicate_to:
+                from .resilience.replication import ProcessLink
 
-            # One spawned follower process per target directory; each
-            # keeps a bitwise replica and must acknowledge every record
-            # before the answer is printed.
-            links = [ProcessLink(target, policy=checkpoint)
-                     for target in replicate_to]
-        db = load_csv_database(args.csv, args.sensitive, factory,
-                               wal_path=args.wal,
-                               verify_wal=args.auditor in classic,
-                               checkpoint=checkpoint,
-                               replicate_to=links or None)
+                # One spawned follower process per target directory;
+                # each keeps a bitwise replica and must acknowledge
+                # every record before the answer is printed.
+                links = [ProcessLink(target, policy=policy)
+                         for target in replicate_to]
+            # Replay-verify only the deterministic classics
+            # (probabilistic replays restore state without re-deciding).
+            auditor, dataset = open_wal_auditor(
+                args.wal, factory, dataset, verify=not probabilistic,
+                policy=policy, replicate_to=links)
+        else:
+            auditor = JournaledAuditor(factory(dataset))
+        db = StatisticalDatabase(table, dataset, auditor)
     except (OSError, ReproError) as exc:
         for link in links:
             link.close()
@@ -654,7 +632,7 @@ def _serve_http(args) -> int:
     import re
 
     from .exceptions import ReproError
-    from .io import read_records
+    from .io import read_csv
     from .resilience.wal import SINGLE_FILE_LOG
     from .sdb.engine import sensitive_values
     from .serving import AuditServer, DeadlinePolicy, ServerConfig
@@ -669,13 +647,8 @@ def _serve_http(args) -> int:
     host = host or "127.0.0.1"
 
     try:
-        with open(args.csv, newline="") as handle:
-            records = read_records(handle)
-        if args.sensitive not in records[0]:
-            print(f"error: sensitive column {args.sensitive!r} not found; "
-                  f"columns are {sorted(records[0])}")
-            return 2
-        values, low, high = sensitive_values(records, args.sensitive)
+        values, low, high = sensitive_values(
+            read_csv(args.csv, args.sensitive), args.sensitive)
     except (OSError, ReproError) as exc:
         print(f"error: {exc}")
         return 2

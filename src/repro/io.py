@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from .exceptions import InvalidQueryError
 from .sdb.dataset import Dataset
@@ -43,35 +43,33 @@ def read_records(handle) -> list:
     return records
 
 
-def load_csv_database(path: str, sensitive_column: str,
-                      auditor_factory: Callable[[Dataset], object],
-                      low: Optional[float] = None,
-                      high: Optional[float] = None,
-                      wal_path: Optional[str] = None,
-                      verify_wal: bool = False,
-                      checkpoint: Any = None,
-                      replicate_to: Any = None) -> StatisticalDatabase:
-    """Build an audited :class:`StatisticalDatabase` from a CSV file.
-
-    ``wal_path`` names the crash-safe write-ahead audit log directory,
-    ``checkpoint`` (a :class:`~repro.resilience.checkpoint.
-    CheckpointPolicy`) sets when it snapshots to bound recovery replay,
-    and ``replicate_to`` (replica directories or replication links)
-    ships the decision stream to follower replicas (see
-    :meth:`StatisticalDatabase.from_records`).
-    """
+def read_csv(path: str, sensitive_column: str) -> list:
+    """The records of a CSV file, which must hold ``sensitive_column``."""
     with open(path, newline="") as handle:
-        records = read_records(handle)
+        return _with_column(read_records(handle), sensitive_column)
+
+
+def _with_column(records: list, sensitive_column: str) -> list:
     if sensitive_column not in records[0]:
         raise InvalidQueryError(
             f"sensitive column {sensitive_column!r} not found; "
             f"columns are {sorted(records[0])}"
         )
+    return records
+
+
+def load_csv_database(path: str, sensitive_column: str,
+                      auditor_factory: Callable[[Dataset], object],
+                      low: Optional[float] = None,
+                      high: Optional[float] = None) -> StatisticalDatabase:
+    """Build an audited :class:`StatisticalDatabase` from a CSV file.
+
+    To serve over a durable audit log, see
+    :meth:`StatisticalDatabase.from_records`.
+    """
     return StatisticalDatabase.from_records(
-        records, sensitive_column=sensitive_column,
+        read_csv(path, sensitive_column), sensitive_column=sensitive_column,
         auditor_factory=auditor_factory, low=low, high=high,
-        wal_path=wal_path, verify_wal=verify_wal, checkpoint=checkpoint,
-        replicate_to=replicate_to,
     )
 
 
@@ -80,12 +78,7 @@ def load_csv_string(text: str, sensitive_column: str,
                     low: Optional[float] = None,
                     high: Optional[float] = None) -> StatisticalDatabase:
     """Like :func:`load_csv_database`, from an in-memory CSV string."""
-    records = read_records(io.StringIO(text))
-    if sensitive_column not in records[0]:
-        raise InvalidQueryError(
-            f"sensitive column {sensitive_column!r} not found; "
-            f"columns are {sorted(records[0])}"
-        )
+    records = _with_column(read_records(io.StringIO(text)), sensitive_column)
     return StatisticalDatabase.from_records(
         records, sensitive_column=sensitive_column,
         auditor_factory=auditor_factory, low=low, high=high,

@@ -61,7 +61,6 @@ _REPLICATION_EXPORTS = (
     "FrameDecoder",
     "LocalLink",
     "ProcessLink",
-    "ReplicatingWal",
     "ReplicationError",
     "promote_replica",
     "replica_events",
@@ -104,7 +103,6 @@ __all__ = [
     "ProcessLink",
     "Raise",
     "RecoveryInfo",
-    "ReplicatingWal",
     "ReplicationError",
     "Stall",
     "TokenBucket",

@@ -40,7 +40,9 @@ the exact decision state — the chaos sweep in
 
 Serving code opens a log through
 :func:`repro.resilience.wal.open_wal_auditor`, which creates or recovers
-it and attaches the replicas.
+it and attaches the replicas.  Replication (:meth:`CheckpointedWal.
+attach`) loads :mod:`repro.resilience.replication` only once a link
+attaches, so a log without replicas never imports it.
 """
 
 from __future__ import annotations
@@ -115,6 +117,18 @@ class CheckpointPolicy:
     keep_snapshots: int = 2
     compact: bool = True
 
+    @classmethod
+    def from_flags(cls, every_records: Optional[int] = None,
+                   every_bytes: Optional[int] = None) -> "CheckpointPolicy":
+        """The policy of ``serve --checkpoint-every N --checkpoint-bytes B``.
+
+        Checkpoint every ``N`` records (the default 256 when omitted) and
+        also once the active segment holds ``B`` bytes: the byte trigger
+        adds to the record trigger, it never replaces it.
+        """
+        return cls(every_records=every_records or cls.every_records,
+                   every_bytes=every_bytes)
+
     def __post_init__(self) -> None:
         if self.every_records is not None and self.every_records < 1:
             raise JournalError("every_records must be positive or None")
@@ -149,6 +163,15 @@ class CheckpointedWal:
 
     :class:`~repro.persistence.JournaledAuditor` calls :meth:`append`
     for every event and then :meth:`maybe_checkpoint`.
+
+    The log is also the replication primary: with links attached
+    (:meth:`attach`), :meth:`append` returns — and therefore the answer
+    is released — only after the record is durable locally **and**
+    every link acknowledged it, and :meth:`checkpoint` ships the sealed
+    snapshot.  Any link failure raises
+    :class:`~repro.resilience.replication.ReplicationError` out of the
+    serving path: fail-closed, the answer is withheld rather than
+    released under-replicated.
     """
 
     def __init__(self, directory: str,
@@ -166,6 +189,7 @@ class CheckpointedWal:
         self._total_events = 0
         self._last_snapshot_events = 0
         self._epoch = 0
+        self._links: List[Any] = []
         self.last_recovery: Optional[RecoveryInfo] = None
 
     # ------------------------------------------------------------------
@@ -238,11 +262,7 @@ class CheckpointedWal:
         5. sweep orphan files no manifest references and reopen the
            active segment for appending.
         """
-        wal = cls(directory, policy=policy, fsync=fsync)
-        wal._load_manifest(_read_manifest(directory))
-        seg_records, torn_healed = wal._read_segments()
-        last = wal._segments[-1]
-        total = int(last["base"]) + len(seg_records[last["name"]])
+        wal, seg_records, torn_healed = cls._load(directory, policy, fsync)
 
         auditor: Any = None
         chosen: Optional[Dict[str, Any]] = None
@@ -301,11 +321,7 @@ class CheckpointedWal:
                 f"restore from a replica or archive"
             )
 
-        removed = wal._sweep_orphans()
-        wal._total_events = total
-        wal._last_snapshot_events = (int(wal._snapshots[-1]["events"])
-                                     if wal._snapshots else 0)
-        wal._open_active()
+        removed = wal._resume()
         info = RecoveryInfo(
             snapshot_name=snapshot_name,
             snapshot_events=base_events,
@@ -317,12 +333,41 @@ class CheckpointedWal:
         wal.last_recovery = info
         return JournaledAuditor(auditor, wal=wal), dataset, info
 
+    @classmethod
+    def _load(cls, directory: str, policy: Optional[CheckpointPolicy],
+              fsync: bool,
+              ) -> Tuple["CheckpointedWal",
+                         Dict[str, List[Dict[str, Any]]], bool]:
+        """Steps 1–2 of :meth:`recover`: read the manifest and every live
+        segment (healing a torn active tail) and count the events.
+
+        A durability-only replica (:class:`~repro.resilience.replication.
+        Follower` without a factory) reopens through this and
+        :meth:`_resume` alone: it keeps the bytes and never replays them.
+        """
+        wal = cls(directory, policy=policy, fsync=fsync)
+        wal._load_manifest(_read_manifest(directory))
+        seg_records, torn_healed = wal._read_segments()
+        last = wal._segments[-1]
+        wal._total_events = (int(last["base"])
+                             + len(seg_records[str(last["name"])]))
+        wal._last_snapshot_events = (int(wal._snapshots[-1]["events"])
+                                     if wal._snapshots else 0)
+        return wal, seg_records, torn_healed
+
+    def _resume(self) -> int:
+        """Step 5 of :meth:`recover`: sweep orphans and reopen the active
+        segment; returns the number of orphans removed."""
+        removed = self._sweep_orphans()
+        self._open_active()
+        return removed
+
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
 
     def append(self, event: Mapping[str, Any]) -> None:
-        """Durably append one record to the active segment."""
+        """Durably append one record, then ship it to every link."""
         if self._active is None:
             raise JournalError(
                 f"checkpointed WAL {self.directory!r} is closed")
@@ -341,6 +386,10 @@ class CheckpointedWal:
         self._active_bytes += len(data)
         self._total_events += 1
         fault_site("wal.post-fsync")
+        if self._links:
+            from .replication import ship_record
+
+            ship_record(self, data)
 
     def raw_append(self, data: bytes) -> None:
         """Durably append one *pre-encoded* record (replication ship path).
@@ -367,7 +416,13 @@ class CheckpointedWal:
         self._total_events += 1
 
     def close(self) -> None:
-        """Close the active segment handle."""
+        """Close every link, then the active segment handle."""
+        for link in self._links:
+            try:
+                link.close()
+            except OSError:  # pragma: no cover - platform-dependent
+                pass
+        self._links = []
         if self._active is not None:
             self._active.close()
             self._active = None
@@ -455,7 +510,51 @@ class CheckpointedWal:
         self._write_snapshot(snap_name, payload)
         fault_site("checkpoint.pre-commit")
         self._seal_and_commit(seq, snap_name, events)
+        fault_site("primary.post-seal")
+        if self._links:
+            from .replication import ship_checkpoint
+
+            ship_checkpoint(self, snap_name)
         return snap_name
+
+    # ------------------------------------------------------------------
+    # Replication links
+    # ------------------------------------------------------------------
+
+    @property
+    def links(self) -> Tuple[Any, ...]:
+        """The attached replication links."""
+        return tuple(self._links)
+
+    def attach(self, target: Any, sync: bool = True) -> None:
+        """Attach a replication link, snapshot-install syncing it first.
+
+        ``target`` is a link (anything with ``send``/``close``, see
+        :mod:`repro.resilience.replication`) or a replica directory path,
+        which becomes an in-process durability-only follower that this
+        log opens and closes.  The sync ships the manifest metadata,
+        every live segment and every retained snapshot, so a fresh (or
+        stale) replica becomes a full copy before the first append is
+        shipped.
+        """
+        from .replication import Follower, LocalLink, sync_link
+
+        link = target
+        if isinstance(target, str):
+            link = LocalLink(Follower.open(target, policy=self.policy,
+                                           fsync=self._fsync))
+        try:
+            if sync:
+                sync_link(self, link)
+        except Exception:
+            if link is not target:
+                link.close()
+            raise
+        self._links.append(link)
+
+    def detach(self, link: Any) -> None:
+        """Stop shipping to ``link`` (the caller closes it)."""
+        self._links.remove(link)
 
     def install_checkpoint(self, seq: int, snap_name: str, events: int,
                            snapshot_data: bytes) -> None:

@@ -6,8 +6,9 @@ This module replicates the :class:`~repro.resilience.checkpoint.
 CheckpointedWal` decision stream to N followers and makes any follower
 promotable:
 
-* the **primary** (:class:`ReplicatingWal`) ships every durable record,
-  and every checkpoint snapshot, to its attached links over a
+* the **primary** (a :class:`~repro.resilience.checkpoint.
+  CheckpointedWal` with links attached, see its ``attach``) ships every
+  durable record, and every checkpoint snapshot, to its links over a
   length-prefixed, CRC-checksummed frame protocol — *synchronously*: an
   answer is released only after the record is fsynced locally **and**
   acknowledged by every attached follower, extending the single-node
@@ -28,10 +29,12 @@ promotable:
   primary's appends are refused — split-brain writes cannot merge into
   the audit history.
 
-Followers run in-process (:class:`LocalLink`, used by the test harness
-and read replicas) or as real spawned processes (:class:`ProcessLink`,
-used by the ``serve`` CLI).  Process followers receive only a directory
-path and a pipe — never a live handle — per the FORK fail-closed rules.
+Followers run in-process (:class:`LocalLink`: the test harness, read
+replicas, and the replica directories ``serve --listen`` names) or as
+real spawned processes (:class:`ProcessLink`, used by the stdin
+``serve`` loop).  Process followers receive only a directory path and a
+pipe — never a live handle — per the FORK fail-closed rules.  The log
+imports this module only once a link attaches.
 
 Because decision replay is re-audit-free and deterministic, a client
 retrying a query against a promoted follower gets the original decision
@@ -85,12 +88,7 @@ from .checkpoint import (
     _read_manifest,
 )
 from .faults import fault_site
-from .wal import (
-    AuditorFactory,
-    _decode_record,
-    _encode_record,
-    _parse_records,
-)
+from .wal import AuditorFactory, _decode_record, _parse_records
 
 # ----------------------------------------------------------------------
 # Frame protocol
@@ -119,8 +117,8 @@ class ReplicationError(JournalError):
 class FencedError(ReplicationError):
     """A frame from a fenced (superseded) epoch was rejected.
 
-    Raised on the *sender's* side of :meth:`ReplicatingWal.append` too:
-    a fenced primary's in-flight answer is never released.
+    Raised on the *sender's* side of ``CheckpointedWal.append`` too: a
+    fenced primary's in-flight answer is never released.
     """
 
 
@@ -365,8 +363,8 @@ class Follower:
         """Fail over to this replica: recover its directory and fence.
 
         Returns the promoted ``(auditor, dataset, recovery_info)`` —
-        a fully writable primary (a :class:`ReplicatingWal` with no
-        links yet; attach fresh followers to re-establish redundancy).
+        a fully writable primary (a ``CheckpointedWal`` with no links
+        yet; attach fresh followers to re-establish redundancy).
         After the fence commits, the old primary's epoch is dead: any
         frame it ships here (or to a re-opened replica of this
         directory) raises :class:`FencedError`.
@@ -545,20 +543,12 @@ class Follower:
             self._auditor = wrapped.auditor
             self._dataset = dataset
         else:
-            # Pure durability replica: parse the directory without
-            # rebuilding an auditor (recovery's full-replay fallback
-            # would need the factory we don't have).
-            wal = CheckpointedWal(self.directory, policy=self._policy,
-                                  fsync=self._fsync)
-            wal._load_manifest(_read_manifest(self.directory))
-            seg_records, _torn = wal._read_segments()
-            last = wal._segments[-1]
-            wal._total_events = (int(last["base"])
-                                 + len(seg_records[str(last["name"])]))
-            wal._last_snapshot_events = (
-                int(wal._snapshots[-1]["events"]) if wal._snapshots else 0)
-            wal._sweep_orphans()
-            wal._open_active()
+            # Pure durability replica: recovery without the snapshot
+            # load and replay (its full-replay fallback would need the
+            # factory we don't have).
+            wal, _records, _torn = CheckpointedWal._load(
+                self.directory, self._policy, self._fsync)
+            wal._resume()
             self._wal = wal
             self._auditor = None
             self._dataset = None
@@ -596,7 +586,7 @@ def promote_replica(directory: str, auditor_factory: AuditorFactory,
     A crash between the two (fault site ``promote.pre-fence``) leaves
     the epoch unbumped and promotion simply retries.
     """
-    wrapped, dataset, info = ReplicatingWal.recover(
+    wrapped, dataset, info = CheckpointedWal.recover(
         directory, auditor_factory, policy=policy, fsync=fsync,
         verify=verify,
     )
@@ -645,7 +635,10 @@ class LocalLink:
         return ack
 
     def close(self) -> None:
-        """Nothing to release; the follower object outlives the link."""
+        """Close the follower's active segment, as a process follower
+        does when its link closes; the follower object stays usable (a
+        later sync reopens it)."""
+        self.follower.close()
 
 
 def _follower_process_main(directory: str, conn: Any,
@@ -747,145 +740,85 @@ class ProcessLink:
 
 
 # ----------------------------------------------------------------------
-# Primary
+# Primary: what CheckpointedWal ships to its links
 # ----------------------------------------------------------------------
 
-class ReplicatingWal(CheckpointedWal):
-    """A checkpointed WAL that synchronously ships its stream to links.
+def sync_link(wal: CheckpointedWal, link: Any) -> None:
+    """Snapshot-install ``link``: ship the manifest metadata, every live
+    segment and every retained snapshot of ``wal``."""
+    segments = []
+    for seg in wal._segments:
+        with open(os.path.join(wal.directory, str(seg["name"])),
+                  "rb") as handle:
+            raw = handle.read()
+        segments.append({"name": seg["name"], "base": seg["base"],
+                         "count": seg["count"], "data": _b64(raw)})
+    snapshots = []
+    for snap in wal._snapshots:
+        with open(os.path.join(wal.directory, str(snap["name"])),
+                  "rb") as handle:
+            raw = handle.read()
+        snapshots.append({"name": snap["name"],
+                          "events": snap["events"],
+                          "data": _b64(raw)})
+    _check_ack(wal, link, link.send(encode_frame(FRAME_SYNC, {
+        "epoch": wal.epoch,
+        "events": wal.total_events,
+        "next_seq": wal._next_seq,
+        "dataset": wal._dataset_header,
+        "segments": segments,
+        "snapshots": snapshots,
+    })))
 
-    Drop-in for :class:`~repro.resilience.checkpoint.CheckpointedWal`
-    under :class:`~repro.persistence.JournaledAuditor`; with links
-    attached, :meth:`append` returns — and therefore the answer is
-    released — only after the record is durable locally **and** every
-    link acknowledged it.  Any link failure raises
-    :class:`ReplicationError` out of the serving path: fail-closed, the
-    answer is withheld rather than released under-replicated.
-    """
 
-    def __init__(self, directory: str,
-                 policy: Optional[CheckpointPolicy] = None,
-                 fsync: bool = True) -> None:
-        super().__init__(directory, policy=policy, fsync=fsync)
-        self._links: List[Any] = []
+def ship_record(wal: CheckpointedWal, data: bytes) -> None:
+    """Ship the record ``wal`` just appended (its exact segment bytes)."""
+    _broadcast(wal, encode_frame(FRAME_APPEND, {
+        "epoch": wal.epoch,
+        "seq": wal.total_events - 1,
+        "data": _b64(data),
+    }))
 
-    @property
-    def links(self) -> Tuple[Any, ...]:
-        """The attached replication links."""
-        return tuple(self._links)
 
-    def attach(self, link: Any, sync: bool = True) -> None:
-        """Attach a follower link, snapshot-install syncing it first.
+def ship_checkpoint(wal: CheckpointedWal, snap_name: str) -> None:
+    """Ship the snapshot ``wal`` just sealed."""
+    with open(os.path.join(wal.directory, snap_name), "rb") as handle:
+        snap_data = handle.read()
+    _broadcast(wal, encode_frame(FRAME_CHECKPOINT, {
+        "epoch": wal.epoch,
+        "seq": wal._next_seq - 1,
+        "snapshot": snap_name,
+        "events": wal._last_snapshot_events,
+        "data": _b64(snap_data),
+    }))
 
-        The sync ships the manifest metadata, every live segment, and
-        every retained snapshot, so a fresh (or stale) replica becomes a
-        full copy before the first append is shipped.
-        """
-        if sync:
-            self._check_ack(link, link.send(self._sync_frame()))
-        self._links.append(link)
 
-    def detach(self, link: Any) -> None:
-        """Stop shipping to ``link`` (the caller closes it)."""
-        self._links.remove(link)
+def _broadcast(wal: CheckpointedWal, frame: bytes) -> None:
+    for link in wal.links:
+        _check_ack(wal, link, link.send(frame))
 
-    def append(self, event: Mapping[str, Any]) -> None:
-        """Append locally, then ship to every link and await ACKs."""
-        super().append(event)
-        if self._links:
-            frame = encode_frame(FRAME_APPEND, {
-                "epoch": self._epoch,
-                "seq": self._total_events - 1,
-                "data": _b64(_encode_record(event)),
-            })
-            self._broadcast(frame)
 
-    def checkpoint(self, auditor: Any) -> str:
-        """Checkpoint locally, then ship the sealed snapshot."""
-        snap_name = super().checkpoint(auditor)
-        fault_site("primary.post-seal")
-        if self._links:
-            with open(os.path.join(self.directory, snap_name),
-                      "rb") as handle:
-                snap_data = handle.read()
-            frame = encode_frame(FRAME_CHECKPOINT, {
-                "epoch": self._epoch,
-                "seq": self._next_seq - 1,
-                "snapshot": snap_name,
-                "events": self._last_snapshot_events,
-                "data": _b64(snap_data),
-            })
-            self._broadcast(frame)
-        return snap_name
-
-    def heartbeat(self) -> None:
-        """Ship a HELLO so followers refresh their staleness clocks."""
-        self._broadcast(encode_frame(FRAME_HELLO, {
-            "epoch": self._epoch,
-            "events": self._total_events,
-        }))
-
-    def close(self) -> None:
-        """Close every link, then the active segment."""
-        for link in self._links:
-            try:
-                link.close()
-            except OSError:  # pragma: no cover - platform-dependent
-                pass
-        self._links = []
-        super().close()
-
-    # -- internals ------------------------------------------------------
-
-    def _sync_frame(self) -> bytes:
-        segments = []
-        for seg in self._segments:
-            with open(os.path.join(self.directory, str(seg["name"])),
-                      "rb") as handle:
-                raw = handle.read()
-            segments.append({"name": seg["name"], "base": seg["base"],
-                             "count": seg["count"], "data": _b64(raw)})
-        snapshots = []
-        for snap in self._snapshots:
-            with open(os.path.join(self.directory, str(snap["name"])),
-                      "rb") as handle:
-                raw = handle.read()
-            snapshots.append({"name": snap["name"],
-                              "events": snap["events"],
-                              "data": _b64(raw)})
-        return encode_frame(FRAME_SYNC, {
-            "epoch": self._epoch,
-            "events": self._total_events,
-            "next_seq": self._next_seq,
-            "dataset": self._dataset_header,
-            "segments": segments,
-            "snapshots": snapshots,
-        })
-
-    def _broadcast(self, frame: bytes) -> None:
-        for link in list(self._links):
-            self._check_ack(link, link.send(frame))
-
-    def _check_ack(self, link: Any, ack: Any) -> None:
-        if not isinstance(ack, dict):
-            raise ReplicationError(
-                f"replication link {link!r} returned no acknowledgement; "
-                f"refusing to release answers the replica set has not "
-                f"confirmed"
-            )
-        kind = ack.get("type")
-        if kind == "fenced":
-            raise FencedError(str(ack.get("error") or
-                                  "this primary's epoch is fenced"))
-        if kind != "ack":
-            raise ReplicationError(
-                f"replica refused the ship: {ack.get('error', ack)!r}")
-        acked = int(ack.get("events", -1))
-        if acked != self._total_events:
-            raise ReplicationError(
-                f"replica acknowledged {acked} events but the primary "
-                f"holds {self._total_events}; stream divergence — "
-                f"re-sync required"
-            )
+def _check_ack(wal: CheckpointedWal, link: Any, ack: Any) -> None:
+    if not isinstance(ack, dict):
+        raise ReplicationError(
+            f"replication link {link!r} returned no acknowledgement; "
+            f"refusing to release answers the replica set has not "
+            f"confirmed"
+        )
+    kind = ack.get("type")
+    if kind == "fenced":
+        raise FencedError(str(ack.get("error") or
+                              "this primary's epoch is fenced"))
+    if kind != "ack":
+        raise ReplicationError(
+            f"replica refused the ship: {ack.get('error', ack)!r}")
+    acked = int(ack.get("events", -1))
+    if acked != wal.total_events:
+        raise ReplicationError(
+            f"replica acknowledged {acked} events but the primary "
+            f"holds {wal.total_events}; stream divergence — "
+            f"re-sync required"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -928,6 +861,14 @@ class FollowerReadOnlyAuditor:
             )
         self.trail.record(query, decision)
         return decision
+
+    def record_replay(self, query: Query, decision: AuditDecision) -> None:
+        """Log a cache-served re-release on the trail."""
+        self.trail.record(query, decision)
+
+    def record_refusal(self, query: Query, decision: AuditDecision) -> None:
+        """Log a fail-closed refusal on the trail."""
+        self.trail.record(query, decision)
 
     def apply_update(self, event: Any) -> None:
         """Updates mutate audit state — primaries only."""

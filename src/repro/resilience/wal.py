@@ -170,24 +170,25 @@ def open_wal_auditor(directory: str, auditor_factory: AuditorFactory,
     CheckpointPolicy` (default: checkpoint every 256 records).
     ``replicate_to`` entries are replication links (anything with
     ``send``/``close``) or replica directory paths, which become
-    in-process durability-only followers; every target is
-    snapshot-install synced before this returns, and from then on an
-    answer is released only after every replica acknowledges its record
-    (see :mod:`repro.resilience.replication`).
+    in-process durability-only followers that the log opens and closes;
+    every target is snapshot-install synced before this returns, and
+    from then on an answer is released only after every replica
+    acknowledges its record (see :meth:`~repro.resilience.checkpoint.
+    CheckpointedWal.attach`).  Without targets
+    :mod:`repro.resilience.replication` is never imported.
     """
-    from .checkpoint import MANIFEST_NAME, _dataset_header
-    from .replication import Follower, LocalLink, ReplicatingWal
+    from .checkpoint import MANIFEST_NAME, CheckpointedWal, _dataset_header
 
     if os.path.isfile(directory):
         raise JournalError(SINGLE_FILE_LOG)
     if os.path.exists(os.path.join(directory, MANIFEST_NAME)):
-        wrapped, live, _info = ReplicatingWal.recover(
+        wrapped, live, _info = CheckpointedWal.recover(
             directory, auditor_factory, policy=policy, fsync=fsync,
             verify=verify,
         )
     else:
-        wal = ReplicatingWal.create(directory, dataset, policy=policy,
-                                    fsync=fsync)
+        wal = CheckpointedWal.create(directory, dataset, policy=policy,
+                                     fsync=fsync)
         wrapped, live = JournaledAuditor(auditor_factory(dataset),
                                          wal=wal), dataset
     try:
@@ -198,9 +199,6 @@ def open_wal_auditor(directory: str, auditor_factory: AuditorFactory,
                 f"or the original data)"
             )
         for target in replicate_to or ():
-            if isinstance(target, str):
-                target = LocalLink(Follower.open(
-                    target, policy=wrapped.wal.policy, fsync=fsync))
             wrapped.wal.attach(target)
     except Exception:
         wrapped.close()

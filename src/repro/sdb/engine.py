@@ -89,6 +89,23 @@ def sensitive_values(records: Sequence[Mapping[str, Any]],
     return values, lo, hi
 
 
+def split_records(records: Sequence[Mapping[str, Any]],
+                  sensitive_column: str,
+                  low: Optional[float] = None,
+                  high: Optional[float] = None) -> Tuple[Table, Dataset]:
+    """The public table and the sensitive dataset of row dicts.
+
+    The dataset's envelope is ``(low, high)``, or the column's range
+    when omitted (see :func:`sensitive_values`).
+    """
+    values, lo, hi = sensitive_values(records, sensitive_column, low, high)
+    table = Table(sorted({k for rec in records for k in rec
+                          if k != sensitive_column}))
+    for rec in records:
+        table.insert({k: v for k, v in rec.items() if k != sensitive_column})
+    return table, Dataset(values, low=lo, high=hi)
+
+
 class StatisticalDatabase:
     """An SDB that only releases audited aggregate statistics.
 
@@ -127,56 +144,17 @@ class StatisticalDatabase:
                      sensitive_column: str,
                      auditor_factory,
                      low: Optional[float] = None,
-                     high: Optional[float] = None,
-                     wal_path: Optional[str] = None,
-                     verify_wal: bool = False,
-                     checkpoint: Any = None,
-                     replicate_to: Any = None) -> "StatisticalDatabase":
+                     high: Optional[float] = None) -> "StatisticalDatabase":
         """Build an SDB from row dicts, splitting off the sensitive column.
 
         ``auditor_factory`` is called with the resulting
         :class:`~repro.sdb.dataset.Dataset` and must return an auditor.
-
-        With ``wal_path`` set the auditor is backed by a crash-safe
-        write-ahead audit log directory (see :mod:`repro.resilience.wal`):
-        if it already holds a WAL recorded over this data it is recovered
-        and replayed (``verify_wal=True`` re-runs every decision — only
-        meaningful for deterministic auditors), otherwise a fresh log is
-        started.  Every decision is then durably persisted before its
-        answer is released.
-
-        ``checkpoint`` (a :class:`~repro.resilience.checkpoint.
-        CheckpointPolicy`) sets when the WAL snapshots: snapshots bound
-        recovery replay to the post-checkpoint suffix and compaction
-        bounds disk usage.
-
-        ``replicate_to`` (replica directory paths or replication link
-        objects) ships every record to follower replicas and releases
-        answers only after they all acknowledge — see
-        :mod:`repro.resilience.replication`.
+        To serve over a durable audit log, split the records with
+        :func:`split_records`, open the log with
+        :func:`repro.resilience.wal.open_wal_auditor` and build the SDB
+        over the auditor and the live dataset it returns.
         """
-        if replicate_to and wal_path is None:
-            raise InvalidQueryError(
-                "replicate_to requires wal_path (the primary's WAL "
-                "directory)"
-            )
-        values, lo, hi = sensitive_values(records, sensitive_column,
-                                          low, high)
-        public_rows = [{k: v for k, v in rec.items() if k != sensitive_column}
-                       for rec in records]
-        columns = sorted({k for row in public_rows for k in row})
-        table = Table(columns)
-        for row in public_rows:
-            table.insert(row)
-        dataset = Dataset(values, low=lo, high=hi)
-        if wal_path is not None:
-            from ..resilience.wal import open_wal_auditor
-
-            wrapped, live = open_wal_auditor(wal_path, auditor_factory,
-                                             dataset, verify=verify_wal,
-                                             policy=checkpoint,
-                                             replicate_to=replicate_to)
-            return StatisticalDatabase(table, live, wrapped)
+        table, dataset = split_records(records, sensitive_column, low, high)
         return StatisticalDatabase(table, dataset, auditor_factory(dataset))
 
     # ------------------------------------------------------------------
@@ -230,20 +208,11 @@ class StatisticalDatabase:
             # Replay of an already-released bit: journal/WAL it (the
             # disclosure log must stay complete) but never re-run the
             # auditor or touch its state.
-            self._record_replay(query, cached)
+            self.auditor.record_replay(query, cached)
             return cached
         decision = self.auditor.audit(query)
         cache.put(key, decision)
         return decision
-
-    def _record_replay(self, query: Query, decision: AuditDecision) -> None:
-        recorder = getattr(self.auditor, "record_replay", None)
-        if recorder is not None:
-            recorder(query, decision)
-            return
-        trail = getattr(self.auditor, "trail", None)
-        if trail is not None:
-            trail.record(query, decision)
 
     # ------------------------------------------------------------------
     # Updates

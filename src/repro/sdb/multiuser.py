@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..exceptions import InvalidQueryError
 from ..resilience.overload import AdmissionController
@@ -49,27 +49,18 @@ class MultiUserFrontend:
         answered-query logs) is **never** truncated — audit safety depends
         on every past answer, so forgetting one would let an attacker
         replay old queries against a weakened gate.
-    wal_path:
-        Optional crash-safe write-ahead audit log directory (see
-        :mod:`repro.resilience.wal`).  Pooled mode only: a WAL records one
-        auditor's decision stream, and in independent mode there is one
-        auditor per user.  If the directory already holds a WAL over this
-        dataset it is recovered and replayed.
     admission:
         Optional :class:`~repro.resilience.overload.AdmissionController`.
         Every :meth:`ask` is gated *before* the auditor runs: over-limit
         queries (per-user rate, global in-flight bound) are denied with a
         journalled ``RESOURCE_EXHAUSTED`` — shed, never queued, never an
         unaudited answer.
-    checkpoint:
-        Optional :class:`~repro.resilience.checkpoint.CheckpointPolicy`
-        for the WAL: snapshots bound recovery to the post-checkpoint
-        suffix and compaction bounds disk usage.
-    replicate_to:
-        Optional replica directories / replication links (pooled mode
-        with a WAL only).  Every decision is shipped to the followers
-        and an answer is released only after they all acknowledge it —
-        see :mod:`repro.resilience.replication`.
+
+    To serve over a durable audit log, open it with
+    :func:`repro.resilience.wal.open_wal_auditor` and build a pooled
+    frontend over the live dataset it returns, with a factory that
+    returns its journalled auditor.  A log records one auditor's
+    decision stream, so only pooled mode can have one.
     """
 
     MODES = ("pooled", "independent")
@@ -77,45 +68,16 @@ class MultiUserFrontend:
     def __init__(self, dataset: Dataset, auditor_factory: AuditorFactory,
                  mode: str = "pooled",
                  history_limit: Optional[int] = None,
-                 wal_path: Optional[str] = None,
-                 verify_wal: bool = False,
-                 admission: Optional[AdmissionController] = None,
-                 checkpoint: Any = None,
-                 replicate_to: Any = None):
+                 admission: Optional[AdmissionController] = None):
         if mode not in self.MODES:
             raise InvalidQueryError(f"mode must be one of {self.MODES}")
         if history_limit is not None and history_limit < 1:
             raise InvalidQueryError("history_limit must be positive")
-        if wal_path is not None and mode != "pooled":
-            raise InvalidQueryError(
-                "wal_path requires pooled mode: a write-ahead log records "
-                "a single auditor's decision stream"
-            )
-        if checkpoint is not None and wal_path is None:
-            raise InvalidQueryError(
-                "checkpoint policy requires wal_path (a WAL directory)"
-            )
-        if replicate_to and wal_path is None:
-            raise InvalidQueryError(
-                "replicate_to requires wal_path (the primary's WAL "
-                "directory)"
-            )
         self.dataset = dataset
         self.mode = mode
         self._factory = auditor_factory
         self.admission = admission
-        if mode == "pooled":
-            if wal_path is not None:
-                from ..resilience.wal import open_wal_auditor
-
-                self._pooled, self.dataset = open_wal_auditor(
-                    wal_path, auditor_factory, dataset, verify=verify_wal,
-                    policy=checkpoint, replicate_to=replicate_to,
-                )
-            else:
-                self._pooled = auditor_factory(dataset)
-        else:
-            self._pooled = None
+        self._pooled = auditor_factory(dataset) if mode == "pooled" else None
         self._per_user: Dict[str, object] = {}
         # Serializes auditor runs and bookkeeping: auditors mutate
         # posterior state per decision, and the disclosure history must
@@ -180,25 +142,8 @@ class MultiUserFrontend:
         never a silent drop, and never an unaudited answer.
         """
         with self._lock:
-            self._record_refusal(user, query, decision)
+            self._auditor_for(user).record_refusal(query, decision)
             return self._bookkeep(user, query, decision)
-
-    def _record_refusal(self, user: str, query: Query,
-                        decision: AuditDecision) -> None:
-        """Log a shed query through the auditor's disclosure trail.
-
-        A :class:`~repro.persistence.JournaledAuditor` persists it as a
-        dedicated ``denial`` event (replayed without re-auditing); a bare
-        auditor at least records it on its trail.
-        """
-        auditor = self._auditor_for(user)
-        recorder = getattr(auditor, "record_refusal", None)
-        if recorder is not None:
-            recorder(query, decision)
-            return
-        trail = getattr(auditor, "trail", None)
-        if trail is not None:
-            trail.record(query, decision)
 
     def _bookkeep(self, user: str, query: Query,
                   decision: AuditDecision) -> AuditDecision:

@@ -38,6 +38,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Dict, Optional, Tuple
 
+from ..auditors import SERVED_AUDITORS, served_auditor_factory
 from ..exceptions import (
     InvalidQueryError,
     ReproError,
@@ -74,8 +75,10 @@ class ShardSpec:
 
     ``wal_dir`` is the worker's WAL directory, which a restarted worker
     recovers (a worker without one would forget every answer it released
-    before the restart); ``replicate_to`` adds follower replica
-    directories.
+    before the restart); ``replicate_to`` adds replica directories, each
+    an in-process follower of the worker.  ``checkpoint_every`` and
+    ``checkpoint_bytes`` are the ``serve`` flags of
+    :meth:`~repro.resilience.checkpoint.CheckpointPolicy.from_flags`.
     """
 
     #: There is one worker, so its index is always 0.  The traced
@@ -92,33 +95,6 @@ class ShardSpec:
     replicate_to: Tuple[str, ...] = ()
     user_rate: Optional[float] = None
     user_burst: int = 10
-
-
-def _auditor_factory(spec: ShardSpec) -> Callable[[Dataset], Any]:
-    from ..auditors.max_classic import MaxClassicAuditor
-    from ..auditors.max_prob import MaxProbabilisticAuditor
-    from ..auditors.maxmin_classic import MaxMinClassicAuditor
-    from ..auditors.maxmin_prob import MaxMinProbabilisticAuditor
-    from ..auditors.sum_classic import SumClassicAuditor
-    from ..auditors.sum_prob import SumProbabilisticAuditor
-
-    classic = {
-        "sum": SumClassicAuditor,
-        "max": MaxClassicAuditor,
-        "maxmin": MaxMinClassicAuditor,
-    }
-    probabilistic = {
-        "sum-prob": SumProbabilisticAuditor,
-        "max-prob": MaxProbabilisticAuditor,
-        "maxmin-prob": MaxMinProbabilisticAuditor,
-    }
-    if spec.auditor in classic:
-        cls = classic[spec.auditor]
-        return lambda ds: cls(ds)
-    if spec.auditor in probabilistic:
-        pcls = probabilistic[spec.auditor]
-        return lambda ds: pcls(ds, rng=spec.seed)
-    raise InvalidQueryError(f"unknown auditor name {spec.auditor!r}")
 
 
 def decision_to_dict(decision: AuditDecision) -> Dict[str, Any]:
@@ -145,18 +121,24 @@ class ShardWorker:
 
     def __init__(self, spec: ShardSpec,
                  budget_clock: Optional[Clock] = None) -> None:
+        from ..resilience.wal import open_wal_auditor
+
         self.spec = spec
         self._budget_clock = budget_clock
-        dataset = Dataset(list(spec.values), low=spec.low, high=spec.high)
-        self.frontend = MultiUserFrontend(
-            dataset, _auditor_factory(spec), mode="pooled",
-            wal_path=spec.wal_dir,
-            checkpoint=CheckpointPolicy(
-                every_records=spec.checkpoint_every or 256,
-                every_bytes=spec.checkpoint_bytes,
-            ),
+        #: The journalled pooled auditor: the WAL's record count, the
+        #: close, and each request's budget all go through it.
+        self.auditor, dataset = open_wal_auditor(
+            spec.wal_dir, served_auditor_factory(spec.auditor, spec.seed),
+            Dataset(list(spec.values), low=spec.low, high=spec.high),
+            policy=CheckpointPolicy.from_flags(spec.checkpoint_every,
+                                               spec.checkpoint_bytes),
             replicate_to=spec.replicate_to,
         )
+        # Only the probabilistic auditors decide under a budget.
+        self._budgeted = SERVED_AUDITORS[spec.auditor][1]
+        auditor = self.auditor
+        self.frontend = MultiUserFrontend(dataset, lambda _ds: auditor,
+                                          mode="pooled")
         self.admission: Optional[AdmissionController] = None
         if spec.user_rate is not None:
             self.admission = AdmissionController(AdmissionPolicy(
@@ -229,33 +211,26 @@ class ShardWorker:
     def _audit(self, user: str, query: Query,
                request: Dict[str, Any]) -> AuditDecision:
         budget = self._budget_from(request)
-        target = self._budget_target()
-        if budget is not None and target is not None:
-            # Per-request deadline propagation: the frontend serialises
-            # auditor runs, so swapping the budget for one decision is
-            # race-free; restore unconditionally.
-            previous = target.budget
-            target.budget = budget
-            try:
-                return self.frontend.ask(user, query)
-            finally:
-                target.budget = previous
-        return self.frontend.ask(user, query)
+        if budget is None:
+            return self.frontend.ask(user, query)
+        # Per-request deadline propagation: the frontend serialises
+        # auditor runs, so swapping the budget for one decision is
+        # race-free; restore unconditionally.
+        target = self.auditor.auditor
+        previous = target.budget
+        target.budget = budget
+        try:
+            return self.frontend.ask(user, query)
+        finally:
+            target.budget = previous
 
     def _budget_from(self, request: Dict[str, Any]) -> Optional[Budget]:
         wall = request.get("wall_time")
         steps = request.get("max_chain_steps")
-        if wall is None and steps is None:
+        if not self._budgeted or (wall is None and steps is None):
             return None
         return Budget(wall_time=wall, max_chain_steps=steps,
                       clock=self._budget_clock)
-
-    def _budget_target(self) -> Optional[Any]:
-        """The underlying auditor that honours a ``budget`` attribute."""
-        auditor = self.frontend._pooled
-        while auditor is not None and not hasattr(auditor, "budget"):
-            auditor = getattr(auditor, "auditor", None)
-        return auditor
 
     def _handle_refuse(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Journal an edge-initiated fail-closed refusal (expired
@@ -280,7 +255,7 @@ class ShardWorker:
         The number survives worker restarts, so the event ``seq`` (the
         SSE ``id``) never repeats.
         """
-        return self.frontend._pooled.wal.total_events
+        return self.auditor.wal.total_events
 
     def _respond(self, user: str, query: Query, decision: AuditDecision,
                  shed: bool) -> Dict[str, Any]:
@@ -306,8 +281,8 @@ class ShardWorker:
         return stats
 
     def close(self) -> None:
-        """Close the worker's WAL (flushes replication links too)."""
-        self.frontend._pooled.close()
+        """Close the worker's WAL and its replication links."""
+        self.auditor.close()
 
 
 # ----------------------------------------------------------------------

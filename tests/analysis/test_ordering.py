@@ -87,7 +87,7 @@ def test_stripping_replay_journal_from_engine_is_caught():
     path = default_package_dir() / "sdb" / "engine.py"
     source = path.read_text()
     broken = source.replace(
-        "            self._record_replay(query, cached)\n"
+        "            self.auditor.record_replay(query, cached)\n"
         "            return cached",
         "            return cached")
     assert broken != source, "engine cache-hit path changed; update test"
@@ -97,6 +97,28 @@ def test_stripping_replay_journal_from_engine_is_caught():
             if f.rule == RULE_RELEASE_BEFORE_APPEND
             and f.file.endswith("engine.py")
             and f.entry_method == "_audit"]
+    assert len(hits) == 1, stripped.format_text()
+
+
+def test_stripping_refusal_journal_from_frontend_is_caught():
+    # Admission sheds and the edge's expired-deadline refusals all go
+    # through MultiUserFrontend.refuse.  WAL001 checks its body instead of
+    # trusting it as a journal primitive: delete its record call and the
+    # shed path of ask(), which releases the refusal, must trip WAL001.
+    from repro.analysis.simulatability import default_package_dir
+
+    path = default_package_dir() / "sdb" / "multiuser.py"
+    source = path.read_text()
+    broken = source.replace(
+        "            self._auditor_for(user).record_refusal(query, decision)\n",
+        "")
+    assert broken != source, "frontend refusal path changed; update test"
+    stripped = analyze_package(select=["WAL"],
+                               source_overrides={str(path): broken})
+    hits = [f for f in stripped.findings
+            if f.rule == RULE_RELEASE_BEFORE_APPEND
+            and f.file.endswith("multiuser.py")
+            and f.entry_method == "ask"]
     assert len(hits) == 1, stripped.format_text()
 
 

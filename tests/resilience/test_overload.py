@@ -107,9 +107,10 @@ def test_in_flight_gate_denies_instead_of_queueing():
 
 def test_burst_yields_journalled_denials_never_exceptions(tmp_path):
     clock = FaultClock()
+    wrapped, live = open_wal_auditor(str(tmp_path / "wal"), factory,
+                                     make_dataset())
     frontend = MultiUserFrontend(
-        make_dataset(), factory, mode="pooled",
-        wal_path=str(tmp_path / "wal"),
+        live, lambda _ds: wrapped, mode="pooled",
         admission=AdmissionController(AdmissionPolicy(
             user_rate=0.001, user_burst=3, clock=clock.now)),
     )
@@ -125,7 +126,7 @@ def test_burst_yields_journalled_denials_never_exceptions(tmp_path):
     # The shed queries are first-class, durable WAL events...
     events = replica_events(str(tmp_path / "wal"))
     assert [e["type"] for e in events].count("denial") == 7
-    frontend._pooled.close()
+    wrapped.close()
     # ...and replay re-logs them without re-auditing (verify mode would
     # diverge otherwise: there is no auditor decision behind a shed query
     # to re-check).
@@ -144,22 +145,24 @@ def test_burst_against_checkpointed_wal(tmp_path):
     wal_dir = str(tmp_path / "waldir")
 
     def build():
+        wrapped, live = open_wal_auditor(
+            wal_dir, factory, make_dataset(),
+            policy=CheckpointPolicy(every_records=4))
         return MultiUserFrontend(
-            make_dataset(), factory, mode="pooled", wal_path=wal_dir,
-            checkpoint=CheckpointPolicy(every_records=4),
+            live, lambda _ds: wrapped, mode="pooled",
             admission=AdmissionController(AdmissionPolicy(
                 user_rate=0.001, user_burst=2, clock=clock.now)),
-        )
+        ), wrapped
 
-    frontend = build()
+    frontend, wrapped = build()
     query = sum_query([0, 1, 2, 3])
     for _ in range(6):
         frontend.ask("mallory", query)
-    frontend._pooled.close()
-    revived = build()
-    assert len(revived._pooled.trail) == 6
-    assert revived._pooled.trail.denial_count() == 4
-    revived._pooled.close()
+    wrapped.close()
+    revived, wrapped = build()
+    assert len(wrapped.trail) == 6
+    assert wrapped.trail.denial_count() == 4
+    wrapped.close()
 
 
 def test_in_flight_exhaustion_on_the_frontend(tmp_path):

@@ -21,7 +21,8 @@ from repro.exceptions import ReproError
 from repro.resilience.faults import FaultPlan, Raise, inject
 from repro.sdb.cache import LruCache
 from repro.sdb.dataset import Dataset
-from repro.sdb.engine import StatisticalDatabase
+from repro.resilience.wal import open_wal_auditor
+from repro.sdb.engine import StatisticalDatabase, split_records
 from repro.sdb.predicates import All, Eq
 from repro.sdb.table import Table
 from repro.sdb.updates import Delete, Insert, Modify
@@ -104,6 +105,9 @@ class SpyAuditor:
 
     def apply_update(self, event):
         self.auditor.apply_update(event)
+
+    def record_replay(self, query, decision):
+        self.auditor.record_replay(query, decision)
 
     @property
     def trail(self):
@@ -218,11 +222,9 @@ def wal_db(path):
         {"zip": 94306, "salary": 90.0},
         {"zip": 94306, "salary": 110.0},
     ]
-    return StatisticalDatabase.from_records(
-        records, sensitive_column="salary",
-        auditor_factory=lambda ds: SumClassicAuditor(ds),
-        low=0.0, high=200.0, wal_path=path,
-    )
+    table, dataset = split_records(records, "salary", low=0.0, high=200.0)
+    wrapped, live = open_wal_auditor(path, SumClassicAuditor, dataset)
+    return StatisticalDatabase(table, live, wrapped)
 
 
 def wal_event_types(path):

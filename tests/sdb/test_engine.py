@@ -5,7 +5,8 @@ import pytest
 from repro.auditors.sum_classic import SumClassicAuditor
 from repro.exceptions import InvalidQueryError
 from repro.sdb.dataset import Dataset
-from repro.sdb.engine import StatisticalDatabase
+from repro.resilience.wal import open_wal_auditor
+from repro.sdb.engine import StatisticalDatabase, split_records
 from repro.sdb.predicates import All, Eq, Range
 from repro.sdb.table import Table
 from repro.sdb.updates import Delete, Insert, Modify
@@ -130,11 +131,11 @@ def test_from_records_with_wal_recovers_history(tmp_path):
     ]
 
     def build():
-        return StatisticalDatabase.from_records(
-            records, sensitive_column="salary",
-            auditor_factory=lambda ds: SumClassicAuditor(ds),
-            low=0.0, high=100.0, wal_path=path, verify_wal=True,
-        )
+        table, dataset = split_records(records, "salary",
+                                       low=0.0, high=100.0)
+        wrapped, live = open_wal_auditor(path, SumClassicAuditor, dataset,
+                                         verify=True)
+        return StatisticalDatabase(table, live, wrapped)
 
     db = build()
     assert db.query(All(), AggregateKind.SUM).answered

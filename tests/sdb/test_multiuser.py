@@ -4,6 +4,7 @@ import pytest
 
 from repro.auditors.sum_classic import SumClassicAuditor
 from repro.exceptions import InvalidQueryError
+from repro.resilience.wal import open_wal_auditor
 from repro.sdb.dataset import Dataset
 from repro.sdb.multiuser import MultiUserFrontend
 from repro.types import sum_query
@@ -74,26 +75,20 @@ def test_history_limit_must_be_positive():
                           history_limit=0)
 
 
-def test_wal_requires_pooled_mode():
-    data = Dataset([1.0, 2.0])
-    with pytest.raises(InvalidQueryError, match="pooled"):
-        MultiUserFrontend(data, lambda ds: SumClassicAuditor(ds),
-                          mode="independent", wal_path="/nowhere/wal")
-
-
 def test_pooled_frontend_recovers_from_wal(tmp_path):
     path = str(tmp_path / "wal")
 
     def build():
         data = Dataset([10.0, 20.0, 30.0], low=0.0, high=50.0)
-        return MultiUserFrontend(data, lambda ds: SumClassicAuditor(ds),
-                                 wal_path=path, verify_wal=True)
+        wrapped, live = open_wal_auditor(path, SumClassicAuditor, data,
+                                         verify=True)
+        return MultiUserFrontend(live, lambda _ds: wrapped), wrapped
 
-    frontend = build()
+    frontend, wrapped = build()
     assert frontend.ask("alice", sum_query([0, 1, 2])).answered
-    frontend._pooled.close()
-    revived = build()
+    wrapped.close()
+    revived, wrapped = build()
     # Alice's answer survives the restart, so Bob's completing query is
     # denied even though this process never served Alice.
     assert revived.ask("bob", sum_query([0, 1])).denied
-    revived._pooled.close()
+    wrapped.close()

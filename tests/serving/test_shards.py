@@ -136,7 +136,7 @@ def test_deadline_shorter_than_one_chain_step_fails_closed():
     # and the budget did not stick: the next un-deadlined query runs free
     follow_up = worker.handle(query_op("alice", range(6)))
     assert follow_up["ok"]
-    assert worker._budget_target().budget is None
+    assert worker.auditor.auditor.budget is None
 
 
 def test_worker_recovers_journalled_state_from_wal(tmp_path):

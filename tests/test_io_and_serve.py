@@ -141,6 +141,27 @@ def test_serve_with_wal_recovers_across_restarts(tmp_path, capsys):
     assert "session: 2 queries" in second
 
 
+def test_checkpoint_bytes_keeps_the_record_trigger(tmp_path, capsys):
+    """--checkpoint-bytes adds a byte trigger to the 256-record one; it
+    does not replace it, in the stdin loop as under --listen."""
+    import os
+
+    from repro.cli import _build_parser
+
+    path = tmp_path / "salaries.csv"
+    path.write_text(CSV_TEXT)
+    wal = tmp_path / "wal"
+    args = _build_parser().parse_args([
+        "serve", "--csv", str(path), "--sensitive", "salary",
+        "--wal", str(wal), "--checkpoint-bytes", "10000000"])
+    # One audited decision and 299 journalled cache replays.
+    stdin = io.StringIO("SELECT sum(salary)\n" * 300)
+    assert _cmd_serve(args, stdin=stdin) == 0
+    assert "session: 300 queries" in capsys.readouterr().out
+    assert [name for name in os.listdir(wal)
+            if name.startswith("snapshot-")]
+
+
 def test_serve_refuses_a_single_file_wal(tmp_path, capsys):
     """A --wal naming a regular file (the retired single-file log) exits
     2 and leaves the file byte-identical."""
