@@ -18,7 +18,7 @@ private.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from ..rng import (
     as_generator,
     integer_block,
     scale_uniform,
+    skip_uniforms,
+    skips_uniforms,
     uniform_block,
 )
 from ..sdb.dataset import Dataset
@@ -146,9 +148,15 @@ class MaxProbabilisticAuditor(Auditor):
         repeated budget exhaustions trip it and subsequent decisions
         short-circuit to a conservative denial until its cooldown passes.
     vectorized:
-        Whether per-decision Monte Carlo draws are assembled in batches
-        (default) or row by row from the same pre-drawn randomness
-        blocks; both modes release bitwise-identical decisions.
+        Whether a decision reads only the samples it checks (default) or
+        draws the whole block and assembles it row by row (the
+        reference).  When one unsafe sample denies, the default reads
+        sample 0 and jumps a PCG64 generator past the rest, drawing the
+        whole block only if sample 0 leaves the decision open; otherwise,
+        and for a non-uniform ``distribution`` or another bit generator,
+        it draws the whole block and assembles it in one batch.  Both
+        modes release bitwise-identical decisions and leave the
+        generator in the same state.
     """
 
     supported_kinds = frozenset({AggregateKind.MAX})
@@ -234,32 +242,10 @@ class MaxProbabilisticAuditor(Auditor):
         """
         if gen is None:
             gen = self._rng
-        dist = self.distribution
         n = self._n
         if count <= 0:
             return np.empty((0, n))
-        if dist is None:
-            base = scale_uniform(uniform_block(gen, count * n),
-                                 self._low, self._high)
-        else:
-            base = np.concatenate(
-                [dist.sample(gen, n) for _ in range(count)]
-            )
-        pred_blocks = []
-        for pred in self._synopsis.predicates():
-            members = sorted(pred.elements)
-            m = len(members)
-            if dist is None:
-                draws = scale_uniform(uniform_block(gen, count * m),
-                                      self._low, pred.value)
-            else:
-                draws = np.concatenate(
-                    [dist.sample_below(gen, pred.value, m)
-                     for _ in range(count)]
-                )
-            witnesses = (integer_block(gen, m, count)
-                         if pred.equality else None)
-            pred_blocks.append((members, pred.value, draws, witnesses))
+        base, pred_blocks = self._draw_blocks(count, gen)
         if self.vectorized:
             values = base.reshape(count, n)
             for members, bound, draws, witnesses in pred_blocks:
@@ -270,14 +256,88 @@ class MaxProbabilisticAuditor(Auditor):
             return values
         out = np.empty((count, n))
         for c in range(count):
-            row = base[c * n:(c + 1) * n].copy()
-            for members, bound, draws, witnesses in pred_blocks:
-                m = len(members)
-                row[members] = draws[c * m:(c + 1) * m]
-                if witnesses is not None:
-                    row[members[int(witnesses[c])]] = bound
-            out[c] = row
+            out[c] = self._assemble_row(base, pred_blocks, c)
         return out
+
+    def _draw_blocks(self, count: int, gen: np.random.Generator,
+                     first_only: bool = False) -> Tuple[np.ndarray, list]:
+        """The canonical blocks of ``count`` samples: base values, then
+        per predicate ``(members, bound, draws, witnesses)``.
+
+        With ``first_only`` (uniform prior, a generator that passes
+        :func:`~repro.rng.skips_uniforms`), each uniform block keeps only
+        sample 0's values and skips the rest on ``gen``.  Witness picks
+        are drawn whole, since Lemire rejection spends a varying number
+        of words, so ``gen`` still ends where the whole draw ends it.
+        """
+        dist = self.distribution
+        n = self._n
+        kept = 1 if first_only else count
+
+        def uniforms(width: int, high: float) -> np.ndarray:
+            u = uniform_block(gen, kept * width)
+            if first_only:
+                skip_uniforms(gen, (count - 1) * width)
+            return scale_uniform(u, self._low, high)
+
+        if dist is None:
+            base = uniforms(n, self._high)
+        else:
+            base = np.concatenate(
+                [dist.sample(gen, n) for _ in range(count)]
+            )
+        pred_blocks = []
+        for pred in self._synopsis.predicates():
+            members = sorted(pred.elements)
+            m = len(members)
+            if dist is None:
+                draws = uniforms(m, pred.value)
+            else:
+                draws = np.concatenate(
+                    [dist.sample_below(gen, pred.value, m)
+                     for _ in range(count)]
+                )
+            witnesses = (integer_block(gen, m, count)
+                         if pred.equality else None)
+            pred_blocks.append((members, pred.value, draws, witnesses))
+        return base, pred_blocks
+
+    def _assemble_row(self, base: np.ndarray, pred_blocks: list,
+                      c: int) -> np.ndarray:
+        """Sample ``c`` from the blocks of :meth:`_draw_blocks`, whole
+        or ``first_only`` (then ``c`` is 0)."""
+        n = self._n
+        row = base[c * n:(c + 1) * n].copy()
+        for members, bound, draws, witnesses in pred_blocks:
+            m = len(members)
+            row[members] = draws[c * m:(c + 1) * m]
+            if witnesses is not None:
+                row[members[int(witnesses[c])]] = bound
+        return row
+
+    def _samples_in_order(self, gen: np.random.Generator
+                          ) -> Iterator[np.ndarray]:
+        """The rows of ``sample_consistent_datasets(num_samples, gen)``,
+        none drawn before the decision asks for it.
+
+        When one unsafe sample denies (``1 / N > delta / 2T``, as at the
+        ``serve`` defaults) and ``gen`` can skip, row 0 is read with the
+        other samples skipped, which leaves ``gen`` where the whole draw
+        would.  A decision that stops at row 0 never resumes this
+        generator; one that asks for row 1 rewinds ``gen`` and draws
+        the whole block.
+        """
+        count = self.num_samples
+        if (self.vectorized and self.distribution is None
+                and 1 / count > self.threshold and skips_uniforms(gen)):
+            rewind = gen.bit_generator.state
+            base, pred_blocks = self._draw_blocks(count, gen,
+                                                  first_only=True)
+            yield self._assemble_row(base, pred_blocks, 0)
+            gen.bit_generator.state = rewind
+            yield from self.sample_consistent_datasets(count, gen)[1:]
+        else:
+            yield from self.sample_consistent_datasets(count, gen)
 
     # ------------------------------------------------------------------
     # Decision (Algorithm 2)
@@ -297,16 +357,15 @@ class MaxProbabilisticAuditor(Auditor):
                              gen: np.random.Generator
                              ) -> Optional[AuditDecision]:
         members = list(query.sorted_indices())
-        # The whole block is drawn before any check, so stopping early
-        # skips no draw: the stream ends where full evaluation ends it.
-        samples = self.sample_consistent_datasets(self.num_samples, gen)
+        # Before any row is checked the stream is where the whole block
+        # leaves it, so stopping early ends it where full evaluation does.
         unsafe = 0
-        for s in range(self.num_samples):
+        for s, sample in enumerate(self._samples_in_order(gen)):
             if scope is not None:
                 # No inner MCMC chain here: one Monte Carlo draw is the
                 # natural cancellation granularity.
                 scope.checkpoint()
-            answer = float(samples[s][members].max())
+            answer = float(sample[members].max())
             trial = self._synopsis.copy()
             try:
                 trial.insert(query.query_set, answer)

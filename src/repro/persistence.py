@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from .exceptions import ReproError
+from .resilience.budget import Budget
 from .resilience.faults import fault_site
 from .sdb.dataset import Dataset
 from .sdb.updates import Delete, Insert, Modify
@@ -276,10 +277,27 @@ class JournaledAuditor:
         self.wal = wal
         self.journal: Optional[AuditJournal] = (
             AuditJournal.begin(auditor.dataset) if wal is None else None)
+        #: A budget for one request's decisions (the serving worker sets
+        #: it around each request); ``None`` keeps the auditor's own.
+        self.request_budget: Optional[Budget] = None
 
     def audit(self, query: Query) -> AuditDecision:
-        """Audit and journal; with a WAL, persist before releasing."""
-        decision = self.auditor.audit(query)
+        """Audit and journal; with a WAL, persist before releasing.
+
+        A :attr:`request_budget` holds for the wrapped auditor's decision
+        only.  The append and the checkpoint it may take see the
+        auditor's standing budget, so no snapshot keeps a request's.
+        """
+        budget, inner = self.request_budget, self.auditor
+        if budget is None:
+            decision = inner.audit(query)
+        else:
+            standing = inner.budget
+            inner.budget = budget
+            try:
+                decision = inner.audit(query)
+            finally:
+                inner.budget = standing
         self._journal(_decision_event(query, decision))
         return decision
 

@@ -78,6 +78,32 @@ def uniform_block(gen: np.random.Generator, count: int) -> np.ndarray:
     return gen.random(count)
 
 
+def skips_uniforms(gen: np.random.Generator) -> bool:
+    """Whether :func:`skip_uniforms` can move ``gen`` exactly.  It relies
+    on PCG64 (what ``default_rng`` builds), whose ``random()`` spends
+    one 64-bit output per double and whose ``advance`` counts outputs."""
+    return type(gen.bit_generator) is np.random.PCG64
+
+
+def skip_uniforms(gen: np.random.Generator, count: int) -> None:
+    """Leave ``gen`` where ``uniform_block(gen, count)`` would, drawing
+    nothing; ``gen`` must pass :func:`skips_uniforms`.
+
+    ``advance(count)`` lands on the state the ``count`` doubles would
+    leave, but it also clears the 32-bit buffer (``has_uint32`` and the
+    possibly stale ``uinteger``) that ``integers`` keeps between draws
+    and a double draw never touches, so the buffer is put back.
+    """
+    bits = gen.bit_generator
+    buffered = bits.state
+    bits.advance(count)
+    if buffered["has_uint32"] or buffered["uinteger"]:
+        state = bits.state
+        state["has_uint32"] = buffered["has_uint32"]
+        state["uinteger"] = buffered["uinteger"]
+        bits.state = state
+
+
 def scale_uniform(u, low, high):
     """Map raw uniforms to ``[low, high)`` exactly as ``Generator.uniform``
     does (``low + (high - low) * u``), so pre-drawn blocks reproduce the

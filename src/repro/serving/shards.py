@@ -210,19 +210,14 @@ class ShardWorker:
 
     def _audit(self, user: str, query: Query,
                request: Dict[str, Any]) -> AuditDecision:
-        budget = self._budget_from(request)
-        if budget is None:
-            return self.frontend.ask(user, query)
-        # Per-request deadline propagation: the frontend serialises
-        # auditor runs, so swapping the budget for one decision is
-        # race-free; restore unconditionally.
-        target = self.auditor.auditor
-        previous = target.budget
-        target.budget = budget
+        # Per-request deadline propagation: requests come one at a time,
+        # and the journalled auditor lends the budget to the decision
+        # alone, never to the checkpoint after it.
+        self.auditor.request_budget = self._budget_from(request)
         try:
             return self.frontend.ask(user, query)
         finally:
-            target.budget = previous
+            self.auditor.request_budget = None
 
     def _budget_from(self, request: Dict[str, Any]) -> Optional[Budget]:
         wall = request.get("wall_time")

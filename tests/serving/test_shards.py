@@ -139,6 +139,26 @@ def test_deadline_shorter_than_one_chain_step_fails_closed():
     assert worker.auditor.auditor.budget is None
 
 
+def test_a_checkpoint_after_a_deadlined_request_keeps_no_budget(tmp_path):
+    # The snapshot taken right after a deadlined decision holds the
+    # auditor's standing budget; otherwise a recovered worker would
+    # decide every later request under this request's deadline.
+    spec = make_spec(tmp_path=tmp_path, auditor="max-prob",
+                     checkpoint_every=1)
+    worker = ShardWorker(spec)
+    result = worker.handle(query_op("alice", [0, 1], kind="max",
+                                    wall_time=30.0))
+    assert result["ok"]
+    live = worker.auditor.auditor
+    assert live.budget is None
+    worker.close()
+    reopened = ShardWorker(spec)
+    recovered = reopened.auditor.auditor
+    assert recovered.budget is None
+    assert recovered._rng.bit_generator.state == live._rng.bit_generator.state
+    reopened.close()
+
+
 def test_worker_recovers_journalled_state_from_wal(tmp_path):
     spec = make_spec(tmp_path=tmp_path)
     worker = ShardWorker(spec)
