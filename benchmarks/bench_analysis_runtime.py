@@ -2,13 +2,11 @@
 
 The static analyzer runs on every pytest invocation (the SIM/DET/CONC/
 LEAK gates) and in pre-commit, so its wall-clock cost is a
-developer-facing number worth pinning.  One table: full eight-family run
-(serial and sharded over worker processes) plus each rule group alone
-(SIM alone needs no effect engine; DET/WAL/BUD share the effect
-fixpoint; CONC/FORK/ATOM add the escape/alias pass; LEAK adds the taint
-fixpoint on top of both), with the modules/functions actually scanned as
-anti-vacuity columns.  The parallel row also serves as a regression
-gate: sharding must not end up slower than the serial run it replaces.
+developer-facing number worth pinning.  One table: the full eight-family
+run plus each rule group alone (SIM alone needs no effect engine;
+DET/WAL/BUD share the effect fixpoint; CONC/FORK/ATOM add the
+escape/alias pass; LEAK adds the taint fixpoint on top of both), with the
+modules/functions actually scanned as anti-vacuity columns.
 
 The series is written to ``BENCH_analysis_runtime.json`` (a committed
 artifact, like ``BENCH_fault_recovery.json``) so analyzer slowdowns show
@@ -18,7 +16,6 @@ up in review rather than in everyone's pre-commit hook.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -29,26 +26,20 @@ from .conftest import run_once
 RESULT_PATH = Path(__file__).resolve().parents[1] / \
     "BENCH_analysis_runtime.json"
 
-#: sharding one worker per core; on a single-core host ``analyze_package``
-#: collapses to the serial path (spawning workers there only adds
-#: startup cost), so the no-regression gate stays meaningful everywhere
-_WORKERS = max(1, os.cpu_count() or 1)
-
 SELECTIONS = (
-    ("all families", None, None),
-    ("all families, sharded", None, _WORKERS),
-    ("SIM", ["SIM"], None),
-    ("DET+WAL+BUD", ["DET", "WAL", "BUD"], None),
-    ("CONC+FORK+ATOM", ["CONC", "FORK", "ATOM"], None),
-    ("LEAK", ["LEAK"], None),
+    ("all families", None),
+    ("SIM", ["SIM"]),
+    ("DET+WAL+BUD", ["DET", "WAL", "BUD"]),
+    ("CONC+FORK+ATOM", ["CONC", "FORK", "ATOM"]),
+    ("LEAK", ["LEAK"]),
 )
 
 
 def _measure():
     series = []
-    for label, select, processes in SELECTIONS:
+    for label, select in SELECTIONS:
         start = time.perf_counter()
-        report = analyze_package(select=select, processes=processes)
+        report = analyze_package(select=select)
         elapsed_ms = (time.perf_counter() - start) * 1e3
         # The gate property itself: the shipped tree is clean under every
         # selection, and the run was not vacuous.
@@ -60,7 +51,6 @@ def _measure():
             assert report.functions_scanned >= 300, report.functions_scanned
         series.append({
             "selection": label,
-            "workers": processes or 1,
             "rules": len(report.rules),
             "modules_scanned": report.modules_scanned,
             "functions_scanned": report.functions_scanned,
@@ -68,12 +58,6 @@ def _measure():
                 [f for f in report.findings if f.severity == "documented"]),
             "runtime_ms": round(elapsed_ms, 1),
         })
-    by_label = {run["selection"]: run for run in series}
-    serial = by_label["all families"]["runtime_ms"]
-    sharded = by_label["all families, sharded"]["runtime_ms"]
-    # No-regression gate: sharding at the host's core count must not be
-    # slower than the serial run it replaces (small slack for noise).
-    assert sharded <= serial * 1.10, (serial, sharded)
     return {"benchmark": "analysis_runtime", "runs": series}
 
 

@@ -2,7 +2,7 @@
 
 WAL001 proves *ordering* (append before release); these rules prove the
 append itself is durable.  The POSIX recipe the checkpoint/WAL layer uses
-(``_write_snapshot``/``_commit_manifest`` in
+(``_write_file_atomic``/``_commit_manifest`` in
 :mod:`repro.resilience.checkpoint`) is: write a temp file → ``flush()`` →
 ``fsync(fd)`` → ``os.replace(tmp, final)`` → fsync the parent directory.
 Skipping any step leaves a crash window — a rename made durable before its

@@ -5,19 +5,12 @@ engine exactly once, runs every selected rule family over them, and merges
 the findings into one :class:`~repro.analysis.findings.Report`.  This is
 what ``repro-audit lint`` runs; :func:`repro.analysis.check_package`
 remains the SIM-only library entry point.
-
-With ``processes > 1`` the rule families are sharded across worker
-processes via :func:`repro.utility.parallel.run_sweep` (spawn-safe, per
-the FORK rules): each worker runs :func:`analyze_package` for one family
-group against the same tree, and the parent merges the shard reports with
-a sorted, deterministic finding order.  The baseline is applied once,
-after the merge, so parallel and serial runs suppress identically.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .atomics import DEFAULT_ATOMICITY_CONFIG, AtomicityConfig, \
     check_atomics
@@ -45,15 +38,6 @@ from .simulatability import (
 )
 from .taintflow import DEFAULT_TAINT_CONFIG, TaintConfig, TaintEngine
 
-#: family groups that share an engine build; one worker each when parallel
-_SHARD_GROUPS: Tuple[Tuple[str, ...], ...] = (
-    ("SIM",),
-    ("DET", "WAL", "BUD"),
-    ("CONC", "FORK", "ATOM"),
-    ("LEAK",),
-)
-
-
 def active_rules(select: Optional[Iterable[str]] = None,
                  ignore: Optional[Iterable[str]] = None) -> Set[str]:
     """The rule set a ``--select``/``--ignore`` pair leaves enabled."""
@@ -80,8 +64,7 @@ def analyze_package(package_dir: Union[str, Path, None] = None,
                     baseline: Union[str, Path, None] = None,
                     source_overrides: Optional[Dict[str, str]] = None,
                     extra_modules: Optional[Iterable[Tuple[str, Path]]]
-                    = None,
-                    processes: Optional[int] = None) -> Report:
+                    = None) -> Report:
     """Run every selected rule family over a package tree.
 
     Parameters mirror :func:`repro.analysis.check_package`, plus:
@@ -92,10 +75,6 @@ def analyze_package(package_dir: Union[str, Path, None] = None,
     baseline:
         Optional path to a baseline file; recorded findings are demoted to
         ``baselined`` severity and don't fail the run.
-    processes:
-        Run the rule-family groups in parallel worker processes (at most
-        one per group).  Findings, counts, and baseline handling are
-        identical to the serial path; ``None``/``1`` stays in-process.
     """
     config = config or DEFAULT_CONFIG
     det_config = det_config or DEFAULT_DET_CONFIG
@@ -110,21 +89,6 @@ def analyze_package(package_dir: Union[str, Path, None] = None,
 
     package_dir = Path(package_dir) if package_dir is not None \
         else default_package_dir()
-
-    if processes is not None and processes > 1:
-        shards = [sorted(r for r in rules if r.startswith(group))
-                  for group in _SHARD_GROUPS]
-        shards = [shard for shard in shards if shard]
-        if len(shards) > 1:
-            return _analyze_parallel(
-                shards, processes, package_dir=package_dir, config=config,
-                det_config=det_config, ordering_config=ordering_config,
-                escape_config=escape_config, conc_config=conc_config,
-                fork_config=fork_config, atom_config=atom_config,
-                taint_config=taint_config, leak_config=leak_config,
-                rules=rules, baseline=baseline,
-                source_overrides=source_overrides,
-                extra_modules=extra_modules)
 
     index = build_index(package_dir, package=config.package,
                         source_overrides=source_overrides,
@@ -201,80 +165,3 @@ def analyze_package(package_dir: Union[str, Path, None] = None,
         report = apply_baseline(report, load_baseline(baseline))
     return report
 
-
-# ----------------------------------------------------------------------
-# Parallel driver
-# ----------------------------------------------------------------------
-
-def _analysis_shard_worker(payload: Dict[str, Any], _rng: Any) -> Report:
-    """One worker: run a single rule-family shard serially.
-
-    Module-level (picklable) per the FORK001/FORK003 contract of
-    :func:`repro.utility.parallel.run_sweep`; the payload carries only
-    plain data and config dataclasses, never live handles.
-    """
-    return analyze_package(**payload)
-
-
-def _analyze_parallel(shards: List[List[str]], processes: int,
-                      package_dir: Path,
-                      config: AnalysisConfig,
-                      det_config: DeterminismConfig,
-                      ordering_config: OrderingConfig,
-                      escape_config: EscapeConfig,
-                      conc_config: ConcurrencyConfig,
-                      fork_config: ForkSafetyConfig,
-                      atom_config: AtomicityConfig,
-                      taint_config: TaintConfig,
-                      leak_config: LeakConfig,
-                      rules: Set[str],
-                      baseline: Union[str, Path, None],
-                      source_overrides: Optional[Dict[str, str]],
-                      extra_modules: Optional[Iterable[Tuple[str, Path]]],
-                      ) -> Report:
-    """Fan the family shards out over processes and merge the reports."""
-    from ..utility.parallel import run_sweep
-
-    payloads = [
-        {
-            "package_dir": str(package_dir),
-            "config": config,
-            "det_config": det_config,
-            "ordering_config": ordering_config,
-            "escape_config": escape_config,
-            "conc_config": conc_config,
-            "fork_config": fork_config,
-            "atom_config": atom_config,
-            "taint_config": taint_config,
-            "leak_config": leak_config,
-            "select": shard,
-            "source_overrides": source_overrides,
-            "extra_modules": [(name, str(path))
-                              for name, path in (extra_modules or ())],
-            # baseline applied once, after the merge
-            "baseline": None,
-            "processes": None,
-        }
-        for shard in shards
-    ]
-    results = run_sweep(_analysis_shard_worker, payloads, trials=1,
-                        rng=0, processes=min(processes, len(payloads)))
-    reports: List[Report] = [results[i][0] for i in range(len(payloads))]
-
-    findings = sorted(
-        (f for report in reports for f in report.findings),
-        key=lambda f: (f.file, f.line, f.col, f.rule, f.sink,
-                       f.entry_class, f.entry_method))
-    merged = Report(
-        package=reports[0].package,
-        root=reports[0].root,
-        findings=findings,
-        entry_points=sum(r.entry_points for r in reports),
-        classes_checked=max(r.classes_checked for r in reports),
-        modules_scanned=max(r.modules_scanned for r in reports),
-        functions_scanned=max(r.functions_scanned for r in reports),
-        rules=sorted(rules),
-    )
-    if baseline is not None:
-        merged = apply_baseline(merged, load_baseline(baseline))
-    return merged

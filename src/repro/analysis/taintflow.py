@@ -185,10 +185,8 @@ class TaintConfig:
     log_receiver_names: FrozenSet[str] = frozenset({
         "logger", "log", "logging", "warnings", "stdout", "stderr",
     })
-    #: replication frame builders: payloads cross the wire
-    frame_functions: FrozenSet[str] = frozenset({
-        "repro.resilience.replication.encode_frame",
-    })
+    #: wire-frame builders: payloads cross the wire
+    frame_functions: FrozenSet[str] = frozenset()
     frame_method_names: FrozenSet[str] = frozenset({"encode_frame"})
 
     #: fixpoint safety valve (reprocessings per function)

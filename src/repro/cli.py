@@ -141,15 +141,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="with --wal: ship every decision to a follower "
                         "replica keeping a bitwise copy of the audit log "
                         "under DIR; answers are released only after every "
-                        "follower acknowledges (repeatable).  The stdin "
-                        "loop runs each follower as its own process; "
-                        "under --listen it is an in-process follower of "
-                        "the audit worker")
+                        "follower acknowledges (repeatable).  Each "
+                        "follower runs in-process, written by the log "
+                        "itself")
     p.add_argument("--follow", default=None, metavar="DIR",
                    help="serve as a read-only follower replica over the "
-                        "replicated audit log in DIR: replicated "
-                        "decisions are re-released, everything else is "
-                        "denied (incompatible with --wal/--replicate-to)")
+                        "replicated audit log in DIR, which is read once "
+                        "and never written: replicated decisions are "
+                        "re-released, everything else is denied "
+                        "(incompatible with --wal/--replicate-to)")
     p.add_argument("--deadline", type=float, default=None,
                    help="per-query wall-clock budget in seconds "
                         "(probabilistic auditors only); exhaustion yields "
@@ -196,9 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--update-baseline", action="store_true",
                    help="rewrite --baseline from the current run's "
                         "undocumented findings and exit 0")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="shard the rule families over N worker processes "
-                        "(findings are identical to a serial run)")
     p.add_argument("--quiet", action="store_true",
                    help="print nothing when the tree is clean")
     p.set_defaults(handler=_cmd_lint)
@@ -428,7 +425,6 @@ def _cmd_lint(args) -> int:
             select=args.select.split(",") if args.select else None,
             ignore=args.ignore.split(",") if args.ignore else None,
             baseline=None if args.update_baseline else baseline,
-            processes=args.jobs,
         )
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -536,45 +532,30 @@ def _cmd_serve(args, stdin=None) -> int:
     if listen:
         return _serve_http(args)
 
-    follower = None
-    links = []
     try:
         table, dataset = split_records(read_csv(args.csv, args.sensitive),
                                        args.sensitive)
         if follow:
-            from .resilience.replication import (
-                Follower,
-                FollowerReadOnlyAuditor,
-            )
+            from .resilience.replication import FollowerReadOnlyAuditor
 
-            follower = Follower.open(follow, auditor_factory=factory)
-            auditor = FollowerReadOnlyAuditor(follower, dataset)
+            auditor = replica = FollowerReadOnlyAuditor(follow, factory,
+                                                        dataset)
         elif args.wal:
             from .resilience.wal import open_wal_auditor
 
-            policy = CheckpointPolicy.from_flags(checkpoint_every,
-                                                 checkpoint_bytes)
-            if replicate_to:
-                from .resilience.replication import ProcessLink
-
-                # One spawned follower process per target directory;
-                # each keeps a bitwise replica and must acknowledge
-                # every record before the answer is printed.
-                links = [ProcessLink(target, policy=policy)
-                         for target in replicate_to]
             # Replay-verify only the deterministic classics
             # (probabilistic replays restore state without re-deciding).
+            # Every --replicate-to directory keeps a bitwise replica and
+            # must acknowledge each record before the answer is printed.
             auditor, dataset = open_wal_auditor(
                 args.wal, factory, dataset, verify=not probabilistic,
-                policy=policy, replicate_to=links)
+                policy=CheckpointPolicy.from_flags(checkpoint_every,
+                                                   checkpoint_bytes),
+                replicate_to=replicate_to)
         else:
             auditor = JournaledAuditor(factory(dataset))
         db = StatisticalDatabase(table, dataset, auditor)
     except (OSError, ReproError) as exc:
-        for link in links:
-            link.close()
-        if follower is not None:
-            follower.close()
         print(f"error: {exc}")
         return 2
 
@@ -582,10 +563,10 @@ def _cmd_serve(args, stdin=None) -> int:
           f"column {args.sensitive!r}; auditor {args.auditor!r}")
     if follow:
         print(f"read-only follower over {follow}: "
-              f"{follower.total_events} replicated events at epoch "
-              f"{follower.epoch}")
-    elif links:
-        print(f"replicating to {len(links)} follower(s): "
+              f"{replica.total_events} replicated events at epoch "
+              f"{replica.epoch}")
+    elif replicate_to:
+        print(f"replicating to {len(replicate_to)} follower(s): "
               + ", ".join(replicate_to))
     print("enter SQL statistical queries, one per line "
           "(e.g. SELECT sum(x) WHERE a = 1); EOF or 'quit' ends")
@@ -613,13 +594,11 @@ def _cmd_serve(args, stdin=None) -> int:
         print(f"journal written to {args.journal}")
     if args.wal:
         db.auditor.close()
-        if links:
+        if replicate_to:
             print(f"write-ahead log synced to {args.wal} and "
-                  f"{len(links)} follower replica(s)")
+                  f"{len(replicate_to)} follower replica(s)")
         else:
             print(f"write-ahead log synced to {args.wal}")
-    elif follower is not None:
-        follower.close()
     trail = db.auditor.trail
     print(f"session: {len(trail)} queries, {trail.denial_count()} denied")
     return 0

@@ -58,9 +58,7 @@ _REPLICATION_EXPORTS = (
     "FencedError",
     "Follower",
     "FollowerReadOnlyAuditor",
-    "FrameDecoder",
     "LocalLink",
-    "ProcessLink",
     "ReplicationError",
     "promote_replica",
     "replica_events",
@@ -96,11 +94,9 @@ __all__ = [
     "FencedError",
     "Follower",
     "FollowerReadOnlyAuditor",
-    "FrameDecoder",
     "InjectedCrash",
     "KNOWN_SITES",
     "LocalLink",
-    "ProcessLink",
     "Raise",
     "RecoveryInfo",
     "ReplicationError",

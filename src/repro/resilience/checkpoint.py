@@ -41,7 +41,7 @@ the exact decision state — the chaos sweep in
 Serving code opens a log through
 :func:`repro.resilience.wal.open_wal_auditor`, which creates or recovers
 it and attaches the replicas.  Replication (:meth:`CheckpointedWal.
-attach`) loads :mod:`repro.resilience.replication` only once a link
+attach`) loads :mod:`repro.resilience.replication` only once a replica
 attaches, so a log without replicas never imports it.
 """
 
@@ -151,7 +151,7 @@ class RecoveryInfo:
     replayed_events: int          #: events replayed from segments
     snapshots_skipped: int        #: torn/corrupt snapshots passed over
     torn_tail_healed: bool        #: active segment had a torn final record
-    orphans_removed: int          #: unreferenced files swept
+    orphans_removed: int = 0      #: unreferenced files swept (by recover)
 
 
 class CheckpointedWal:
@@ -164,11 +164,11 @@ class CheckpointedWal:
     :class:`~repro.persistence.JournaledAuditor` calls :meth:`append`
     for every event and then :meth:`maybe_checkpoint`.
 
-    The log is also the replication primary: with links attached
+    The log is also the replication primary: with replicas attached
     (:meth:`attach`), :meth:`append` returns — and therefore the answer
     is released — only after the record is durable locally **and**
-    every link acknowledged it, and :meth:`checkpoint` ships the sealed
-    snapshot.  Any link failure raises
+    every replica acknowledged it, and :meth:`checkpoint` ships the
+    sealed snapshot.  Any replica failure raises
     :class:`~repro.resilience.replication.ReplicationError` out of the
     serving path: fail-closed, the answer is withheld rather than
     released under-replicated.
@@ -189,6 +189,7 @@ class CheckpointedWal:
         self._total_events = 0
         self._last_snapshot_events = 0
         self._epoch = 0
+        self._torn_tail: Optional[int] = None
         self._links: List[Any] = []
         self.last_recovery: Optional[RecoveryInfo] = None
 
@@ -244,14 +245,14 @@ class CheckpointedWal:
                 policy: Optional[CheckpointPolicy] = None,
                 fsync: bool = True, verify: bool = False,
                 ) -> Tuple[JournaledAuditor, Dataset, RecoveryInfo]:
-        """Reopen after a crash: snapshot + suffix replay, with fallback.
+        """Reopen after a crash: :meth:`load`, then :meth:`_resume`.
 
         The recovery state machine, in order:
 
         1. read the ``MANIFEST`` (atomically replaced, so damage here is
            corruption or tampering — refused, never healed);
-        2. parse every live segment; heal a torn tail on the *active*
-           (final) segment only, refuse damage anywhere else;
+        2. parse every live segment; a torn tail is tolerated on the
+           *active* (final) segment only, damage anywhere else refused;
         3. load the newest retained snapshot; on a torn/corrupt one fall
            back to the previous, then to a full replay — but only while
            the manifest still references the pre-checkpoint segments
@@ -259,16 +260,38 @@ class CheckpointedWal:
         4. replay the post-snapshot suffix through the auditor's state
            hooks (``verify=True`` re-runs the suffix's decisions — only
            meaningful for deterministic auditors);
-        5. sweep orphan files no manifest references and reopen the
-           active segment for appending.
+        5. truncate the active segment's torn tail, sweep orphan files no
+           manifest references, and reopen the active segment for
+           appending.
+
+        Steps 1–4 write nothing; step 5 is the only one that does.
         """
-        wal, seg_records, torn_healed = cls._load(directory, policy, fsync)
+        wal, auditor, dataset, info = cls.load(
+            directory, auditor_factory, policy=policy, fsync=fsync,
+            verify=verify)
+        info.orphans_removed = wal._resume()
+        wal.last_recovery = info
+        return JournaledAuditor(auditor, wal=wal), dataset, info
+
+    @classmethod
+    def load(cls, directory: str, auditor_factory: AuditorFactory,
+             policy: Optional[CheckpointPolicy] = None,
+             fsync: bool = True, verify: bool = False,
+             ) -> Tuple["CheckpointedWal", Any, Dataset, RecoveryInfo]:
+        """Steps 1–4 of :meth:`recover`, writing nothing to ``directory``.
+
+        Returns the log (not yet open for appending), the rebuilt auditor,
+        its live dataset and what the load did.  A torn final record was
+        never acknowledged, so the load ignores it; only :meth:`recover`
+        truncates it.  ``serve --follow`` reads a replica through this.
+        """
+        wal, seg_records = cls._load(directory, policy, fsync)
 
         auditor: Any = None
         chosen: Optional[Dict[str, Any]] = None
         skipped = 0
         # Fast path: a young log (no snapshot taken yet) has no recovery
-        # root to resolve — the "suffix" is the whole log, and recovery
+        # root to resolve — the "suffix" is the whole log, and the load
         # drops straight to the full replay below without probing any
         # snapshot files.
         for snap in reversed(wal._snapshots):
@@ -321,43 +344,48 @@ class CheckpointedWal:
                 f"restore from a replica or archive"
             )
 
-        removed = wal._resume()
         info = RecoveryInfo(
             snapshot_name=snapshot_name,
             snapshot_events=base_events,
             replayed_events=replayed,
             snapshots_skipped=skipped,
-            torn_tail_healed=torn_healed,
-            orphans_removed=removed,
+            torn_tail_healed=wal._torn_tail is not None,
         )
-        wal.last_recovery = info
-        return JournaledAuditor(auditor, wal=wal), dataset, info
+        return wal, auditor, dataset, info
 
     @classmethod
     def _load(cls, directory: str, policy: Optional[CheckpointPolicy],
               fsync: bool,
-              ) -> Tuple["CheckpointedWal",
-                         Dict[str, List[Dict[str, Any]]], bool]:
+              ) -> Tuple["CheckpointedWal", Dict[str, List[Dict[str, Any]]]]:
         """Steps 1–2 of :meth:`recover`: read the manifest and every live
-        segment (healing a torn active tail) and count the events.
+        segment and count the events, writing nothing.
 
         A durability-only replica (:class:`~repro.resilience.replication.
-        Follower` without a factory) reopens through this and
-        :meth:`_resume` alone: it keeps the bytes and never replays them.
+        Follower`) reopens through this and :meth:`_resume` alone: it
+        keeps the bytes and never replays them.
         """
         wal = cls(directory, policy=policy, fsync=fsync)
         wal._load_manifest(_read_manifest(directory))
-        seg_records, torn_healed = wal._read_segments()
+        seg_records = wal._read_segments()
         last = wal._segments[-1]
         wal._total_events = (int(last["base"])
                              + len(seg_records[str(last["name"])]))
         wal._last_snapshot_events = (int(wal._snapshots[-1]["events"])
                                      if wal._snapshots else 0)
-        return wal, seg_records, torn_healed
+        return wal, seg_records
 
     def _resume(self) -> int:
-        """Step 5 of :meth:`recover`: sweep orphans and reopen the active
-        segment; returns the number of orphans removed."""
+        """Step 5 of :meth:`recover`: truncate a torn active tail, sweep
+        orphans and reopen the active segment; returns the number of
+        orphans removed."""
+        if self._torn_tail is not None:
+            path = os.path.join(self.directory,
+                                str(self._segments[-1]["name"]))
+            with open(path, "r+b") as handle:
+                handle.truncate(self._torn_tail)
+                handle.flush()
+                os.fsync(handle.fileno())
+            self._torn_tail = None
         removed = self._sweep_orphans()
         self._open_active()
         return removed
@@ -394,7 +422,7 @@ class CheckpointedWal:
     def raw_append(self, data: bytes) -> None:
         """Durably append one *pre-encoded* record (replication ship path).
 
-        The follower applies exactly the bytes the primary framed — the
+        The follower applies exactly the bytes the primary appended — the
         caller has already CRC-validated them — so the replica segment is
         a bitwise copy of the primary's record stream.
         """
@@ -416,7 +444,7 @@ class CheckpointedWal:
         self._total_events += 1
 
     def close(self) -> None:
-        """Close every link, then the active segment handle."""
+        """Close every replica, then the active segment handle."""
         for link in self._links:
             try:
                 link.close()
@@ -455,10 +483,10 @@ class CheckpointedWal:
     def fence(self) -> int:
         """Durably bump the fencing epoch (the promotion commit point).
 
-        Replication rejects frames from any sender whose epoch is older
-        than the receiver's, so once a promoted follower's bump is
-        committed a resurrected old primary can no longer ship appends to
-        it — split-brain writes are refused, not merged.
+        A replica rejects shipments from any primary whose epoch is older
+        than its own, so once a promoted replica's bump is committed a
+        resurrected old primary can no longer ship appends to it —
+        split-brain writes are refused, not merged.
         """
         self._epoch += 1
         self._commit_manifest()
@@ -500,21 +528,22 @@ class CheckpointedWal:
         events = self._total_events
         seq = self._next_seq
         snap_name = _snapshot_name(seq)
-        payload = {
+        data = _encode_record({
             "type": "snapshot",
             "snapshot_version": 1,
             "events": events,
             "state": base64.b64encode(
                 pickle.dumps(auditor)).decode("ascii"),
-        }
-        self._write_snapshot(snap_name, payload)
+        })
+        self._write_file_atomic(snap_name, data,
+                                mid_site="checkpoint.mid-snapshot")
         fault_site("checkpoint.pre-commit")
         self._seal_and_commit(seq, snap_name, events)
         fault_site("primary.post-seal")
         if self._links:
             from .replication import ship_checkpoint
 
-            ship_checkpoint(self, snap_name)
+            ship_checkpoint(self, snap_name, data)
         return snap_name
 
     # ------------------------------------------------------------------
@@ -523,42 +552,26 @@ class CheckpointedWal:
 
     @property
     def links(self) -> Tuple[Any, ...]:
-        """The attached replication links."""
+        """The links to the attached replicas."""
         return tuple(self._links)
 
-    def attach(self, target: Any, sync: bool = True) -> None:
-        """Attach a replication link, snapshot-install syncing it first.
+    def attach(self, directory: str) -> None:
+        """Attach the replica directory ``directory``.
 
-        ``target`` is a link (anything with ``send``/``close``, see
-        :mod:`repro.resilience.replication`) or a replica directory path,
-        which becomes an in-process durability-only follower that this
-        log opens and closes.  The sync ships the manifest metadata,
-        every live segment and every retained snapshot, so a fresh (or
-        stale) replica becomes a full copy before the first append is
-        shipped.
+        It becomes an in-process, durability-only follower that this log
+        writes by direct call, and opens and closes.  Unless the replica
+        already holds this log's exact bytes, it is snapshot-installed
+        first (the manifest, every live segment and every retained
+        snapshot), so a fresh or stale replica is a full copy before the
+        first append is shipped.
         """
-        from .replication import Follower, LocalLink, sync_link
+        from .replication import open_replica
 
-        link = target
-        if isinstance(target, str):
-            link = LocalLink(Follower.open(target, policy=self.policy,
-                                           fsync=self._fsync))
-        try:
-            if sync:
-                sync_link(self, link)
-        except Exception:
-            if link is not target:
-                link.close()
-            raise
-        self._links.append(link)
-
-    def detach(self, link: Any) -> None:
-        """Stop shipping to ``link`` (the caller closes it)."""
-        self._links.remove(link)
+        self._links.append(open_replica(self, directory))
 
     def install_checkpoint(self, seq: int, snap_name: str, events: int,
                            snapshot_data: bytes) -> None:
-        """Install a *shipped* snapshot (replication's checkpoint frame).
+        """Install a *shipped* snapshot (replication's checkpoint ship).
 
         The follower-side twin of :meth:`checkpoint`: instead of pickling
         a local auditor it installs the primary's already-encoded snapshot
@@ -671,10 +684,9 @@ class CheckpointedWal:
                 f"no segments"
             )
 
-    def _read_segments(self) -> Tuple[Dict[str, List[Dict[str, Any]]], bool]:
-        """Parse every live segment; heal the active segment's torn tail."""
+    def _read_segments(self) -> Dict[str, List[Dict[str, Any]]]:
+        """Parse every live segment; note (not heal) a torn active tail."""
         seg_records: Dict[str, List[Dict[str, Any]]] = {}
-        torn_healed = False
         for pos, seg in enumerate(self._segments):
             name = str(seg["name"])
             path = os.path.join(self.directory, name)
@@ -695,11 +707,7 @@ class CheckpointedWal:
                         f"damaged; only the active segment may carry a "
                         f"torn tail — restore from a replica or archive"
                     )
-                with open(path, "r+b") as handle:
-                    handle.truncate(good_bytes)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                torn_healed = True
+                self._torn_tail = good_bytes
             expected = seg["count"]
             if expected is not None and len(records) != int(expected):
                 raise JournalError(
@@ -709,15 +717,15 @@ class CheckpointedWal:
                     f"history — restore from a replica or archive"
                 )
             seg_records[name] = records
-        return seg_records, torn_healed
+        return seg_records
 
     def _write_file_atomic(self, name: str, data: bytes,
                            mid_site: Optional[str] = None) -> None:
         """Write ``data`` to ``name`` via tmp-file + fsync + atomic rename.
 
         The single durable-artifact protocol shared by snapshots, the
-        manifest, and replication's snapshot installs.  ``mid_site``
-        names the fault site fired half-way through the tmp write.
+        manifest, and replication's installs.  ``mid_site`` names the
+        fault site fired half-way through the tmp write.
         """
         path = os.path.join(self.directory, name)
         tmp = path + ".tmp"
@@ -737,10 +745,6 @@ class CheckpointedWal:
         os.replace(tmp, path)
         if self._fsync:
             fsync_directory(self.directory)
-
-    def _write_snapshot(self, name: str, payload: Dict[str, Any]) -> None:
-        self._write_file_atomic(name, _encode_record(payload),
-                                mid_site="checkpoint.mid-snapshot")
 
     def _commit_manifest(self) -> None:
         payload = {

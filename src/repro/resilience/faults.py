@@ -82,22 +82,22 @@ KNOWN_SITES = frozenset({
     # an ack, so the answer was not released on the strength of this
     # follower).
     "ship.mid-segment",
-    # Follower side: frame fully applied and durable, acknowledgement not
-    # yet sent (the primary times out / crashes without the ack — the
-    # follower is *ahead* of what the primary released, which is the safe
+    # Follower side: shipment fully applied and durable, acknowledgement
+    # not yet returned (the primary dies without the ack — the follower
+    # is *ahead* of what the primary released, which is the safe
     # direction).
     "ship.pre-ack",
     # Follower side: half-way through writing a shipped snapshot's tmp
-    # file during a snapshot install (sync or checkpoint frame); the
+    # file during a snapshot install (install or checkpoint ship); the
     # follower manifest never referenced it, so recovery sweeps it.
     "install.mid-snapshot",
     # Promotion: follower state recovered, fencing epoch not yet
     # committed to the manifest (a crash here makes promotion retryable;
     # the old primary is not fenced until the bump is durable).
     "promote.pre-fence",
-    # Primary side: checkpoint committed locally, snapshot frame not yet
+    # Primary side: checkpoint committed locally, snapshot not yet
     # shipped to followers (a crash here leaves followers on the
-    # pre-checkpoint segment layout until the next sync).
+    # pre-checkpoint segment layout until the next install).
     "primary.post-seal",
     # Network edge: half-way through reading an HTTP request body (the
     # client died mid-upload, or the server dies holding a partial body;

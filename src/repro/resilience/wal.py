@@ -3,8 +3,8 @@
 The audit log is a checkpointed WAL *directory* (see
 :mod:`repro.resilience.checkpoint`): a ``MANIFEST`` naming the initial
 dataset, the live log segments and the retained snapshots.  Every file in
-it — segment records, the manifest, snapshots — and every record shipped
-to a replica uses one frame, one record per line::
+it — segment records, the manifest, snapshots — uses one frame, one
+record per line::
 
     <crc32 of payload, 8 hex digits> <space> <payload JSON> <newline>
 
@@ -153,7 +153,7 @@ def _parse_records(raw: bytes, path: str
 def open_wal_auditor(directory: str, auditor_factory: AuditorFactory,
                      dataset: Dataset, fsync: bool = True,
                      verify: bool = False, policy: Any = None,
-                     replicate_to: Optional[Sequence[Any]] = None,
+                     replicate_to: Optional[Sequence[str]] = None,
                      ) -> Tuple[JournaledAuditor, Dataset]:
     """Open-or-recover the WAL directory: the one entry point serving
     code uses.
@@ -168,14 +168,13 @@ def open_wal_auditor(directory: str, auditor_factory: AuditorFactory,
 
     ``policy`` is the :class:`~repro.resilience.checkpoint.
     CheckpointPolicy` (default: checkpoint every 256 records).
-    ``replicate_to`` entries are replication links (anything with
-    ``send``/``close``) or replica directory paths, which become
-    in-process durability-only followers that the log opens and closes;
-    every target is snapshot-install synced before this returns, and
-    from then on an answer is released only after every replica
-    acknowledges its record (see :meth:`~repro.resilience.checkpoint.
-    CheckpointedWal.attach`).  Without targets
-    :mod:`repro.resilience.replication` is never imported.
+    ``replicate_to`` names replica directories, which become in-process
+    durability-only followers that the log opens and closes; each one
+    holds the log's exact bytes before this returns, and from then on an
+    answer is released only after every replica acknowledges its record
+    (see :meth:`~repro.resilience.checkpoint.CheckpointedWal.attach`).
+    Without replicas :mod:`repro.resilience.replication` is never
+    imported.
     """
     from .checkpoint import MANIFEST_NAME, CheckpointedWal, _dataset_header
 
@@ -198,8 +197,8 @@ def open_wal_auditor(directory: str, auditor_factory: AuditorFactory,
                 f"dataset; refusing to resume (pass a fresh WAL directory "
                 f"or the original data)"
             )
-        for target in replicate_to or ():
-            wrapped.wal.attach(target)
+        for replica in replicate_to or ():
+            wrapped.wal.attach(replica)
     except Exception:
         wrapped.close()
         raise

@@ -215,36 +215,3 @@ def test_shipped_baseline_is_empty():
     payload = json.loads(shipped.read_text())
     assert payload == {"version": 1, "findings": []}
 
-
-# ----------------------------------------------------------------------
-# Parallel sharding
-# ----------------------------------------------------------------------
-
-def test_parallel_run_matches_serial_exactly():
-    select = ["SIM", "LEAK"]
-    serial = analyze_package(select=select,
-                             extra_modules=DET_MODULES)
-    parallel = analyze_package(select=select, processes=2,
-                               extra_modules=DET_MODULES)
-    serial_keys = sorted(
-        (f.file, f.line, f.col, f.rule, f.sink, f.severity)
-        for f in serial.findings)
-    parallel_keys = [(f.file, f.line, f.col, f.rule, f.sink, f.severity)
-                     for f in parallel.findings]
-    assert parallel_keys == sorted(parallel_keys), \
-        "parallel merge must emit a deterministic finding order"
-    assert parallel_keys == serial_keys
-    assert parallel.entry_points == serial.entry_points
-    assert parallel.classes_checked == serial.classes_checked
-    assert parallel.modules_scanned == serial.modules_scanned
-    assert parallel.functions_scanned == serial.functions_scanned
-    assert set(parallel.rules) == set(serial.rules)
-
-
-def test_single_process_request_stays_serial():
-    # processes=1 (or a selection that collapses to one shard) must not
-    # spin up workers; equality with the default path proves the branch.
-    one = analyze_package(select=["LEAK"], processes=1)
-    default = analyze_package(select=["LEAK"])
-    assert [f.fingerprint for f in one.findings] \
-        == [f.fingerprint for f in default.findings]

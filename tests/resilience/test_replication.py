@@ -1,39 +1,30 @@
-"""Primary/follower WAL replication: protocol, parity, and fencing.
+"""Primary/follower WAL replication: shipments, parity, and fencing.
 
 The contract under test: an answer is released only after every follower
 durably acknowledged its record (released ⇒ replicated); a follower's
-directory is a bitwise replica of the primary's live WAL; a torn or
-corrupted ship leaves the replica at its last committed state; and after
-snapshot-install failover the promoted follower serves the exact stream
-the primary would have, while the fenced old primary can no longer get
-an append acknowledged.
+directory is a bitwise replica of the primary's live WAL; a damaged or
+out-of-order shipment leaves the replica at its last committed state; a
+replica already holding the primary's bytes is not rewritten on attach;
+and after snapshot-install failover the promoted replica serves the
+exact stream the primary would have, while the fenced old primary can
+no longer get an append acknowledged.
 """
 
 import os
+import pathlib
 import tempfile
-import zlib
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.auditors.base import Auditor
 from repro.auditors.sum_classic import SumClassicAuditor
-from repro.resilience.checkpoint import MANIFEST_NAME, CheckpointPolicy
+from repro.resilience.checkpoint import CheckpointPolicy
 from repro.resilience.replication import (
-    FRAME_APPEND,
-    FRAME_HEADER,
-    FRAME_HELLO,
-    FRAME_MAGIC,
-    MAX_FRAME_BYTES,
+    Append,
     FencedError,
     Follower,
     FollowerReadOnlyAuditor,
-    FrameDecoder,
-    LocalLink,
-    ProcessLink,
     ReplicationError,
-    _b64,
-    encode_frame,
     promote_replica,
     replica_events,
 )
@@ -89,13 +80,28 @@ def stored_files(directory):
 def serve_pair(queries=QUERIES, policy=POLICY):
     """A primary replicating to one in-process follower; serve queries."""
     pdir, fdir = tmpdir("primary"), tmpdir("follower")
-    follower = Follower.open(fdir, auditor_factory=factory, policy=policy)
     wrapped, _ = open_wal_auditor(
-        pdir, factory, make_dataset(),
-        replicate_to=[LocalLink(follower)], policy=policy,
+        pdir, factory, make_dataset(), replicate_to=[fdir], policy=policy,
     )
+    [link] = wrapped.wal.links
     decisions = [wrapped.audit(q) for q in queries]
-    return pdir, fdir, follower, wrapped, decisions
+    return pdir, fdir, link.follower, wrapped, decisions
+
+
+def record_ship(seq, epoch=0, data=None):
+    """A well-formed record shipment for event ``seq``."""
+    return Append(epoch, seq, data or _encode_record({"type": "noise"}))
+
+
+def inodes(directory):
+    return {name: os.stat(os.path.join(directory, name)).st_ino
+            for name in sorted(os.listdir(directory))}
+
+
+def all_files(directory):
+    """Every file's bytes by name, MANIFEST included."""
+    return {path.name: path.read_bytes()
+            for path in sorted(pathlib.Path(directory).iterdir())}
 
 
 def released_baseline():
@@ -108,70 +114,20 @@ def released_baseline():
 
 
 # ----------------------------------------------------------------------
-# Frame protocol
-# ----------------------------------------------------------------------
-
-def test_frame_roundtrip():
-    payload = {"epoch": 3, "seq": 7, "data": "aGk="}
-    frames = FrameDecoder().feed(encode_frame(FRAME_APPEND, payload))
-    assert frames == [(FRAME_APPEND, payload)]
-
-
-def test_decoder_buffers_partial_frames_across_feeds():
-    """Three frames delivered one byte at a time arrive intact and in
-    order — a ship torn at *every* byte offset of the header and body."""
-    payloads = [{"i": i, "pad": "x" * i} for i in range(3)]
-    stream = b"".join(encode_frame(FRAME_HELLO, p) for p in payloads)
-    decoder = FrameDecoder()
-    seen = []
-    for i in range(len(stream)):
-        seen.extend(decoder.feed(stream[i:i + 1]))
-    assert seen == [(FRAME_HELLO, p) for p in payloads]
-    assert decoder.pending_bytes == 0
-
-
-def test_decoder_rejects_lost_framing():
-    with pytest.raises(ReplicationError, match="lost framing"):
-        FrameDecoder().feed(b"NOPE" + b"\x00" * 16)
-
-
-def test_decoder_rejects_oversized_length():
-    header = FRAME_HEADER.pack(FRAME_MAGIC, FRAME_HELLO,
-                               MAX_FRAME_BYTES + 1, 0)
-    with pytest.raises(ReplicationError, match="corruption"):
-        FrameDecoder().feed(header)
-
-
-def test_decoder_rejects_checksum_damage():
-    frame = bytearray(encode_frame(FRAME_HELLO, {"epoch": 0}))
-    frame[-1] ^= 0xFF  # flip one body byte; header CRC now disagrees
-    with pytest.raises(ReplicationError, match="checksum"):
-        FrameDecoder().feed(bytes(frame))
-
-
-def test_decoder_rejects_non_object_payload():
-    body = b"[1,2,3]"
-    frame = FRAME_HEADER.pack(FRAME_MAGIC, FRAME_HELLO, len(body),
-                              zlib.crc32(body) & 0xFFFFFFFF) + body
-    with pytest.raises(ReplicationError, match="not an object"):
-        FrameDecoder().feed(frame)
-
-
-# ----------------------------------------------------------------------
 # Replicated serving parity
 # ----------------------------------------------------------------------
 
 def test_replicated_serving_is_bitwise_parity():
     """After a full served stream the follower holds the same events in
-    the same bytes, and its decision cache re-releases the same bits."""
+    the same bytes, and a read of the replica re-releases the same bits."""
     pdir, fdir, follower, wrapped, decisions = serve_pair()
     assert [d.denied for d in decisions].count(True) >= 2
     assert follower.total_events == wrapped.wal.total_events == len(QUERIES)
     assert replica_events(fdir) == replica_events(pdir)
     assert stored_files(fdir) == stored_files(pdir)
+    replica = FollowerReadOnlyAuditor(fdir, factory)
     for query, decision in zip(QUERIES, decisions):
-        cached = follower.decision_for(query)
-        assert cached is not None
+        cached = replica.audit(query)
         assert (cached.denied, cached.value) == (decision.denied,
                                                  decision.value)
     wrapped.close()
@@ -192,8 +148,8 @@ def test_replica_directories_are_durability_only_followers():
                                   replicate_to=[rdir], policy=POLICY)
     decisions = [wrapped.audit(q) for q in QUERIES[:7]]
     [link] = wrapped.wal.links
-    assert link.follower.history is None
-    assert link.follower.live_dataset is None
+    assert not any(isinstance(value, (Auditor, Dataset))
+                   for value in vars(link.follower).values())
     wrapped.close()
     # Reopening re-syncs the replica before the next answer is released.
     wrapped, _ = open_wal_auditor(pdir, factory, make_dataset(),
@@ -215,9 +171,8 @@ def test_late_attach_snapshot_installs_the_backlog():
     for query in QUERIES[:7]:
         wrapped.audit(query)
     fdir = tmpdir("late-follower")
-    follower = Follower.open(fdir, auditor_factory=factory, policy=POLICY)
-    wrapped.wal.attach(LocalLink(follower))
-    assert follower.total_events == 7
+    wrapped.wal.attach(fdir)
+    assert wrapped.wal.links[0].follower.total_events == 7
     for query in QUERIES[7:]:
         wrapped.audit(query)
     assert replica_events(fdir) == replica_events(pdir)
@@ -226,24 +181,62 @@ def test_late_attach_snapshot_installs_the_backlog():
 
 
 def test_update_events_replicate_into_the_live_dataset():
-    _, _, follower, wrapped, _ = serve_pair(queries=QUERIES[:3])
+    # No checkpoint covers the update, so reading the replica replays it.
+    _, fdir, follower, wrapped, _ = serve_pair(
+        queries=QUERIES[:3], policy=CheckpointPolicy(every_records=8))
     wrapped.apply_update(Modify(index=0, value=15.0))
-    assert follower.live_dataset.values[0] == 15.0
     assert follower.total_events == 4
     wrapped.close()
+    assert FollowerReadOnlyAuditor(fdir, factory).dataset.values[0] == 15.0
 
 
 def test_sync_refuses_to_rewind_replicated_history():
     """A fresh (empty) primary cannot snapshot-install over a replica
     that already holds more audit history — that would erase released
     decisions."""
-    _, fdir, follower, wrapped, _ = serve_pair()
+    _, fdir, _, wrapped, _ = serve_pair()
     wrapped.close()
-    follower = Follower.open(fdir, auditor_factory=factory, policy=POLICY)
     with pytest.raises(ReplicationError, match="rewind"):
         open_wal_auditor(tmpdir("fresh"), factory, make_dataset(),
-                                replicate_to=[LocalLink(follower)],
-                                policy=POLICY)
+                         replicate_to=[fdir], policy=POLICY)
+
+
+# ----------------------------------------------------------------------
+# Attach writes nothing to a replica that already holds the bytes
+# ----------------------------------------------------------------------
+
+def test_reopening_skips_the_install_on_an_identical_replica():
+    pdir, fdir, _, wrapped, _ = serve_pair(queries=QUERIES[:7])
+    wrapped.close()
+    before_inodes, before_bytes = inodes(fdir), all_files(fdir)
+    assert before_bytes == all_files(pdir)
+    wrapped, _ = open_wal_auditor(pdir, factory, make_dataset(),
+                                  replicate_to=[fdir], policy=POLICY)
+    assert wrapped.wal.links[0].follower.total_events == 7
+    assert inodes(fdir) == before_inodes
+    assert all_files(fdir) == before_bytes
+    wrapped.close()
+
+
+def test_reopening_reinstalls_a_replica_missing_its_last_record():
+    pdir, fdir, _, wrapped, _ = serve_pair(queries=QUERIES[:7])
+    wrapped.close()
+    active = max(name for name in os.listdir(fdir)
+                 if name.startswith("segment-"))
+    path = os.path.join(fdir, active)
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    assert len(lines) >= 2
+    with open(path, "wb") as handle:
+        handle.writelines(lines[:-1])
+    assert all_files(fdir) != all_files(pdir)
+    wrapped, _ = open_wal_auditor(pdir, factory, make_dataset(),
+                                  replicate_to=[fdir], policy=POLICY)
+    assert all_files(fdir) == all_files(pdir)
+    decisions = [wrapped.audit(q) for q in QUERIES[7:]]
+    wrapped.close()
+    assert len(decisions) == len(QUERIES) - 7
+    assert all_files(fdir) == all_files(pdir)
 
 
 # ----------------------------------------------------------------------
@@ -251,18 +244,15 @@ def test_sync_refuses_to_rewind_replicated_history():
 # ----------------------------------------------------------------------
 
 def test_corrupted_record_crc_is_rejected_before_any_byte_lands():
-    """A frame that passes the *frame* CRC but carries a record whose own
-    checksum is damaged must not move the replica."""
+    """A shipped record whose own checksum is damaged must not move the
+    replica."""
     _, fdir, follower, wrapped, _ = serve_pair(queries=QUERIES[:3])
     before_events = follower.total_events
     before_files = stored_files(fdir)
     record = _encode_record({"type": "noise", "kind": "sum"})
     damaged = b"00000000" + record[8:]  # break the record's own CRC
-    frame = encode_frame(FRAME_APPEND, {
-        "epoch": 0, "seq": before_events, "data": _b64(damaged),
-    })
     with pytest.raises(ReplicationError, match="checksum"):
-        follower.feed(frame)
+        wrapped.wal.links[0].send(record_ship(before_events, data=damaged))
     assert follower.total_events == before_events
     assert stored_files(fdir) == before_files
     # The replica is still live for well-formed ships afterwards.
@@ -273,98 +263,15 @@ def test_corrupted_record_crc_is_rejected_before_any_byte_lands():
 
 def test_append_gap_demands_a_resync():
     _, _, follower, wrapped, _ = serve_pair(queries=QUERIES[:2])
-    frame = encode_frame(FRAME_APPEND, {
-        "epoch": 0, "seq": follower.total_events + 1,
-        "data": _b64(_encode_record({"type": "noise"})),
-    })
     with pytest.raises(ReplicationError, match="re-sync"):
-        follower.feed(frame)
+        follower.apply(record_ship(follower.total_events + 1))
     wrapped.close()
 
 
 def test_append_before_any_sync_is_refused():
     follower = Follower.open(tmpdir("unsynced"))
-    frame = encode_frame(FRAME_APPEND, {
-        "epoch": 0, "seq": 0, "data": _b64(_encode_record({"type": "x"})),
-    })
     with pytest.raises(ReplicationError, match="sync"):
-        follower.feed(frame)
-
-
-#: A served stream captured frame-by-frame, built once (module cache):
-#: the raw bytes a follower would read off the wire, sync included.
-_SHIPPED = {}
-
-
-class TeeLink:
-    """A link that records every shipped frame before delivering it."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.frames = []
-
-    def send(self, frame):
-        self.frames.append(frame)
-        return self.inner.send(frame)
-
-    def close(self):
-        self.inner.close()
-
-
-def shipped_stream():
-    if not _SHIPPED:
-        pdir, fdir = tmpdir("primary"), tmpdir("follower")
-        follower = Follower.open(fdir, auditor_factory=factory,
-                                 policy=POLICY)
-        tee = TeeLink(LocalLink(follower))
-        wrapped, _ = open_wal_auditor(
-            pdir, factory, make_dataset(), replicate_to=[tee],
-            policy=POLICY)
-        for query in QUERIES:
-            wrapped.audit(query)
-        wrapped.close()
-        _SHIPPED["stream"] = b"".join(tee.frames)
-        _SHIPPED["events"] = follower.total_events
-        _SHIPPED["files"] = stored_files(fdir)
-    return _SHIPPED["stream"], _SHIPPED["events"], _SHIPPED["files"]
-
-
-def test_torn_ship_at_every_byte_offset_applies_whole_frames_only():
-    """Feed the captured wire stream one byte at a time: the replica
-    advances only at frame boundaries, never from a partial ship, and
-    ends bitwise-identical to the directly-served follower."""
-    stream, events, files = shipped_stream()
-    fdir = tmpdir("torn")
-    follower = Follower.open(fdir, auditor_factory=factory, policy=POLICY,
-                             fsync=False)
-    applied = 0
-    for i in range(len(stream)):
-        acks = follower.feed(stream[i:i + 1])
-        applied += len(acks)
-        assert follower.total_events <= events
-    assert applied > len(QUERIES)  # sync + appends + checkpoints
-    assert follower.total_events == events
-    assert follower.close() is None
-    assert stored_files(fdir) == files
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_torn_ship_at_an_arbitrary_split_converges(data):
-    """Cut the wire stream at an arbitrary byte: the prefix leaves the
-    replica at a committed prefix state, and the remainder completes it."""
-    stream, events, files = shipped_stream()
-    cut = data.draw(st.integers(min_value=0, max_value=len(stream)))
-    fdir = tmpdir("split")
-    follower = Follower.open(fdir, auditor_factory=factory, policy=POLICY,
-                             fsync=False)
-    follower.feed(stream[:cut])
-    mid = follower.total_events
-    assert 0 <= mid <= events
-    follower.feed(stream[cut:])
-    assert follower.total_events == events
-    follower.close()
-    assert stored_files(fdir) == files
+        follower.apply(record_ship(0))
 
 
 # ----------------------------------------------------------------------
@@ -374,9 +281,11 @@ def test_torn_ship_at_an_arbitrary_split_converges(data):
 def test_promotion_serves_the_exact_remaining_stream():
     """Kill the primary after 7 answers; the promoted follower releases
     the remaining 5 exactly as the unfaulted primary would have."""
-    _, fdir, follower, wrapped, released = serve_pair(queries=QUERIES[:7])
-    # Primary "dies": nothing more is shipped.  Fail over.
-    promoted, _, info = follower.promote(verify=True)
+    _, fdir, _, wrapped, released = serve_pair(queries=QUERIES[:7])
+    # The primary dies, and its in-process follower with it.  Fail over.
+    wrapped.close()
+    promoted, _, info = promote_replica(fdir, factory, policy=POLICY,
+                                        verify=True)
     assert info.snapshot_name is not None
     assert info.replayed_events <= POLICY.every_records
     assert promoted.wal.epoch == 1
@@ -384,99 +293,96 @@ def test_promotion_serves_the_exact_remaining_stream():
     assert [(d.denied, d.value, d.reason)
             for d in released] == released_baseline()
     promoted.close()
-    wrapped.close()
 
 
 def test_fenced_old_primary_cannot_release_answers():
-    _, _, follower, wrapped, _ = serve_pair(queries=QUERIES[:5])
-    promoted, _, _ = follower.promote()
-    with pytest.raises(FencedError):
-        wrapped.audit(QUERIES[5])
-    promoted.close()
+    pdir, fdir, _, wrapped, _ = serve_pair(queries=QUERIES[:5])
     wrapped.close()
+    promoted, _, _ = promote_replica(fdir, factory, policy=POLICY)
+    promoted.close()
+    # The old primary restarts over its own log and re-attaches the
+    # promoted directory: it never gets to serve the next query.
+    with pytest.raises(FencedError):
+        wrapped, _ = open_wal_auditor(pdir, factory, make_dataset(),
+                                      replicate_to=[fdir], policy=POLICY)
+        wrapped.audit(QUERIES[5])
 
 
 def test_fencing_epoch_is_durable_across_reopen():
     """The bumped epoch survives in the MANIFEST: a re-opened replica of
     the promoted directory still rejects the dead epoch's frames."""
-    _, fdir, follower, wrapped, _ = serve_pair(queries=QUERIES[:5])
-    promoted, _, _ = follower.promote()
-    promoted.close()
+    _, fdir, _, wrapped, _ = serve_pair(queries=QUERIES[:5])
     wrapped.close()
-    reopened = Follower.open(fdir, auditor_factory=factory, policy=POLICY)
+    promoted, _, _ = promote_replica(fdir, factory, policy=POLICY)
+    promoted.close()
+    reopened = Follower.open(fdir, policy=POLICY)
     assert reopened.epoch == 1
-    stale = encode_frame(FRAME_HELLO, {"epoch": 0, "events": 5})
     with pytest.raises(FencedError, match="fenced at epoch 1"):
-        reopened.feed(stale)
+        reopened.apply(record_ship(5, epoch=0))
     # A legitimately newer primary is adopted, not fenced.
-    reopened.feed(encode_frame(FRAME_HELLO, {"epoch": 2, "events": 5}))
+    reopened.apply(record_ship(5, epoch=2))
     assert reopened.epoch == 2
     reopened.close()
 
 
 def test_promote_requires_replicated_state_and_a_factory():
     with pytest.raises(ReplicationError, match="factory"):
-        Follower.open(tmpdir("bare")).promote()
+        promote_replica(tmpdir("bare"), None)
     with pytest.raises(ReplicationError, match="never synced"):
-        Follower.open(tmpdir("bare2"), auditor_factory=factory).promote()
-
-
-def test_primary_staleness_uses_the_injected_clock():
-    now = [100.0]
-    follower = Follower.open(tmpdir("stale"), auditor_factory=factory,
-                             clock=lambda: now[0])
-    assert follower.primary_stale(timeout=5.0)  # never contacted
-    follower.feed(encode_frame(FRAME_HELLO, {"epoch": 0, "events": 0}))
-    assert not follower.primary_stale(timeout=5.0)
-    now[0] += 4.0
-    assert not follower.primary_stale(timeout=5.0)
-    now[0] += 2.0
-    assert follower.primary_stale(timeout=5.0)
+        promote_replica(tmpdir("bare2"), factory)
 
 
 # ----------------------------------------------------------------------
 # Acknowledgement discipline (released ⇒ replicated)
 # ----------------------------------------------------------------------
 
-class MisbehavingLink:
-    """A link whose follower acknowledges the wrong event count."""
+class MisbehavingFollower:
+    """Stands in for a replica's follower: acknowledges ``ack`` for
+    every shipment, or raises it when it is an exception."""
 
     def __init__(self, ack):
         self._ack = ack
 
-    def send(self, frame):
+    def apply(self, ship):
+        if isinstance(self._ack, Exception):
+            raise self._ack
         return self._ack
 
     def close(self):
         pass
 
 
+def misbehaving_primary(ack):
+    """A primary whose one replica's follower misbehaves after attach."""
+    wrapped, _ = open_wal_auditor(tmpdir("primary"), factory,
+                                  make_dataset(), policy=POLICY,
+                                  replicate_to=[tmpdir("replica")])
+    [link] = wrapped.wal.links
+    link.follower.close()
+    link.follower = MisbehavingFollower(ack)
+    return wrapped
+
+
 @pytest.mark.parametrize("ack,match", [
     (None, "no acknowledgement"),
-    ({"type": "error", "error": "disk full"}, "refused the ship"),
-    ({"type": "ack", "events": 0, "epoch": 0}, "divergence"),
-])
+    (ReplicationError("replica refused the ship: disk full"),
+     "refused the ship"),
+    (0, "divergence"),
+], ids=["None-no acknowledgement", "ack1-refused the ship",
+        "ack2-divergence"])
 def test_bad_acknowledgements_withhold_the_answer(ack, match):
-    wrapped, _ = open_wal_auditor(tmpdir("primary"), factory,
-                                         make_dataset(), policy=POLICY)
-    wrapped.wal.attach(MisbehavingLink(ack), sync=False)
+    wrapped = misbehaving_primary(ack)
     with pytest.raises(ReplicationError, match=match):
         wrapped.audit(QUERIES[0])
     # The record is locally durable, but the answer was never released:
     # the recovered primary re-serves it identically.
-    wrapped.wal.detach(wrapped.wal.links[0])
     wrapped.close()
 
 
 def test_fenced_ack_raises_fenced_error_on_the_sender():
-    wrapped, _ = open_wal_auditor(tmpdir("primary"), factory,
-                                         make_dataset(), policy=POLICY)
-    wrapped.wal.attach(
-        MisbehavingLink({"type": "fenced", "error": "superseded"}),
-        sync=False)
+    wrapped = misbehaving_primary(FencedError("superseded"))
     with pytest.raises(FencedError, match="superseded"):
         wrapped.audit(QUERIES[0])
-    wrapped.wal.detach(wrapped.wal.links[0])
     wrapped.close()
 
 
@@ -485,8 +391,8 @@ def test_fenced_ack_raises_fenced_error_on_the_sender():
 # ----------------------------------------------------------------------
 
 def test_follower_read_only_auditor_replays_or_denies():
-    _, _, follower, wrapped, decisions = serve_pair(queries=QUERIES[:6])
-    replica = FollowerReadOnlyAuditor(follower, make_dataset())
+    _, fdir, _, wrapped, decisions = serve_pair(queries=QUERIES[:6])
+    replica = FollowerReadOnlyAuditor(fdir, factory, make_dataset())
     hit = replica.audit(QUERIES[0])
     assert (hit.denied, hit.value) == (decisions[0].denied,
                                        decisions[0].value)
@@ -499,28 +405,9 @@ def test_follower_read_only_auditor_replays_or_denies():
 
 
 def test_follower_read_only_auditor_rejects_a_foreign_dataset():
-    _, _, follower, wrapped, _ = serve_pair(queries=QUERIES[:3])
+    _, fdir, _, wrapped, _ = serve_pair(queries=QUERIES[:3])
     other = Dataset([1.0, 2.0, 3.0], low=0.0, high=10.0)
     with pytest.raises(ReplicationError, match="different dataset"):
-        FollowerReadOnlyAuditor(follower, other)
+        FollowerReadOnlyAuditor(fdir, factory, other)
     wrapped.close()
 
-
-# ----------------------------------------------------------------------
-# Process followers
-# ----------------------------------------------------------------------
-
-def test_process_follower_holds_a_bitwise_replica():
-    """End to end across the process boundary: a spawned follower keeps
-    the same live stream and the same stored bytes."""
-    pdir, fdir = tmpdir("primary"), tmpdir("follower")
-    wrapped, _ = open_wal_auditor(
-        pdir, factory, make_dataset(),
-        replicate_to=[ProcessLink(fdir, policy=POLICY)], policy=POLICY)
-    decisions = [wrapped.audit(q) for q in QUERIES]
-    wrapped.close()  # orderly shutdown reaps the child
-    assert [(d.denied, d.value, d.reason)
-            for d in decisions] == released_baseline()
-    assert replica_events(fdir) == replica_events(pdir)
-    assert stored_files(fdir) == stored_files(pdir)
-    assert os.path.exists(os.path.join(fdir, MANIFEST_NAME))

@@ -34,7 +34,6 @@ from repro.resilience.faults import FaultPlan, InjectedCrash, inject
 from repro.resilience.replication import (
     FencedError,
     Follower,
-    LocalLink,
     promote_replica,
     replica_events,
 )
@@ -104,12 +103,11 @@ def fresh_pair():
 
 
 def open_pair(pdir, fdir, verify=False):
-    follower = Follower.open(fdir, auditor_factory=factory, policy=POLICY)
     wrapped, _ = open_wal_auditor(
         pdir, factory, make_dataset(),
-        replicate_to=[LocalLink(follower)], policy=POLICY, verify=verify,
+        replicate_to=[fdir], policy=POLICY, verify=verify,
     )
-    return wrapped, follower
+    return wrapped, wrapped.wal.links[0].follower
 
 
 @pytest.fixture(scope="module")
@@ -253,16 +251,14 @@ def test_promotion_crash_before_the_fence_is_retryable():
         with pytest.raises(InjectedCrash):
             promote_replica(fdir, factory, policy=POLICY)
     # Nothing was fenced: a re-opened replica is still at epoch 0.
-    assert Follower.open(fdir, auditor_factory=factory,
-                         policy=POLICY).epoch == 0
+    assert Follower.open(fdir, policy=POLICY).epoch == 0
     promoted, _, _ = promote_replica(fdir, factory, policy=POLICY,
                                      verify=True)
     assert promoted.wal.epoch == 1
     # The old primary reconnecting to the promoted replica is refused at
     # the door — its epoch-0 snapshot-install never lands.
-    reopened = Follower.open(fdir, auditor_factory=factory, policy=POLICY)
     with pytest.raises(FencedError):
-        wrapped.wal.attach(LocalLink(reopened))
+        wrapped.wal.attach(fdir)
     released = [promoted.audit(q) for q in QUERIES[7:]]
     assert all(d is not None for d in released)
     promoted.close()
@@ -319,9 +315,8 @@ def test_fenced_old_primary_rejected_after_swept_failover():
     # directory — its epoch-0 frames must be refused at the door.
     resurrected, _ = open_wal_auditor(
         pdir, factory, make_dataset(), policy=POLICY, verify=True)
-    reopened = Follower.open(fdir, auditor_factory=factory, policy=POLICY)
     with pytest.raises(FencedError):
-        resurrected.wal.attach(LocalLink(reopened))
+        resurrected.wal.attach(fdir)
     resurrected.close()
 
 

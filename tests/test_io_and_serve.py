@@ -200,3 +200,95 @@ def test_serve_rejects_deadline_for_classic_auditors(capsys):
                               deadline=1.0, seed=0)
     assert _cmd_serve(args, stdin=io.StringIO("")) == 2
     assert "probabilistic" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# The stdin loop's replicas: --replicate-to and --follow
+# ----------------------------------------------------------------------
+
+SESSION = ("SELECT sum(salary)\n"
+           "SELECT sum(salary) WHERE dept = 'eng'\n"
+           "SELECT sum(salary) WHERE dept = 'eng' AND zip = 94305\n")
+
+
+def serve_piped(monkeypatch, argv, lines):
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    return main(argv)
+
+
+def file_digests(directory):
+    import hashlib
+
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
+def replicated_session(tmp_path, monkeypatch, capsys):
+    """Serve SESSION over piped SQL with one replica; return (W, R)."""
+    path = tmp_path / "salaries.csv"
+    path.write_text(CSV_TEXT)
+    wal, replica = tmp_path / "wal", tmp_path / "replica"
+    assert serve_piped(monkeypatch, [
+        "serve", "--csv", str(path), "--sensitive", "salary",
+        "--wal", str(wal), "--replicate-to", str(replica),
+        "--checkpoint-every", "2"], SESSION) == 0
+    out = capsys.readouterr().out
+    assert out.count("answer:") == 2 and out.count("DENIED") == 1
+    assert "and 1 follower replica(s)" in out
+    return wal, replica
+
+
+def follow(tmp_path, monkeypatch, replica, lines):
+    return serve_piped(monkeypatch, [
+        "serve", "--csv", str(tmp_path / "salaries.csv"),
+        "--sensitive", "salary", "--follow", str(replica)], lines)
+
+
+def test_stdin_replicas_are_bitwise_and_serve_read_only(tmp_path,
+                                                        monkeypatch,
+                                                        capsys):
+    from repro.resilience.replication import replica_events
+
+    wal, replica = replicated_session(tmp_path, monkeypatch, capsys)
+    assert any(p.name.startswith("snapshot-") for p in wal.iterdir())
+    assert file_digests(replica) == file_digests(wal)
+    assert replica_events(str(replica)) == replica_events(str(wal))
+
+    new_query = "SELECT sum(salary) WHERE zip = 94306\n"
+    assert follow(tmp_path, monkeypatch, replica, SESSION + new_query) == 0
+    out = capsys.readouterr().out
+    assert "answer: 420.75" in out and "answer: 190.5" in out
+    assert out.count("DENIED (full-disclosure)") == 1
+    assert out.count("DENIED (policy): read-only replica") == 1
+
+
+def test_follow_refuses_a_directory_without_a_manifest(tmp_path,
+                                                       monkeypatch,
+                                                       capsys):
+    from repro.resilience.replication import NOT_A_REPLICA
+
+    path = tmp_path / "salaries.csv"
+    path.write_text(CSV_TEXT)
+    typo = tmp_path / "typo-dir"
+    assert follow(tmp_path, monkeypatch, typo, SESSION) == 2
+    assert f"error: {NOT_A_REPLICA}\n" in capsys.readouterr().out
+    assert not typo.exists()
+
+
+def test_follow_leaves_a_torn_replica_byte_for_byte(tmp_path, monkeypatch,
+                                                    capsys):
+    """A torn final record and a stray install .tmp (a live primary's
+    in-flight write) are read around, never healed or swept."""
+    wal, replica = replicated_session(tmp_path, monkeypatch, capsys)
+    active = max(p for p in replica.iterdir()
+                 if p.name.startswith("segment-"))
+    with open(active, "ab") as handle:
+        handle.write(b'0123abcd {"type":"query",')  # 25 bytes, no newline
+    (replica / "snapshot-000009.snap.tmp").write_bytes(b"in flight")
+    before = file_digests(replica)
+
+    assert follow(tmp_path, monkeypatch, replica, SESSION) == 0
+    out = capsys.readouterr().out
+    assert "3 replicated events" in out
+    assert out.count("answer:") == 2
+    assert file_digests(replica) == before
