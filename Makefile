@@ -22,8 +22,9 @@ lint:
 	else echo "ruff not installed -- skipping style checks"; fi
 	PYTHONPATH=src $(PY) -m repro lint
 
-# The full static gate (SIM + DET + WAL + BUD) against the shipped
-# baseline — what CI's lint-analysis job runs.
+# The full static gate (all eight families: SIM, DET, WAL, BUD, CONC,
+# FORK, ATOM, LEAK) against the shipped baseline — what CI's
+# lint-analysis job runs.
 analyze:
 	PYTHONPATH=src $(PY) -m repro lint --baseline .repro-audit-baseline.json
 

@@ -4,7 +4,9 @@ Three series (see docs/ROBUSTNESS.md):
 
 1. ship throughput — audited events per second with 0, 1, and 2
    synchronous in-process followers attached, the price of the
-   "released ⇒ durable on the whole replica set" contract;
+   "released ⇒ durable on the whole replica set" contract; each count
+   is the median of ``PASSES`` passes, the counts alternating within a
+   pass so host drift hits them alike;
 2. follower lag — the time between the primary's local durability and
    the in-process follower's acknowledgement, one
    :meth:`~repro.resilience.replication.LocalLink.send` per shipped
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -46,6 +49,8 @@ CHECKPOINT_EVERY = 64
 #: in-process ship is well under these on any healthy runner.
 LAG_BOUND_MS = 250.0
 FAILOVER_BOUND_MS = 5000.0
+#: Timed passes per follower count; the table reports their median.
+PASSES = 5
 RESULT_PATH = Path(__file__).resolve().parents[1] / \
     "BENCH_replication.json"
 
@@ -81,28 +86,35 @@ def _time_sends(link):
     return latencies
 
 
-def _measure_ship_throughput(queries):
-    tmp = tempfile.mkdtemp()
-    rows = []
-    for followers in (0, 1, 2):
-        pdir = os.path.join(tmp, f"primary-{followers}")
-        replicas = [os.path.join(tmp, f"f{followers}-{i}")
-                    for i in range(followers)]
-        wrapped, _ = open_wal_auditor(
-            pdir, SumClassicAuditor, _make_dataset(),
-            replicate_to=replicas, policy=POLICY)
-        start = time.perf_counter()
-        for query in queries:
-            wrapped.audit(query)
-        elapsed = time.perf_counter() - start
-        wrapped.close()
-        rows.append({"followers": followers,
-                     "events_per_s": round(EVENTS / elapsed, 1)})
-    return rows
+def _ship_pass(tmp, queries, followers, run):
+    """Events per second of one audited pass with ``followers`` replicas."""
+    pdir = os.path.join(tmp, f"primary-{followers}-{run}")
+    replicas = [os.path.join(tmp, f"f{followers}-{run}-{i}")
+                for i in range(followers)]
+    wrapped, _ = open_wal_auditor(
+        pdir, SumClassicAuditor, _make_dataset(),
+        replicate_to=replicas, policy=POLICY)
+    start = time.perf_counter()
+    for query in queries:
+        wrapped.audit(query)
+    elapsed = time.perf_counter() - start
+    wrapped.close()
+    return EVENTS / elapsed
 
 
-def _measure_follower_lag_and_failover(queries):
-    tmp = tempfile.mkdtemp()
+def _measure_ship_throughput(tmp, queries):
+    counts = (0, 1, 2)
+    rates = {followers: [] for followers in counts}
+    for run in range(PASSES):
+        for followers in counts:
+            rates[followers].append(_ship_pass(tmp, queries, followers, run))
+    return [{"followers": followers,
+             "events_per_s": round(statistics.median(rates[followers]), 1),
+             "events_per_s_passes": [round(r, 1) for r in rates[followers]]}
+            for followers in counts]
+
+
+def _measure_follower_lag_and_failover(tmp, queries):
     pdir = os.path.join(tmp, "primary")
     fdir = os.path.join(tmp, "follower")
     wrapped, _ = open_wal_auditor(
@@ -138,8 +150,10 @@ def _measure_follower_lag_and_failover(queries):
 
 def _measure_replication():
     queries = _queries()
-    throughput = _measure_ship_throughput(queries)
-    lag, failover_ms, info = _measure_follower_lag_and_failover(queries)
+    with tempfile.TemporaryDirectory() as tmp:
+        throughput = _measure_ship_throughput(tmp, queries)
+        lag, failover_ms, info = _measure_follower_lag_and_failover(
+            tmp, queries)
     assert lag["p99"] <= LAG_BOUND_MS, (
         f"follower lag p99 {lag['p99']}ms exceeds the {LAG_BOUND_MS}ms "
         f"regression gate"
@@ -153,6 +167,7 @@ def _measure_replication():
         "n": N,
         "events": EVENTS,
         "checkpoint_every": CHECKPOINT_EVERY,
+        "ship_passes": PASSES,
         "ship_throughput": throughput,
         "follower_lag_ms": lag,
         "lag_bound_ms": LAG_BOUND_MS,
@@ -173,7 +188,8 @@ def test_replication_ship_lag_and_failover(benchmark):
           f"{r['events_per_s'] / base:.2f}x")
          for r in report["ship_throughput"]],
         title=f"Synchronous ship throughput (sum classic auditor, n={N}, "
-              f"{EVENTS} events, fsync per record)",
+              f"{EVENTS} events, fsync per record, median of {PASSES} "
+              f"passes)",
     ))
     lag = report["follower_lag_ms"]
     print(format_table(

@@ -25,11 +25,11 @@ Eight rule families prove the serving invariants at lint time:
   denial details, logs, journal/replication payloads, or thread-shared
   state.
 
-Run the SIM-only legacy entry point or the full analysis as a library::
+Run the analysis as a library through its one entry point::
 
-    from repro.analysis import analyze_package, check_package
-    assert check_package().ok                      # SIM only
+    from repro.analysis import analyze_package
     assert analyze_package().ok                    # all eight families
+    assert analyze_package(select=["SIM"]).ok      # one family
 
 or from the shell (non-zero exit on undocumented violations)::
 
@@ -38,12 +38,8 @@ or from the shell (non-zero exit on undocumented violations)::
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and pragma syntax.
 """
 
-from .atomics import AtomicityConfig, check_atomics
 from .baseline import apply_baseline, load_baseline, write_baseline
-from .concurrency import ConcurrencyConfig, check_concurrency
-from .determinism import DeterminismConfig, check_determinism
 from .driver import active_rules, analyze_package
-from .escape import EscapeConfig, EscapeEngine
 from .findings import (
     ALL_RULES,
     RULE_ACQUIRE_WITHOUT_RELEASE,
@@ -77,38 +73,13 @@ from .findings import (
     Report,
     expand_rule_selection,
 )
-from .forksafety import ForkSafetyConfig, check_forksafety
-from .leaks import LeakConfig, check_leaks
-from .ordering import OrderingConfig, check_ordering
-from .purity import EffectConfig, EffectEngine, EffectSummary
 from .sarif import report_to_sarif, report_to_sarif_json
-from .simulatability import (
-    DEFAULT_CONFIG,
-    AnalysisConfig,
-    SensitiveClass,
-    check_package,
-    default_package_dir,
-    find_auditor_classes,
-)
-from .taintflow import TaintConfig, TaintEngine, TaintSummary
+from .simulatability import default_package_dir
 
 __all__ = [
     "ALL_RULES",
-    "AnalysisConfig",
-    "AtomicityConfig",
-    "ConcurrencyConfig",
-    "DEFAULT_CONFIG",
-    "DeterminismConfig",
-    "EffectConfig",
-    "EffectEngine",
-    "EffectSummary",
-    "EscapeConfig",
-    "EscapeEngine",
     "Finding",
-    "ForkSafetyConfig",
     "Frame",
-    "LeakConfig",
-    "OrderingConfig",
     "Report",
     "RULE_ACQUIRE_WITHOUT_RELEASE",
     "RULE_BLOCKING_UNDER_LOCK",
@@ -136,23 +107,11 @@ __all__ = [
     "RULE_UNSYNCHRONIZED_SHARED_MUTATION",
     "RULE_WALLCLOCK_READ",
     "SCHEMA_VERSION",
-    "SensitiveClass",
-    "TaintConfig",
-    "TaintEngine",
-    "TaintSummary",
     "active_rules",
     "analyze_package",
     "apply_baseline",
-    "check_atomics",
-    "check_concurrency",
-    "check_determinism",
-    "check_forksafety",
-    "check_leaks",
-    "check_ordering",
-    "check_package",
     "default_package_dir",
     "expand_rule_selection",
-    "find_auditor_classes",
     "load_baseline",
     "report_to_sarif",
     "report_to_sarif_json",

@@ -21,110 +21,59 @@ contents (data loss), or a rename the directory never learned about
   the tail of the record, so the kernel durably persists a torn write.
 
 Both rules are flow-sensitive over the per-function CFG, with fsync
-effects resolved transitively through the escape pass (a helper like
+effects resolved transitively through the effect summaries (a helper like
 ``fsync_directory`` counts wherever it is reached from).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from .callgraph import Resolver, TypeEnv
-from .cfg import CFG, build_cfg, must_pass_after, must_pass_before, \
-    stmt_expr_nodes
-from .escape import EscapeEngine
+from .cfg import CFG, must_pass_after, must_pass_before, stmt_expr_nodes
+from .facts import FunctionFacts
 from .findings import (
     RULE_FSYNC_WITHOUT_FLUSH,
     RULE_RENAME_WITHOUT_FSYNC,
     Finding,
-    Frame,
+    function_finding,
 )
-from .modindex import ClassInfo, FunctionNode, PackageIndex
-from .purity import EffectEngine, attr_text, dotted_callee
+from .modindex import ClassInfo, FunctionNode
+from .purity import FSYNC_CALLS, EffectEngine, attr_text, dotted_callee
 
-
-@dataclass
-class AtomicityConfig:
-    """Scope of the ATOM rules."""
-
-    rename_calls: FrozenSet[str] = frozenset({"os.rename", "os.replace"})
-    #: path-text tokens marking a rename as a durability artifact
-    artifact_tokens: Tuple[str, ...] = (
-        "tmp", "manifest", "snapshot", "segment", "wal", "journal",
-        "ckpt", "checkpoint",
-    )
-    #: ``if <test mentioning one of these>:`` gates an fsync by policy
-    fsync_gate_tokens: Tuple[str, ...] = ("fsync", "sync", "durable")
-    fsync_calls: FrozenSet[str] = frozenset({"os.fsync", "os.fdatasync"})
-    dir_fsync_names: FrozenSet[str] = frozenset({"fsync_directory"})
-
-
-DEFAULT_ATOMICITY_CONFIG = AtomicityConfig()
+_RENAME_CALLS = frozenset({"os.rename", "os.replace"})
+#: a function calling none of these has nothing to check
+_PROTOCOL_CALLS = _RENAME_CALLS | FSYNC_CALLS
+#: path-text tokens marking a rename as a durability artifact
+_ARTIFACT_TOKENS = (
+    "tmp", "manifest", "snapshot", "segment", "wal", "journal", "ckpt",
+    "checkpoint",
+)
+#: ``if <test mentioning one of these>:`` gates an fsync by policy
+_FSYNC_GATE_TOKENS = ("fsync", "sync", "durable")
 
 
 class _AtomicsChecker:
-    def __init__(self, index: PackageIndex, resolver: Resolver,
-                 engine: EffectEngine, escape: EscapeEngine,
-                 config: AtomicityConfig) -> None:
-        self.index = index
-        self.resolver = resolver
+    def __init__(self, facts: FunctionFacts, engine: EffectEngine) -> None:
+        self.facts = facts
+        self.index = facts.index
         self.engine = engine
-        self.escape = escape
-        self.config = config
         self.findings: List[Finding] = []
 
     # -- classification -------------------------------------------------
 
-    def _call_dotted(self, call: ast.Call, module: str) -> Optional[str]:
-        return dotted_callee(call.func, self.index, module)
-
-    def _is_artifact_rename(self, call: ast.Call, module: str) -> bool:
-        if self._call_dotted(call, module) not in self.config.rename_calls:
+    @staticmethod
+    def _is_artifact_rename(call: ast.Call, dotted: Optional[str]) -> bool:
+        if dotted not in _RENAME_CALLS:
             return False
         for arg in list(call.args) + [kw.value for kw in call.keywords]:
             try:
                 text = ast.unparse(arg).lower()
             except Exception:  # pragma: no cover - exotic expressions
                 continue
-            if any(token in text for token in self.config.artifact_tokens):
+            if any(token in text for token in _ARTIFACT_TOKENS):
                 return True
         return False
-
-    def _is_file_fsync(self, call: ast.Call, module: str,
-                       env: TypeEnv) -> bool:
-        if self._call_dotted(call, module) in self.config.fsync_calls:
-            return True
-        name = None
-        if isinstance(call.func, ast.Name):
-            name = call.func.id
-        elif isinstance(call.func, ast.Attribute):
-            name = call.func.attr
-        if name in self.config.dir_fsync_names:
-            return True
-        try:
-            resolved = self.resolver.resolve_call(call.func, env)
-        except RecursionError:  # pragma: no cover - pathological
-            resolved = None
-        return (resolved is not None
-                and self.escape.does_fsync(resolved.node))
-
-    def _is_dir_fsync(self, call: ast.Call, module: str,
-                      env: TypeEnv) -> bool:
-        name = None
-        if isinstance(call.func, ast.Name):
-            name = call.func.id
-        elif isinstance(call.func, ast.Attribute):
-            name = call.func.attr
-        if name in self.config.dir_fsync_names:
-            return True
-        try:
-            resolved = self.resolver.resolve_call(call.func, env)
-        except RecursionError:  # pragma: no cover - pathological
-            resolved = None
-        return (resolved is not None
-                and self.escape.does_dir_fsync(resolved.node))
 
     def _gated_headers(self, graph: CFG, satisfied: Set[int]) -> Set[int]:
         """``if self._fsync:`` headers whose body fsyncs.
@@ -141,8 +90,7 @@ class _AtomicsChecker:
                 test_text = ast.unparse(node.test).lower()
             except Exception:  # pragma: no cover
                 continue
-            if not any(token in test_text
-                       for token in self.config.fsync_gate_tokens):
+            if not any(token in test_text for token in _FSYNC_GATE_TOKENS):
                 continue
             body_ids = {id(child) for s in node.body
                         for child in ast.walk(s)}
@@ -156,35 +104,30 @@ class _AtomicsChecker:
 
     def check_function(self, module: str, node: FunctionNode,
                        self_class: Optional[ClassInfo]) -> None:
-        env = self.resolver.param_env(module, node, self_class=self_class)
-        renames: List[Tuple[int, ast.Call]] = []
-        graph: Optional[CFG] = None
-        has_rename = any(
-            self._call_dotted(call, module) in self.config.rename_calls
-            for call in self._all_calls(node))
-        has_fsync = any(
-            self._call_dotted(call, module) in self.config.fsync_calls
-            for call in self._all_calls(node))
-        if not has_rename and not has_fsync:
+        if not any(dotted_callee(call.func, self.index, module)
+                   in _PROTOCOL_CALLS for call in self.facts.calls(node)):
             return
-        graph = build_cfg(node)
+        env = self.facts.param_env(module, node, self_class)
+        graph = self.facts.cfg(node)
+        renames: List[Tuple[int, ast.Call]] = []
         file_fsync_sids: Set[int] = set()
         dir_fsync_sids: Set[int] = set()
         flush_receivers: List[Tuple[int, Optional[str]]] = []
         fsync_fileno: List[Tuple[int, ast.Call, Optional[str]]] = []
         for stmt in graph.statements():
             for call in stmt_expr_nodes(stmt, (ast.Call,)):
-                if self._is_file_fsync(call, module, env):
+                facts = self.engine.merged_facts(call, module, env)
+                if facts.fsync:
                     file_fsync_sids.add(stmt.sid)
-                if self._is_dir_fsync(call, module, env):
+                if facts.dir_fsync:
                     dir_fsync_sids.add(stmt.sid)
                 if (isinstance(call.func, ast.Attribute)
                         and call.func.attr == "flush"):
                     flush_receivers.append(
                         (stmt.sid, attr_text(call.func.value)))
-                if self._is_artifact_rename(call, module):
+                if self._is_artifact_rename(call, facts.dotted):
                     renames.append((stmt.sid, call))
-                receiver = self._fsync_fileno_receiver(call, module)
+                receiver = self._fsync_fileno_receiver(call, facts.dotted)
                 if receiver is not None:
                     fsync_fileno.append((stmt.sid, call, receiver))
 
@@ -229,25 +172,10 @@ class _AtomicsChecker:
                     self_class=self_class, method=node.name)
 
     @staticmethod
-    def _all_calls(node: FunctionNode) -> List[ast.Call]:
-        out: List[ast.Call] = []
-
-        def visit(current: ast.AST) -> None:
-            for child in ast.iter_child_nodes(current):
-                if isinstance(child, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef, ast.ClassDef)):
-                    continue
-                if isinstance(child, ast.Call):
-                    out.append(child)
-                visit(child)
-
-        visit(node)
-        return out
-
-    def _fsync_fileno_receiver(self, call: ast.Call,
-                               module: str) -> Optional[str]:
+    def _fsync_fileno_receiver(call: ast.Call,
+                               dotted: Optional[str]) -> Optional[str]:
         """The handle text of an ``os.fsync(x.fileno())`` call, if any."""
-        if self._call_dotted(call, module) not in self.config.fsync_calls:
+        if dotted not in FSYNC_CALLS:
             return None
         if not call.args:
             return None
@@ -263,49 +191,15 @@ class _AtomicsChecker:
     def _emit(self, rule: str, module: str, node: ast.AST, sink: str,
               message: str, self_class: Optional[ClassInfo],
               method: str) -> None:
-        line = getattr(node, "lineno", 0)
-        col = getattr(node, "col_offset", 0)
-        pragma = self.index.pragma_for(module, rule, line)
-        entry_class = self_class.name if self_class is not None else ""
-        frame = Frame(
-            function=f"{entry_class}.{method}" if entry_class else method,
-            module=module,
-            file=self.index.relpath(module),
-            line=line,
-        )
-        self.findings.append(Finding(
-            rule=rule,
-            message=message,
-            file=self.index.relpath(module),
-            line=line,
-            col=col,
-            entry_class=entry_class,
-            entry_method=method,
-            entry_module=module,
-            sink=sink,
-            chain=(frame,),
-            pragma_reason=pragma,
-        ))
+        self.findings.append(function_finding(
+            self.index, rule, module, node, sink, message, self_class,
+            method))
 
 
-def check_atomics(index: PackageIndex, resolver: Resolver,
-                  engine: EffectEngine, escape: EscapeEngine,
-                  config: Optional[AtomicityConfig] = None,
-                  rules: Optional[Set[str]] = None,
-                  ) -> Tuple[List[Finding], int]:
+def check_atomics(facts: FunctionFacts,
+                  engine: EffectEngine) -> List[Finding]:
     """Run the ATOM rules over every function of the package."""
-    config = config or DEFAULT_ATOMICITY_CONFIG
-    checker = _AtomicsChecker(index, resolver, engine, escape, config)
-    checked = 0
-    for mod in sorted(index.modules.values(), key=lambda m: m.name):
-        for node in mod.functions.values():
-            checker.check_function(mod.name, node, None)
-            checked += 1
-        for cls in mod.classes.values():
-            for node in cls.methods.values():
-                checker.check_function(mod.name, node, cls)
-                checked += 1
-    findings = checker.findings
-    if rules is not None:
-        findings = [f for f in findings if f.rule in rules]
-    return findings, checked
+    checker = _AtomicsChecker(facts, engine)
+    for module, node, self_class in facts.functions:
+        checker.check_function(module, node, self_class)
+    return checker.findings

@@ -52,6 +52,9 @@ class StmtNode:
     is_header: bool = False            #: compound-statement header
     succs: List[int] = field(default_factory=list)
     preds: List[int] = field(default_factory=list)
+    #: :func:`stmt_expr_nodes` results by ``kinds``, filled on first use
+    expr_cache: Dict[Optional[Tuple[type, ...]], List[ast.AST]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def line(self) -> int:
@@ -396,25 +399,50 @@ def flow_locals(cfg: CFG, initial: State, transfer: Transfer,
     return before
 
 
+def _walk_excluding_defs(roots: Sequence[ast.AST], include_roots: bool,
+                         kinds: Optional[Tuple[type, ...]]) -> List[ast.AST]:
+    """Pre-order walk below ``roots`` that skips nested function/class
+    definitions (separate scopes)."""
+    out: List[ast.AST] = []
+
+    def visit(current: ast.AST) -> None:
+        for child in ast.iter_child_nodes(current):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                continue
+            if kinds is None or isinstance(child, kinds):
+                out.append(child)
+            visit(child)
+
+    for root in roots:
+        if include_roots and (kinds is None or isinstance(root, kinds)):
+            out.append(root)
+        visit(root)
+    return out
+
+
+def iter_calls(node: ast.AST) -> List[ast.Call]:
+    """Call nodes below ``node``, excluding nested defs."""
+    return _walk_excluding_defs((node,), False, (ast.Call,))  # type: ignore
+
+
 def stmt_expr_nodes(stmt: StmtNode,
                     kinds: Optional[Tuple[type, ...]] = None) -> List[ast.AST]:
     """All expression-level AST nodes evaluated at one CFG node.
 
     Walks each of the node's header/top-level expressions, *excluding*
-    nested function/class definitions (separate scopes).
+    nested function/class definitions (separate scopes).  The walk runs
+    once per node; each ``kinds`` filter of it is cached on the node, so
+    callers must not mutate the returned list.
     """
-    out: List[ast.AST] = []
-
-    def visit(current: ast.AST) -> None:
-        if kinds is None or isinstance(current, kinds):
-            out.append(current)
-        for child in ast.iter_child_nodes(current):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                continue
-            visit(child)
-
-    for expr in stmt.exprs:
-        if expr is not None:
-            visit(expr)
-    return out
+    cached = stmt.expr_cache.get(kinds)
+    if cached is None:
+        every = stmt.expr_cache.get(None)
+        if every is None:
+            every = _walk_excluding_defs(
+                [e for e in stmt.exprs if e is not None], True, None)
+            stmt.expr_cache[None] = every
+        cached = every if kinds is None else [
+            node for node in every if isinstance(node, kinds)]
+        stmt.expr_cache[kinds] = cached
+    return cached

@@ -33,69 +33,57 @@ single-threaded code.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .callgraph import Resolver, TypeEnv
+from .callgraph import TypeEnv
+from .cfg import iter_calls
 from .escape import EscapeEngine
+from .facts import FunctionFacts
 from .findings import (
     RULE_ACQUIRE_WITHOUT_RELEASE,
     RULE_BLOCKING_UNDER_LOCK,
     RULE_UNGUARDED_GUARDED_STATE,
     RULE_UNSYNCHRONIZED_SHARED_MUTATION,
     Finding,
-    Frame,
+    function_finding,
 )
-from .modindex import ClassInfo, FunctionNode, PackageIndex
-from .purity import EffectEngine, attr_text, iter_calls
+from .modindex import ClassInfo, FunctionNode
+from .purity import FSYNC_CALLS, EffectEngine, attr_text
 
-
-@dataclass
-class ConcurrencyConfig:
-    """Scope and vocabulary of the CONC rules."""
-
-    #: method calls that mutate their receiver in place
-    mutating_methods: FrozenSet[str] = frozenset({
-        "append", "appendleft", "add", "clear", "discard", "extend",
-        "insert", "move_to_end", "pop", "popitem", "popleft", "remove",
-        "setdefault", "sort", "update",
-    })
-    #: methods exempt from CONC001/CONC004: not reachable concurrently
-    construction_methods: FrozenSet[str] = frozenset({
-        "__init__", "__new__", "__post_init__", "__set_name__",
-    })
-    #: suffix marking "caller already holds the lock" helper methods
-    locked_helper_suffix: str = "_locked"
-    #: dotted calls that block the calling thread
-    blocking_calls: FrozenSet[str] = frozenset({
-        "os.fsync", "os.fdatasync", "time.sleep",
-        "subprocess.run", "subprocess.check_call", "subprocess.check_output",
-        "socket.create_connection",
-    })
-    #: receiver-attribute pairs that block: pool/thread coordination
-    blocking_methods: FrozenSet[str] = frozenset({
-        "join", "map", "starmap", "imap", "imap_unordered", "acquire",
-        "wait",
-    })
-    #: receiver tokens for which blocking_methods apply
-    blocking_receivers: Tuple[str, ...] = ("pool", "thread", "proc",
-                                           "executor", "event")
-    #: name tokens marking a local/parameter as a lock (CONC002/CONC003)
-    lockish_name_tokens: Tuple[str, ...] = ("lock", "mutex", "sem")
-
-
-DEFAULT_CONCURRENCY_CONFIG = ConcurrencyConfig()
+#: method calls that mutate their receiver in place
+_MUTATING_METHODS = frozenset({
+    "append", "appendleft", "add", "clear", "discard", "extend",
+    "insert", "move_to_end", "pop", "popitem", "popleft", "remove",
+    "setdefault", "sort", "update",
+})
+#: methods exempt from CONC001/CONC004: not reachable concurrently
+_CONSTRUCTION_METHODS = frozenset({
+    "__init__", "__new__", "__post_init__", "__set_name__",
+})
+#: suffix marking "caller already holds the lock" helper methods
+_LOCKED_HELPER_SUFFIX = "_locked"
+#: dotted calls that block the calling thread
+_BLOCKING_CALLS = FSYNC_CALLS | {
+    "time.sleep", "subprocess.run", "subprocess.check_call",
+    "subprocess.check_output", "socket.create_connection",
+}
+#: receiver-attribute pairs that block: pool/thread coordination
+_BLOCKING_METHODS = frozenset({
+    "join", "map", "starmap", "imap", "imap_unordered", "acquire", "wait",
+})
+#: receiver tokens for which the blocking methods apply
+_BLOCKING_RECEIVERS = ("pool", "thread", "proc", "executor", "event")
+#: name tokens marking a local/parameter as a lock (CONC002/CONC003)
+_LOCKISH_NAME_TOKENS = ("lock", "mutex", "sem")
 
 
 class _ConcurrencyChecker:
-    def __init__(self, index: PackageIndex, resolver: Resolver,
-                 engine: EffectEngine, escape: EscapeEngine,
-                 config: ConcurrencyConfig) -> None:
-        self.index = index
-        self.resolver = resolver
+    def __init__(self, facts: FunctionFacts, engine: EffectEngine,
+                 escape: EscapeEngine) -> None:
+        self.facts = facts
+        self.index = facts.index
         self.engine = engine
         self.escape = escape
-        self.config = config
         self.findings: List[Finding] = []
 
     # -- helpers --------------------------------------------------------
@@ -117,7 +105,7 @@ class _ConcurrencyChecker:
         if text in lock_names:
             return True
         tail = text.rsplit(".", 1)[-1].lower()
-        return any(token in tail for token in self.config.lockish_name_tokens)
+        return any(token in tail for token in _LOCKISH_NAME_TOKENS)
 
     def _with_lock_regions(self, node: FunctionNode,
                            lock_names: Set[str]) -> Set[int]:
@@ -188,7 +176,7 @@ class _ConcurrencyChecker:
                     and isinstance(stmt.value, ast.Call)
                     and isinstance(stmt.value.func, ast.Attribute)
                     and stmt.value.func.attr
-                    in self.config.mutating_methods):
+                    in _MUTATING_METHODS):
                 attr = self_attr_of(stmt.value.func.value)
                 if attr is not None and attr not in skip_attrs:
                     out.append((stmt,
@@ -196,10 +184,9 @@ class _ConcurrencyChecker:
         return out
 
     def _is_exempt_method(self, node: FunctionNode) -> bool:
-        config = self.config
-        if node.name in config.construction_methods:
+        if node.name in _CONSTRUCTION_METHODS:
             return True
-        if node.name.endswith(config.locked_helper_suffix):
+        if node.name.endswith(_LOCKED_HELPER_SUFFIX):
             return True
         for deco in getattr(node, "decorator_list", ()):
             text = deco.id if isinstance(deco, ast.Name) else (
@@ -230,7 +217,7 @@ class _ConcurrencyChecker:
                         f"instance state outside 'with self."
                         f"{sorted(lock_attrs)[0]}:' ({what}); either "
                         f"guard the mutation or rename the helper "
-                        f"*{self.config.locked_helper_suffix} to document "
+                        f"*{_LOCKED_HELPER_SUFFIX} to document "
                         f"the caller-holds-lock contract",
                 self_class=self_class, method=node.name)
 
@@ -326,22 +313,20 @@ class _ConcurrencyChecker:
 
     def _blocking_reason(self, call: ast.Call, module: str,
                          env: TypeEnv) -> Optional[str]:
-        config = self.config
         facts = self.engine.call_facts(call, module, env)
-        if facts.dotted in config.blocking_calls:
+        if facts.dotted in _BLOCKING_CALLS:
             return facts.dotted
         if isinstance(call.func, ast.Attribute):
             receiver = (attr_text(call.func.value) or "").lower()
             root = receiver.rsplit(".", 1)[-1]
-            if (call.func.attr in config.blocking_methods
-                    and any(token in root
-                            for token in config.blocking_receivers)):
+            if (call.func.attr in _BLOCKING_METHODS
+                    and any(token in root for token in _BLOCKING_RECEIVERS)):
                 return f"{receiver}.{call.func.attr}()"
         resolved = facts.resolved
         if resolved is not None and resolved.node is not None:
-            if self.escape.does_fsync(resolved.node):
-                return f"{resolved.qualname} (transitive fsync)"
             summary = self.engine.summary_of(resolved.node)
+            if summary.fsyncs:
+                return f"{resolved.qualname} (transitive fsync)"
             if summary.draws_randomness:
                 return f"{resolved.qualname} (sampler work)"
         return None
@@ -416,7 +401,7 @@ class _ConcurrencyChecker:
                     and isinstance(stmt.value, ast.Call)
                     and isinstance(stmt.value.func, ast.Attribute)
                     and stmt.value.func.attr
-                    in self.config.mutating_methods):
+                    in _MUTATING_METHODS):
                 name = global_target(stmt.value.func.value)
                 if name is not None:
                     hits.append(name)
@@ -434,7 +419,7 @@ class _ConcurrencyChecker:
 
     def check_function(self, module: str, node: FunctionNode,
                        self_class: Optional[ClassInfo]) -> None:
-        env = self.resolver.param_env(module, node, self_class=self_class)
+        env = self.facts.param_env(module, node, self_class)
         self.check_conc001(module, node, self_class, env)
         self.check_conc002(module, node, self_class, env)
         self.check_conc003(module, node, self_class, env)
@@ -444,49 +429,15 @@ class _ConcurrencyChecker:
     def _emit(self, rule: str, module: str, node: ast.AST, sink: str,
               message: str, self_class: Optional[ClassInfo],
               method: str) -> None:
-        line = getattr(node, "lineno", 0)
-        col = getattr(node, "col_offset", 0)
-        pragma = self.index.pragma_for(module, rule, line)
-        entry_class = self_class.name if self_class is not None else ""
-        frame = Frame(
-            function=f"{entry_class}.{method}" if entry_class else method,
-            module=module,
-            file=self.index.relpath(module),
-            line=line,
-        )
-        self.findings.append(Finding(
-            rule=rule,
-            message=message,
-            file=self.index.relpath(module),
-            line=line,
-            col=col,
-            entry_class=entry_class,
-            entry_method=method,
-            entry_module=module,
-            sink=sink,
-            chain=(frame,),
-            pragma_reason=pragma,
-        ))
+        self.findings.append(function_finding(
+            self.index, rule, module, node, sink, message, self_class,
+            method))
 
 
-def check_concurrency(index: PackageIndex, resolver: Resolver,
-                      engine: EffectEngine, escape: EscapeEngine,
-                      config: Optional[ConcurrencyConfig] = None,
-                      rules: Optional[Set[str]] = None,
-                      ) -> Tuple[List[Finding], int]:
+def check_concurrency(facts: FunctionFacts, engine: EffectEngine,
+                      escape: EscapeEngine) -> List[Finding]:
     """Run the CONC rules over every function of the package."""
-    config = config or DEFAULT_CONCURRENCY_CONFIG
-    checker = _ConcurrencyChecker(index, resolver, engine, escape, config)
-    checked = 0
-    for mod in sorted(index.modules.values(), key=lambda m: m.name):
-        for node in mod.functions.values():
-            checker.check_function(mod.name, node, None)
-            checked += 1
-        for cls in mod.classes.values():
-            for node in cls.methods.values():
-                checker.check_function(mod.name, node, cls)
-                checked += 1
-    findings = checker.findings
-    if rules is not None:
-        findings = [f for f in findings if f.rule in rules]
-    return findings, checked
+    checker = _ConcurrencyChecker(facts, engine, escape)
+    for module, node, self_class in facts.functions:
+        checker.check_function(module, node, self_class)
+    return checker.findings

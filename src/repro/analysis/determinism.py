@@ -35,8 +35,9 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from .callgraph import Resolver, TypeEnv
-from .cfg import CFG, StmtNode, build_cfg, flow_locals, stmt_expr_nodes
+from .callgraph import TypeEnv
+from .cfg import CFG, StmtNode, flow_locals, stmt_expr_nodes
+from .facts import FunctionFacts
 from .findings import (
     RULE_UNORDERED_ACCUMULATION,
     RULE_UNORDERED_ITERATION,
@@ -45,10 +46,11 @@ from .findings import (
     Finding,
     Frame,
 )
-from .modindex import ClassInfo, FunctionNode, PackageIndex
+from .modindex import ClassInfo, FunctionNode
 from .purity import EffectEngine
 from .simulatability import (
-    AnalysisConfig,
+    ENTRY_METHODS,
+    MAX_DEPTH,
     _is_abstract_stub,
     find_auditor_classes,
 )
@@ -69,24 +71,16 @@ _DICT_ANNOTATIONS = ("Dict", "dict", "Mapping", "MutableMapping",
                      "typing.Dict", "typing.Mapping")
 
 
-@dataclass
-class DeterminismConfig:
-    """Scope of the DET reachability walk."""
-
-    #: class-name patterns whose methods are sampler hot paths
-    sampler_class_patterns: Tuple[str, ...] = (r".*(Sampler|Chain)$",)
-    #: modules whose top-level functions are walked as roots
-    root_modules: Tuple[str, ...] = (
-        "repro.cli",
-        "repro.utility.parallel",
-        "repro.audit_empirical.cli",
-        "repro.audit_empirical.estimator",
-        "repro.audit_empirical.harness",
-    )
-    max_depth: int = 25
-
-
-DEFAULT_DET_CONFIG = DeterminismConfig()
+#: class names whose methods are sampler hot paths
+_SAMPLER_CLASS = re.compile(r".*(Sampler|Chain)$")
+#: modules whose top-level functions are walked as roots
+_ROOT_MODULES = (
+    "repro.cli",
+    "repro.utility.parallel",
+    "repro.audit_empirical.cli",
+    "repro.audit_empirical.estimator",
+    "repro.audit_empirical.harness",
+)
 
 
 def annotation_kind(text: Optional[str]) -> Optional[str]:
@@ -113,9 +107,8 @@ class _Root:
     entry_method: str
 
 
-def _collect_roots(index: PackageIndex, resolver: Resolver,
-                   sim_config: AnalysisConfig,
-                   config: DeterminismConfig) -> List[_Root]:
+def _collect_roots(facts: FunctionFacts) -> List[_Root]:
+    index, resolver = facts.index, facts.resolver
     roots: List[_Root] = []
     seen: Set[Tuple[int, str]] = set()
 
@@ -129,23 +122,22 @@ def _collect_roots(index: PackageIndex, resolver: Resolver,
         roots.append(_Root(module, node, self_class, entry_class,
                            entry_method))
 
-    for cls in find_auditor_classes(index, resolver, sim_config):
-        for entry_name in sim_config.entry_methods:
+    for cls in find_auditor_classes(index, resolver):
+        for entry_name in ENTRY_METHODS:
             hit = resolver.find_method(cls, entry_name)
             if hit is not None:
                 defining, node = hit
                 add(defining.module, node, cls, cls.name, entry_name)
 
-    patterns = [re.compile(p) for p in config.sampler_class_patterns]
     for cls in sorted(index.classes.values(), key=lambda c: c.qualname):
-        if not any(p.match(cls.name) for p in patterns):
+        if not _SAMPLER_CLASS.match(cls.name):
             continue
         for name, node in sorted(cls.methods.items()):
             if name.startswith("__") and name != "__init__":
                 continue
             add(cls.module, node, cls, cls.name, name)
 
-    for mod_name in config.root_modules:
+    for mod_name in _ROOT_MODULES:
         mod = index.modules.get(mod_name)
         if mod is None:
             continue
@@ -157,17 +149,14 @@ def _collect_roots(index: PackageIndex, resolver: Resolver,
 class _DetWalker:
     """Reachability walk + per-function DET scans."""
 
-    def __init__(self, index: PackageIndex, resolver: Resolver,
-                 engine: EffectEngine, config: DeterminismConfig) -> None:
-        self.index = index
-        self.resolver = resolver
+    def __init__(self, facts: FunctionFacts, engine: EffectEngine) -> None:
+        self.facts = facts
+        self.index = facts.index
+        self.resolver = facts.resolver
         self.engine = engine
-        self.config = config
         self.findings: List[Finding] = []
-        self.functions_walked = 0
         self._visited: Set[Tuple[int, Optional[str]]] = set()
         self._emitted: Set[Tuple] = set()
-        self._cfg_cache: Dict[int, CFG] = {}
 
     # -- walking --------------------------------------------------------
 
@@ -190,10 +179,8 @@ class _DetWalker:
     def _walk(self, module: str, node: FunctionNode,
               self_class: Optional[ClassInfo], root: _Root,
               chain: Tuple[Frame, ...], depth: int) -> None:
-        self.functions_walked += 1
-        env = self.resolver.param_env(module, node, self_class=self_class)
-        self._infer_assign_types(node, env)
-        graph = self._cfg(node)
+        env = self.facts.typed_env(module, node, self_class)
+        graph = self.facts.cfg(node)
         states = self._flow_kinds(graph, module, node, env)
         for stmt in graph.statements():
             state = states.get(stmt.sid, {})
@@ -203,7 +190,7 @@ class _DetWalker:
 
     def _recurse(self, call: ast.Call, module: str, env: TypeEnv,
                  root: _Root, chain: Tuple[Frame, ...], depth: int) -> None:
-        if depth >= self.config.max_depth:
+        if depth >= MAX_DEPTH:
             return
         resolved = self.resolver.resolve_call(call.func, env)
         if resolved is None or resolved.node is None \
@@ -221,26 +208,6 @@ class _DetWalker:
                    chain + (frame,), depth + 1)
 
     # -- container-kind flow -------------------------------------------
-
-    def _cfg(self, node: FunctionNode) -> CFG:
-        cached = self._cfg_cache.get(id(node))
-        if cached is None:
-            cached = build_cfg(node)
-            self._cfg_cache[id(node)] = cached
-        return cached
-
-    def _infer_assign_types(self, node: FunctionNode, env: TypeEnv) -> None:
-        """Flow-insensitive receiver typing (for call resolution only)."""
-        assigns = [stmt for stmt in ast.walk(node)
-                   if isinstance(stmt, ast.Assign)]
-        assigns.sort(key=lambda stmt: stmt.lineno)
-        for stmt in assigns:
-            if len(stmt.targets) != 1 or not isinstance(stmt.targets[0],
-                                                        ast.Name):
-                continue
-            inferred = self.resolver.infer_type(stmt.value, env)
-            if inferred is not None:
-                env.locals[stmt.targets[0].id] = inferred
 
     def _param_kinds(self, module: str, node: FunctionNode) -> Dict[str, str]:
         kinds: Dict[str, str] = {}
@@ -494,17 +461,11 @@ class _DetWalker:
         ))
 
 
-def check_determinism(index: PackageIndex, resolver: Resolver,
-                      engine: EffectEngine,
-                      sim_config: Optional[AnalysisConfig] = None,
-                      config: Optional[DeterminismConfig] = None,
-                      ) -> Tuple[List[Finding], int, int]:
-    """Run the DET rules; returns (findings, roots walked, functions)."""
-    from .simulatability import DEFAULT_CONFIG
-    sim_config = sim_config or DEFAULT_CONFIG
-    config = config or DEFAULT_DET_CONFIG
-    walker = _DetWalker(index, resolver, engine, config)
-    roots = _collect_roots(index, resolver, sim_config, config)
+def check_determinism(facts: FunctionFacts, engine: EffectEngine
+                      ) -> Tuple[List[Finding], int]:
+    """Run the DET rules; returns (findings, roots walked)."""
+    walker = _DetWalker(facts, engine)
+    roots = _collect_roots(facts)
     for root in roots:
         walker.walk_root(root)
-    return walker.findings, len(roots), walker.functions_walked
+    return walker.findings, len(roots)

@@ -1,10 +1,10 @@
 """Full-analysis orchestration: all eight rule families in one pass.
 
-Builds the package index, the call-graph resolver, and the effect-summary
-engine exactly once, runs every selected rule family over them, and merges
-the findings into one :class:`~repro.analysis.findings.Report`.  This is
-what ``repro-audit lint`` runs; :func:`repro.analysis.check_package`
-remains the SIM-only library entry point.
+Builds the package index, the call-graph resolver and the per-run
+:class:`~repro.analysis.facts.FunctionFacts` exactly once, runs every
+selected rule family over them, and merges the findings into one
+:class:`~repro.analysis.findings.Report`.  This is what ``repro-audit
+lint`` runs, and the library's only entry point.
 """
 
 from __future__ import annotations
@@ -12,31 +12,23 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .atomics import DEFAULT_ATOMICITY_CONFIG, AtomicityConfig, \
-    check_atomics
+from .atomics import check_atomics
 from .baseline import apply_baseline, load_baseline
 from .callgraph import Resolver
-from .concurrency import DEFAULT_CONCURRENCY_CONFIG, ConcurrencyConfig, \
-    check_concurrency
-from .determinism import DEFAULT_DET_CONFIG, DeterminismConfig, \
-    check_determinism
-from .escape import DEFAULT_ESCAPE_CONFIG, EscapeConfig, EscapeEngine
+from .concurrency import check_concurrency
+from .determinism import check_determinism
+from .escape import EscapeEngine
+from .facts import FunctionFacts
 from .findings import ALL_RULES, Finding, Report, expand_rule_selection
-from .forksafety import DEFAULT_FORKSAFETY_CONFIG, ForkSafetyConfig, \
-    check_forksafety
-from .leaks import DEFAULT_LEAK_CONFIG, LeakConfig, check_leaks
+from .forksafety import check_forksafety
+from .leaks import check_leaks
 from .modindex import build_index
-from .ordering import DEFAULT_ORDERING_CONFIG, OrderingConfig, \
-    check_ordering
+from .ordering import check_ordering
 from .purity import EffectEngine
-from .simulatability import (
-    DEFAULT_CONFIG,
-    AnalysisConfig,
-    _Walker,
-    default_package_dir,
-    find_auditor_classes,
-)
-from .taintflow import DEFAULT_TAINT_CONFIG, TaintConfig, TaintEngine
+from .simulatability import PACKAGE, check_simulatability, \
+    default_package_dir
+from .taintflow import TaintEngine
+
 
 def active_rules(select: Optional[Iterable[str]] = None,
                  ignore: Optional[Iterable[str]] = None) -> Set[str]:
@@ -50,15 +42,6 @@ def active_rules(select: Optional[Iterable[str]] = None,
 
 
 def analyze_package(package_dir: Union[str, Path, None] = None,
-                    config: Optional[AnalysisConfig] = None,
-                    det_config: Optional[DeterminismConfig] = None,
-                    ordering_config: Optional[OrderingConfig] = None,
-                    escape_config: Optional[EscapeConfig] = None,
-                    conc_config: Optional[ConcurrencyConfig] = None,
-                    fork_config: Optional[ForkSafetyConfig] = None,
-                    atom_config: Optional[AtomicityConfig] = None,
-                    taint_config: Optional[TaintConfig] = None,
-                    leak_config: Optional[LeakConfig] = None,
                     select: Optional[Iterable[str]] = None,
                     ignore: Optional[Iterable[str]] = None,
                     baseline: Union[str, Path, None] = None,
@@ -67,95 +50,70 @@ def analyze_package(package_dir: Union[str, Path, None] = None,
                     = None) -> Report:
     """Run every selected rule family over a package tree.
 
-    Parameters mirror :func:`repro.analysis.check_package`, plus:
-
+    package_dir:
+        The package directory (holding ``__init__.py``); defaults to the
+        installed ``repro`` package.
     select / ignore:
         Rule IDs or family prefixes (``DET``, ``WAL001``, …).  Default:
         everything.
     baseline:
         Optional path to a baseline file; recorded findings are demoted to
         ``baselined`` severity and don't fail the run.
+    source_overrides:
+        ``{path: source}`` replacements applied before parsing (tests use
+        this to strip pragmas without touching the tree).
+    extra_modules:
+        Extra ``(dotted_name, path)`` modules analysed alongside the
+        package (tests inject fixture modules this way).
+
+    ``report.ok`` is False when any undocumented violation was found.
     """
-    config = config or DEFAULT_CONFIG
-    det_config = det_config or DEFAULT_DET_CONFIG
-    ordering_config = ordering_config or DEFAULT_ORDERING_CONFIG
-    escape_config = escape_config or DEFAULT_ESCAPE_CONFIG
-    conc_config = conc_config or DEFAULT_CONCURRENCY_CONFIG
-    fork_config = fork_config or DEFAULT_FORKSAFETY_CONFIG
-    atom_config = atom_config or DEFAULT_ATOMICITY_CONFIG
-    taint_config = taint_config or DEFAULT_TAINT_CONFIG
-    leak_config = leak_config or DEFAULT_LEAK_CONFIG
     rules = active_rules(select, ignore)
+
+    def wants(*families: str) -> bool:
+        return any(rule.startswith(families) for rule in rules)
 
     package_dir = Path(package_dir) if package_dir is not None \
         else default_package_dir()
-
-    index = build_index(package_dir, package=config.package,
+    index = build_index(package_dir, package=PACKAGE,
                         source_overrides=source_overrides,
                         extra_modules=extra_modules)
-    resolver = Resolver(index)
+    facts = FunctionFacts(index, Resolver(index))
 
-    findings: List[Finding] = []
+    found: List[Finding] = []
     entry_points = 0
     classes_checked = 0
     functions_scanned = 0
 
-    if any(rule.startswith("SIM") for rule in rules):
-        walker = _Walker(index, resolver, config)
-        classes = find_auditor_classes(index, resolver, config)
-        for cls in classes:
-            entry_points += walker.check_class(cls)
-        classes_checked = len(classes)
-        findings.extend(f for f in walker.findings if f.rule in rules)
+    if wants("SIM"):
+        sim_findings, entry_points, classes_checked = \
+            check_simulatability(facts)
+        found.extend(sim_findings)
 
-    needs_effects = any(rule.startswith(("DET", "WAL", "BUD",
-                                         "CONC", "FORK", "ATOM", "LEAK"))
-                        for rule in rules)
-    if needs_effects:
-        engine = EffectEngine(index, resolver)
-        functions_scanned = engine.functions_scanned
-        if any(rule.startswith("DET") for rule in rules):
-            det_findings, det_roots, _ = check_determinism(
-                index, resolver, engine, sim_config=config,
-                config=det_config)
+    if wants("DET", "WAL", "BUD", "CONC", "FORK", "ATOM", "LEAK"):
+        effects = EffectEngine(facts)
+        functions_scanned = len(facts.functions)
+        if wants("DET"):
+            det_findings, det_roots = check_determinism(facts, effects)
             entry_points += det_roots
-            findings.extend(f for f in det_findings if f.rule in rules)
-        if any(rule.startswith(("WAL", "BUD")) for rule in rules):
-            ord_findings, _ = check_ordering(
-                index, resolver, engine, config=ordering_config,
-                rules={r for r in rules if r.startswith(("WAL", "BUD"))})
-            findings.extend(ord_findings)
-        if any(rule.startswith(("CONC", "FORK", "ATOM", "LEAK"))
-               for rule in rules):
-            escape = EscapeEngine(index, resolver, engine,
-                                  config=escape_config)
-            if any(rule.startswith("CONC") for rule in rules):
-                conc_findings, conc_roots = check_concurrency(
-                    index, resolver, engine, escape, config=conc_config,
-                    rules={r for r in rules if r.startswith("CONC")})
-                entry_points += conc_roots
-                findings.extend(conc_findings)
-            if any(rule.startswith("FORK") for rule in rules):
-                fork_findings, _ = check_forksafety(
-                    index, resolver, engine, escape, config=fork_config,
-                    rules={r for r in rules if r.startswith("FORK")})
-                findings.extend(fork_findings)
-            if any(rule.startswith("ATOM") for rule in rules):
-                atom_findings, _ = check_atomics(
-                    index, resolver, engine, escape, config=atom_config,
-                    rules={r for r in rules if r.startswith("ATOM")})
-                findings.extend(atom_findings)
-            if any(rule.startswith("LEAK") for rule in rules):
-                taint = TaintEngine(index, resolver, engine, escape,
-                                    config=taint_config)
-                leak_findings, _ = check_leaks(
-                    index, resolver, engine, escape, taint,
-                    config=leak_config,
-                    rules={r for r in rules if r.startswith("LEAK")})
-                findings.extend(leak_findings)
+            found.extend(det_findings)
+        if wants("WAL", "BUD"):
+            found.extend(check_ordering(facts, effects))
+        if wants("CONC", "FORK", "LEAK"):
+            escape = EscapeEngine(facts)
+        if wants("CONC"):
+            found.extend(check_concurrency(facts, effects, escape))
+            entry_points += len(facts.functions)  # CONC checks each one
+        if wants("FORK"):
+            found.extend(check_forksafety(facts, effects, escape))
+        if wants("ATOM"):
+            found.extend(check_atomics(facts, effects))
+        if wants("LEAK"):
+            taint = TaintEngine(facts, effects, escape)
+            found.extend(check_leaks(facts, taint))
 
-    report = Report(package=config.package, root=str(index.root),
-                    findings=findings,
+    report = Report(package=PACKAGE, root=str(index.root),
+                    findings=[f for f in found if f.rule in rules],
                     entry_points=entry_points,
                     classes_checked=classes_checked,
                     modules_scanned=len(index.modules),
@@ -164,4 +122,3 @@ def analyze_package(package_dir: Union[str, Path, None] = None,
     if baseline is not None:
         report = apply_baseline(report, load_baseline(baseline))
     return report
-

@@ -1,14 +1,14 @@
-"""Escape/alias summaries for the CONC/FORK/ATOM rule families.
+"""Escape/alias summaries for the CONC/FORK/LEAK rule families.
 
-The concurrency and fork-safety rules need whole-package facts the CFG and
-effect layers don't carry:
+The concurrency, fork-safety and taint rules need whole-package facts the
+CFG and effect layers don't carry:
 
 * **lock ownership** — which classes assign a ``threading.Lock`` (or
   RLock/Condition/Semaphore) to an instance attribute, and under which
   attribute names, so CONC001 knows which ``with self._lock:`` regions
   guard which state;
 * **thread sharing** — which classes the analysis considers shared across
-  threads: the config-declared serving-tier roots (the multi-user
+  threads: the declared serving-tier roots (the multi-user
   frontend, the engine, its LRU caches — mirroring how the DET family
   declares its sampler root modules), every lock-owning class, and any
   class whose instances are inferred to flow into a ``threading.Thread``
@@ -18,12 +18,11 @@ effect layers don't carry:
   ``apply_async``, ``Pool(initializer=…, initargs=…)``,
   ``threading.Thread(target=…, args=…)``, and the package's own
   ``run_trials``/``run_sweep`` dispatchers), with the worker function
-  resolved through the call graph when possible;
-* **transitive fsync / unseeded-draw bits** — does a function
-  (transitively) call ``os.fsync`` / ``fsync_directory``, and does it draw
-  randomness that is not derived from an explicit seed?  CONC003 uses the
-  former to spot durability stalls under a lock; FORK002 uses the latter
-  to reject workers that would duplicate RNG state across forks.
+  resolved through the call graph when possible.
+
+The transitive fsync and unseeded-draw bits CONC003, FORK002 and ATOM001
+read live in :class:`~repro.analysis.purity.EffectSummary`: one fixpoint
+computes them with the other effect bits.
 
 Like everything else in this package the pass is best-effort and
 sound-by-silence: what cannot be resolved is simply not marked.
@@ -33,51 +32,40 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from .callgraph import Resolver, TypeEnv
-from .modindex import ClassInfo, FunctionNode, PackageIndex
-from .purity import EffectEngine, attr_text, dotted_callee, iter_calls
+from .callgraph import TypeEnv
+from .facts import FunctionFacts
+from .modindex import ClassInfo, FunctionNode
+from .purity import attr_text, dotted_callee
 
-
-@dataclass
-class EscapeConfig:
-    """Names driving the escape/alias pass."""
-
-    #: constructors whose result is a lock-ish synchronisation primitive
-    lock_factories: FrozenSet[str] = frozenset({
-        "threading.Lock", "threading.RLock", "threading.Condition",
-        "threading.Semaphore", "threading.BoundedSemaphore",
-    })
-    #: serving-tier classes shared across request threads by design.
-    #: Declared, like DeterminismConfig.root_modules: the analysis then
-    #: adds every lock-owning class and every class inferred to flow into
-    #: a thread/worker submission.
-    shared_root_classes: Tuple[str, ...] = (
-        "repro.sdb.multiuser.MultiUserFrontend",
-        "repro.sdb.engine.StatisticalDatabase",
-        "repro.sdb.cache.LruCache",
-    )
-    #: pool/executor fan-out methods shipping (fn, payload) to workers
-    dispatch_methods: FrozenSet[str] = frozenset({
-        "map", "imap", "imap_unordered", "starmap", "apply", "apply_async",
-        "map_async", "starmap_async",
-    })
-    #: receiver-name tokens that mark a dispatch receiver as a pool
-    poolish_receivers: Tuple[str, ...] = ("pool", "executor")
-    #: package-level dispatch helpers: first arg is the worker callable
-    dispatch_functions: FrozenSet[str] = frozenset({
-        "repro.utility.parallel.run_trials",
-        "repro.utility.parallel.run_sweep",
-        "repro.utility.parallel.estimate_denial_curve_parallel",
-    })
-    #: file-fsync primitives (the durable-write syscall)
-    fsync_names: FrozenSet[str] = frozenset({"os.fsync", "os.fdatasync"})
-    #: directory-fsync helpers (persist the rename itself)
-    dir_fsync_names: FrozenSet[str] = frozenset({"fsync_directory"})
-
-
-DEFAULT_ESCAPE_CONFIG = EscapeConfig()
+#: constructors whose result is a lock-ish synchronisation primitive
+_LOCK_FACTORIES = frozenset({
+    "threading.Lock", "threading.RLock", "threading.Condition",
+    "threading.Semaphore", "threading.BoundedSemaphore",
+})
+#: serving-tier classes shared across request threads by design.
+#: Declared, like the DET family's root modules: the analysis then adds
+#: every lock-owning class and every class inferred to flow into a
+#: thread/worker submission.
+_SHARED_ROOT_CLASSES = (
+    "repro.sdb.multiuser.MultiUserFrontend",
+    "repro.sdb.engine.StatisticalDatabase",
+    "repro.sdb.cache.LruCache",
+)
+#: pool/executor fan-out methods shipping (fn, payload) to workers
+_DISPATCH_METHODS = frozenset({
+    "map", "imap", "imap_unordered", "starmap", "apply", "apply_async",
+    "map_async", "starmap_async",
+})
+#: receiver-name tokens that mark a dispatch receiver as a pool
+_POOLISH_RECEIVERS = ("pool", "executor")
+#: package-level dispatch helpers: first arg is the worker callable
+_DISPATCH_FUNCTIONS = frozenset({
+    "repro.utility.parallel.run_trials",
+    "repro.utility.parallel.run_sweep",
+    "repro.utility.parallel.estimate_denial_curve_parallel",
+})
 
 
 @dataclass
@@ -101,13 +89,10 @@ class WorkerSubmission:
 class EscapeEngine:
     """Computes the shared-state/worker-flow summaries for one index."""
 
-    def __init__(self, index: PackageIndex, resolver: Resolver,
-                 engine: EffectEngine,
-                 config: Optional[EscapeConfig] = None) -> None:
-        self.index = index
-        self.resolver = resolver
-        self.engine = engine
-        self.config = config or DEFAULT_ESCAPE_CONFIG
+    def __init__(self, facts: FunctionFacts) -> None:
+        self.facts = facts
+        self.index = facts.index
+        self.resolver = facts.resolver
         #: class qualname -> instance attribute names holding locks
         self.lock_attrs: Dict[str, Set[str]] = {}
         #: module name -> module-level names assigned a lock
@@ -117,12 +102,8 @@ class EscapeEngine:
         #: class qualnames the analysis marks as shared across threads
         self.shared_classes: Set[str] = set()
         self.submissions: List[WorkerSubmission] = []
-        #: id(FunctionNode) of functions that run in a worker/thread
-        self.worker_entry_ids: Set[int] = set()
-        self._unseeded: Dict[int, bool] = {}
-        self._fsync: Dict[int, bool] = {}
-        self._dir_fsync: Dict[int, bool] = {}
-        self._edges: Dict[int, Set[int]] = {}
+        #: functions that run in a worker/thread
+        self.worker_entries: Set[FunctionNode] = set()
         self._compute()
 
     # -- public queries -------------------------------------------------
@@ -139,43 +120,16 @@ class EscapeEngine:
         return cls is not None and cls.qualname in self.shared_classes
 
     def is_worker_entry(self, node: FunctionNode) -> bool:
-        return id(node) in self.worker_entry_ids
-
-    def draws_unseeded(self, node: Optional[FunctionNode]) -> bool:
-        """Transitively draws randomness not derived from an explicit seed."""
-        return node is not None and self._unseeded.get(id(node), False)
-
-    def does_fsync(self, node: Optional[FunctionNode]) -> bool:
-        """Transitively reaches an ``os.fsync``/``os.fdatasync`` call."""
-        return node is not None and self._fsync.get(id(node), False)
-
-    def does_dir_fsync(self, node: Optional[FunctionNode]) -> bool:
-        """Transitively reaches a directory-fsync helper."""
-        return node is not None and self._dir_fsync.get(id(node), False)
+        return node in self.worker_entries
 
     # -- construction ---------------------------------------------------
 
-    def _all_functions(self) -> List[Tuple[str, FunctionNode,
-                                           Optional[ClassInfo]]]:
-        out: List[Tuple[str, FunctionNode, Optional[ClassInfo]]] = []
-        for mod in sorted(self.index.modules.values(), key=lambda m: m.name):
-            for fn in mod.functions.values():
-                out.append((mod.name, fn, None))
-            for cls in mod.classes.values():
-                for method in cls.methods.values():
-                    out.append((mod.name, method, cls))
-        return out
-
     def _compute(self) -> None:
         self._scan_module_level()
-        functions = self._all_functions()
-        for module, node, self_class in functions:
-            env = self.resolver.param_env(module, node,
-                                          self_class=self_class)
+        for module, node, self_class in self.facts.functions:
+            env = self.facts.param_env(module, node, self_class)
             self._scan_lock_attrs(module, node, self_class, env)
             self._scan_submissions(module, node, self_class, env)
-            self._scan_primitive_bits(module, node, env)
-        self._propagate_bits()
         self._resolve_workers()
         self._mark_shared_classes()
 
@@ -197,7 +151,7 @@ class EscapeEngine:
                     if (isinstance(value, ast.Call)
                             and dotted_callee(value.func, self.index,
                                               mod.name)
-                            in self.config.lock_factories):
+                            in _LOCK_FACTORIES):
                         locks.add(target.id)
             self.module_globals[mod.name] = globs
             self.module_locks[mod.name] = locks
@@ -218,7 +172,7 @@ class EscapeEngine:
             if not isinstance(stmt.value, ast.Call):
                 continue
             dotted = dotted_callee(stmt.value.func, self.index, module)
-            if dotted in self.config.lock_factories:
+            if dotted in _LOCK_FACTORIES:
                 self.lock_attrs.setdefault(self_class.qualname,
                                            set()).add(target.attr)
 
@@ -227,7 +181,6 @@ class EscapeEngine:
     def _scan_submissions(self, module: str, node: FunctionNode,
                           self_class: Optional[ClassInfo],
                           env: TypeEnv) -> None:
-        config = self.config
         qual = (f"{self_class.qualname}.{node.name}" if self_class
                 else f"{module}.{node.name}")
 
@@ -238,7 +191,7 @@ class EscapeEngine:
                 payload=payload, enclosing=qual,
                 enclosing_class=self_class, enclosing_fn=node, env=env))
 
-        for call in iter_calls(node):
+        for call in self.facts.calls(node):
             dotted = dotted_callee(call.func, self.index, module)
             # threading.Thread(target=fn, args=(...))
             if dotted == "threading.Thread":
@@ -268,11 +221,11 @@ class EscapeEngine:
                 receiver = (attr_text(call.func.value) or "").lower()
                 root = receiver.rsplit(".", 1)[-1]
                 poolish = any(token in root
-                              for token in config.poolish_receivers)
+                              for token in _POOLISH_RECEIVERS)
                 if attr == "submit" and call.args:
                     record(call, "submit", call.args[0], list(call.args[1:]))
                     continue
-                if attr in config.dispatch_methods and poolish and call.args:
+                if attr in _DISPATCH_METHODS and poolish and call.args:
                     record(call, "pool-method", call.args[0],
                            list(call.args[1:]))
                     continue
@@ -283,7 +236,7 @@ class EscapeEngine:
             except RecursionError:  # pragma: no cover - pathological
                 resolved = None
             qualname = resolved.qualname if resolved is not None else dotted
-            if qualname in config.dispatch_functions and call.args:
+            if qualname in _DISPATCH_FUNCTIONS and call.args:
                 record(call, "dispatch-fn", call.args[0], [])
 
     @staticmethod
@@ -314,12 +267,12 @@ class EscapeEngine:
             if resolved is not None and resolved.node is not None:
                 sub.fn_node = resolved.node
                 sub.fn_qualname = resolved.qualname
-                self.worker_entry_ids.add(id(resolved.node))
+                self.worker_entries.add(resolved.node)
 
     # -- shared classes -------------------------------------------------
 
     def _mark_shared_classes(self) -> None:
-        for qualname in self.config.shared_root_classes:
+        for qualname in _SHARED_ROOT_CLASSES:
             if qualname in self.index.classes:
                 self.shared_classes.add(qualname)
         self.shared_classes.update(self.lock_attrs)
@@ -366,48 +319,3 @@ class EscapeEngine:
             if isinstance(node, (ast.Name, ast.Attribute)):
                 out.append(node)
         return out
-
-    # -- transitive bits ------------------------------------------------
-
-    def _scan_primitive_bits(self, module: str, node: FunctionNode,
-                             env: TypeEnv) -> None:
-        config = self.config
-        unseeded = False
-        fsync = False
-        dir_fsync = False
-        edges: Set[int] = set()
-        for call in iter_calls(node):
-            facts = self.engine.call_facts(call, module, env)
-            if facts.unseeded_rng is not None:
-                unseeded = True
-            dotted = facts.dotted
-            if dotted in config.fsync_names:
-                fsync = True
-            callee_name = None
-            if isinstance(call.func, ast.Name):
-                callee_name = call.func.id
-            elif isinstance(call.func, ast.Attribute):
-                callee_name = call.func.attr
-            if callee_name in config.dir_fsync_names:
-                dir_fsync = True
-                fsync = True
-            if (facts.resolved is not None
-                    and facts.resolved.node is not None):
-                edges.add(id(facts.resolved.node))
-        fid = id(node)
-        self._unseeded[fid] = unseeded
-        self._fsync[fid] = fsync
-        self._dir_fsync[fid] = dir_fsync
-        self._edges[fid] = edges
-
-    def _propagate_bits(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for fid, edges in self._edges.items():
-                for callee in edges:
-                    for table in (self._unseeded, self._fsync,
-                                  self._dir_fsync):
-                        if table.get(callee) and not table.get(fid):
-                            table[fid] = True
-                            changed = True

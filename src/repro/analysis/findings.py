@@ -9,10 +9,14 @@ that the CLI, the pytest gates, the SARIF emitter, and CI all consume.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .modindex import ClassInfo, PackageIndex
 
 #: Bumped only when the JSON layout changes incompatibly.
 #: v2: per-finding ``fingerprint`` (baseline key), report-level ``rules``,
@@ -260,6 +264,23 @@ class Finding:
         elif not self.baselined:
             lines.append(f"    suppress: {self.suppress_hint}")
         return "\n".join(lines)
+
+
+def function_finding(index: "PackageIndex", rule: str, module: str,
+                     node: ast.AST, sink: str, message: str,
+                     self_class: Optional["ClassInfo"],
+                     method: str) -> Finding:
+    """A finding whose call chain is the one function it sits in."""
+    line = getattr(node, "lineno", 0)
+    entry_class = self_class.name if self_class is not None else ""
+    file = index.relpath(module)
+    frame = Frame(function=f"{entry_class}.{method}" if entry_class
+                  else method, module=module, file=file, line=line)
+    return Finding(rule=rule, message=message, file=file, line=line,
+                   col=getattr(node, "col_offset", 0),
+                   entry_class=entry_class, entry_method=method,
+                   entry_module=module, sink=sink, chain=(frame,),
+                   pragma_reason=index.pragma_for(module, rule, line))
 
 
 @dataclass

@@ -27,54 +27,40 @@ using the worker-submission sites collected by
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from .callgraph import Resolver
 from .escape import EscapeEngine, WorkerSubmission
+from .facts import FunctionFacts
 from .findings import (
     RULE_EFFECTFUL_WORKER_FN,
     RULE_HANDLE_IN_WORKER_PAYLOAD,
     RULE_NONSPAWN_CONTEXT,
     Finding,
-    Frame,
+    function_finding,
 )
-from .modindex import ClassInfo, PackageIndex
-from .purity import EffectEngine, attr_text, dotted_callee, iter_calls
+from .modindex import ClassInfo
+from .purity import SEEDED_FACTORIES, EffectEngine, attr_text, dotted_callee
 
-
-@dataclass
-class ForkSafetyConfig:
-    """Vocabulary of the FORK rules."""
-
-    #: package classes that wrap an OS-level handle (fd, file, socket)
-    handle_classes: Tuple[str, ...] = (
-        "repro.persistence.AuditJournal",
-        "repro.resilience.checkpoint.CheckpointedWal",
-    )
-    #: factory calls binding a handle to a local
-    handle_factories: FrozenSet[str] = frozenset({"open", "io.open"})
-    #: factory calls binding a live RNG generator to a local
-    rng_factories: FrozenSet[str] = frozenset({
-        "numpy.random.default_rng", "numpy.random.RandomState",
-        "random.Random", "repro.rng.as_generator", "repro.rng.spawn",
-    })
-    #: payload name/attribute suffixes that denote a handle by convention
-    handle_name_suffixes: Tuple[str, ...] = ("wal", "journal", "handle")
-
-
-DEFAULT_FORKSAFETY_CONFIG = ForkSafetyConfig()
+#: package classes that wrap an OS-level handle (fd, file, socket)
+_HANDLE_CLASSES = (
+    "repro.persistence.AuditJournal",
+    "repro.resilience.checkpoint.CheckpointedWal",
+)
+#: factory calls binding a handle to a local
+_HANDLE_FACTORIES = frozenset({"open", "io.open"})
+#: factory calls binding a live RNG generator to a local (a SeedSequence
+#: is a seed, not a generator)
+_RNG_FACTORIES = SEEDED_FACTORIES - {"numpy.random.SeedSequence"}
+#: payload name/attribute suffixes that denote a handle by convention
+_HANDLE_NAME_SUFFIXES = ("wal", "journal", "handle")
 
 
 class _ForkChecker:
-    def __init__(self, index: PackageIndex, resolver: Resolver,
-                 engine: EffectEngine, escape: EscapeEngine,
-                 config: ForkSafetyConfig) -> None:
-        self.index = index
-        self.resolver = resolver
+    def __init__(self, facts: FunctionFacts, engine: EffectEngine) -> None:
+        self.facts = facts
+        self.index = facts.index
+        self.resolver = facts.resolver
         self.engine = engine
-        self.escape = escape
-        self.config = config
         self.findings: List[Finding] = []
 
     # -- FORK001 --------------------------------------------------------
@@ -115,9 +101,9 @@ class _ForkChecker:
             dotted = dotted_callee(call.func, self.index, sub.module)
             if dotted is None and isinstance(call.func, ast.Name):
                 dotted = call.func.id
-            if dotted in self.config.handle_factories:
+            if dotted in _HANDLE_FACTORIES:
                 handles.add(name)
-            elif dotted in self.config.rng_factories:
+            elif dotted in _RNG_FACTORIES:
                 rngs.add(name)
         return handles, rngs
 
@@ -130,13 +116,12 @@ class _ForkChecker:
             if leaf.id in rng_locals:
                 return f"live RNG generator {leaf.id!r}"
         cls = self.resolver.infer_type(leaf, sub.env)
-        if cls is not None and cls.qualname in self.config.handle_classes:
+        if cls is not None and cls.qualname in _HANDLE_CLASSES:
             return f"a live {cls.name} handle"
         text = attr_text(leaf)
         if text is not None and "." in text:
             tail = text.rsplit(".", 1)[-1].lower()
-            if any(tail.endswith(sfx)
-                   for sfx in self.config.handle_name_suffixes):
+            if tail.endswith(_HANDLE_NAME_SUFFIXES):
                 return f"handle-like attribute {text!r}"
         return None
 
@@ -155,7 +140,7 @@ class _ForkChecker:
                         f"to the audit journal/WAL: per-process handles "
                         f"interleave appends and corrupt the log — "
                         f"journal in the parent, return results instead")
-        if self.escape.draws_unseeded(sub.fn_node):
+        if summary.draws_unseeded:
             self._emit(
                 RULE_EFFECTFUL_WORKER_FN, sub, sub.fn_expr or sub.call,
                 sink=f"worker {name} draws unseeded randomness",
@@ -167,8 +152,7 @@ class _ForkChecker:
     # -- FORK003 --------------------------------------------------------
 
     def check_contexts(self, module: str, node, self_class) -> None:
-        env = self.resolver.param_env(module, node, self_class=self_class)
-        for call in iter_calls(node):
+        for call in self.facts.calls(node):
             dotted = dotted_callee(call.func, self.index, module)
             attr = call.func.attr if isinstance(call.func, ast.Attribute) \
                 else None
@@ -228,53 +212,19 @@ class _ForkChecker:
     def _emit_at(self, rule: str, module: str, node: ast.AST, sink: str,
                  message: str, self_class: Optional[ClassInfo],
                  method: str) -> None:
-        line = getattr(node, "lineno", 0)
-        col = getattr(node, "col_offset", 0)
-        pragma = self.index.pragma_for(module, rule, line)
-        entry_class = self_class.name if self_class is not None else ""
-        frame = Frame(
-            function=f"{entry_class}.{method}" if entry_class else method,
-            module=module,
-            file=self.index.relpath(module),
-            line=line,
-        )
-        self.findings.append(Finding(
-            rule=rule,
-            message=message,
-            file=self.index.relpath(module),
-            line=line,
-            col=col,
-            entry_class=entry_class,
-            entry_method=method,
-            entry_module=module,
-            sink=sink,
-            chain=(frame,),
-            pragma_reason=pragma,
-        ))
+        self.findings.append(function_finding(
+            self.index, rule, module, node, sink, message, self_class,
+            method))
 
 
-def check_forksafety(index: PackageIndex, resolver: Resolver,
-                     engine: EffectEngine, escape: EscapeEngine,
-                     config: Optional[ForkSafetyConfig] = None,
-                     rules: Optional[Set[str]] = None,
-                     ) -> Tuple[List[Finding], int]:
+def check_forksafety(facts: FunctionFacts, engine: EffectEngine,
+                     escape: EscapeEngine) -> List[Finding]:
     """Run the FORK rules: payload/worker checks per submission site,
     context checks per function."""
-    config = config or DEFAULT_FORKSAFETY_CONFIG
-    checker = _ForkChecker(index, resolver, engine, escape, config)
+    checker = _ForkChecker(facts, engine)
     for sub in escape.submissions:
         checker.check_payloads(sub)
         checker.check_worker_fn(sub)
-    checked = 0
-    for mod in sorted(index.modules.values(), key=lambda m: m.name):
-        for node in mod.functions.values():
-            checker.check_contexts(mod.name, node, None)
-            checked += 1
-        for cls in mod.classes.values():
-            for node in cls.methods.values():
-                checker.check_contexts(mod.name, node, cls)
-                checked += 1
-    findings = checker.findings
-    if rules is not None:
-        findings = [f for f in findings if f.rule in rules]
-    return findings, checked
+    for module, node, self_class in facts.functions:
+        checker.check_contexts(module, node, self_class)
+    return checker.findings

@@ -7,11 +7,11 @@ value-level taint flows of :mod:`repro.analysis.taintflow` and proves
 sensitive *values* cannot flow out through the unsanctioned channels:
 
 * ``LEAK001`` — a tainted value reaches an exception message or a
-  denial-detail string.  In *strict* mode (the default) any denial
-  detail that is not built from constants also fires: denial reasons
-  must be fixed reason codes, because a detail that varies with the
-  data (a set size, a threshold comparison, a sampled value) is an
-  oracle even when each piece looks attacker-computable;
+  denial-detail string.  Any denial detail that is not built from
+  constants also fires, tainted or not: denial reasons must be fixed
+  reason codes, because a detail that varies with the data (a set size,
+  a threshold comparison, a sampled value) is an oracle even when each
+  piece looks attacker-computable;
 * ``LEAK002`` — a tainted value reaches logging / ``print`` / CSV-export
   output outside the released-answer path;
 * ``LEAK003`` — a tainted value is serialized into a journal/WAL append
@@ -31,34 +31,19 @@ construction.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from .callgraph import Resolver
-from .escape import EscapeEngine
 from .findings import (
     RULE_TAINTED_EXCEPTION,
     RULE_TAINTED_JOURNAL,
     RULE_TAINTED_LOG,
     RULE_TAINTED_SHARED_STATE,
     Finding,
-    Frame,
+    function_finding,
 )
+from .facts import FunctionFacts
 from .modindex import ClassInfo, FunctionNode, PackageIndex
-from .purity import EffectEngine
 from .taintflow import SOURCE, SinkEvent, TaintEngine
-
-
-@dataclass
-class LeakConfig:
-    """Emission policy for the LEAK rules."""
-
-    #: also fire LEAK001 on denial details that are *not* constant
-    #: expressions, tainted or not (denials must be fixed reason codes)
-    strict_denial_details: bool = True
-
-
-DEFAULT_LEAK_CONFIG = LeakConfig()
 
 #: sink-event kind (see :class:`~repro.analysis.taintflow.SinkEvent`)
 #: -> the rule it violates
@@ -90,18 +75,14 @@ _STRICT_DENY_MESSAGE = (
 
 
 class _LeakChecker:
-    def __init__(self, index: PackageIndex, taint: TaintEngine,
-                 config: LeakConfig) -> None:
+    def __init__(self, index: PackageIndex, taint: TaintEngine) -> None:
         self.index = index
         self.taint = taint
-        self.config = config
         self.findings: List[Finding] = []
-        self.functions_checked = 0
         self._seen: Set[Tuple[str, str, int, int, str]] = set()
 
     def check_function(self, module: str, node: FunctionNode,
                        self_class: Optional[ClassInfo]) -> None:
-        self.functions_checked += 1
         for event in self.taint.events_for(node):
             self._check_event(module, node, self_class, event)
 
@@ -113,8 +94,7 @@ class _LeakChecker:
         if event.kind == "deny":
             if tainted:
                 message = _MESSAGES["deny"]
-            elif (self.config.strict_denial_details
-                    and not event.constantish):
+            elif not event.constantish:
                 message = _STRICT_DENY_MESSAGE
             else:
                 return
@@ -130,56 +110,19 @@ class _LeakChecker:
     def _emit(self, rule: str, module: str, node: ast.AST, sink: str,
               message: str, self_class: Optional[ClassInfo],
               method: str) -> None:
-        line = getattr(node, "lineno", 0)
-        col = getattr(node, "col_offset", 0)
-        key = (rule, module, line, col, sink)
+        key = (rule, module, getattr(node, "lineno", 0),
+               getattr(node, "col_offset", 0), sink)
         if key in self._seen:
             return
         self._seen.add(key)
-        pragma = self.index.pragma_for(module, rule, line)
-        entry_class = self_class.name if self_class is not None else ""
-        frame = Frame(
-            function=f"{entry_class}.{method}" if entry_class else method,
-            module=module,
-            file=self.index.relpath(module),
-            line=line,
-        )
-        self.findings.append(Finding(
-            rule=rule,
-            message=message,
-            file=self.index.relpath(module),
-            line=line,
-            col=col,
-            entry_class=entry_class,
-            entry_method=method,
-            entry_module=module,
-            sink=sink,
-            chain=(frame,),
-            pragma_reason=pragma,
-        ))
+        self.findings.append(function_finding(
+            self.index, rule, module, node, sink, message, self_class,
+            method))
 
 
-def check_leaks(index: PackageIndex, resolver: Resolver,
-                engine: EffectEngine, escape: EscapeEngine,
-                taint: TaintEngine,
-                config: Optional[LeakConfig] = None,
-                rules: Optional[Set[str]] = None,
-                ) -> Tuple[List[Finding], int]:
-    """Run the LEAK rules over every function of the package.
-
-    ``resolver``/``engine``/``escape`` are accepted for signature symmetry
-    with the sibling checkers (the taint engine already consumed them);
-    ``rules`` optionally restricts which of LEAK001–LEAK004 emit.
-    """
-    config = config or DEFAULT_LEAK_CONFIG
-    checker = _LeakChecker(index, taint, config)
-    for mod in sorted(index.modules.values(), key=lambda m: m.name):
-        for node in mod.functions.values():
-            checker.check_function(mod.name, node, None)
-        for cls in mod.classes.values():
-            for node in cls.methods.values():
-                checker.check_function(mod.name, node, cls)
-    findings = checker.findings
-    if rules is not None:
-        findings = [f for f in findings if f.rule in rules]
-    return findings, checker.functions_checked
+def check_leaks(facts: FunctionFacts, taint: TaintEngine) -> List[Finding]:
+    """Run the LEAK rules over every function of the package."""
+    checker = _LeakChecker(facts.index, taint)
+    for module, node, self_class in facts.functions:
+        checker.check_function(module, node, self_class)
+    return checker.findings

@@ -30,58 +30,45 @@ for.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from .callgraph import Resolver, TypeEnv
-from .cfg import build_cfg, must_pass_before, stmt_expr_nodes
+from .callgraph import TypeEnv
+from .cfg import iter_calls, must_pass_before, stmt_expr_nodes
+from .facts import FunctionFacts
 from .findings import (
     RULE_RELEASE_BEFORE_APPEND,
     RULE_SWALLOWED_APPEND_FAILURE,
     RULE_UNCHECKPOINTED_LOOP,
     Finding,
-    Frame,
+    function_finding,
 )
-from .modindex import ClassInfo, FunctionNode, PackageIndex
-from .purity import EffectEngine, iter_calls
+from .modindex import ClassInfo, FunctionNode
+from .purity import APPEND_FUNCTIONS, EffectEngine
 
-
-@dataclass
-class OrderingConfig:
-    """Scope of the WAL/BUD scans."""
-
-    #: method names whose return values are released decisions/answers
-    release_method_names: Tuple[str, ...] = (
-        "audit", "_audit", "query", "query_indices", "record_replay",
-        "apply_update",
-        # serving-tier release points: the multi-user frontend's entry
-        # methods and the shard worker's request handler (the single
-        # release point of a shard — every dict it returns is released)
-        "ask", "refuse", "handle",
-    )
-    #: classes holding the journal: delegation does not discharge the
-    #: append obligation inside these
-    boundary_attr_types: Tuple[str, ...] = (
-        "repro.persistence.AuditJournal",
-    )
-    boundary_attr_names: Tuple[str, ...] = ("journal", "wal")
-    #: module-name tokens marking sampler/chain hot-path modules (BUD001)
-    sampler_module_tokens: Tuple[str, ...] = ("sampler", "chain",
-                                              "hit_and_run")
-
-
-DEFAULT_ORDERING_CONFIG = OrderingConfig()
+#: method names whose return values are released decisions/answers
+_RELEASE_METHOD_NAMES = (
+    "audit", "_audit", "query", "query_indices", "record_replay",
+    "apply_update",
+    # serving-tier release points: the multi-user frontend's entry
+    # methods and the shard worker's request handler (the single
+    # release point of a shard — every dict it returns is released)
+    "ask", "refuse", "handle",
+)
+#: classes holding the journal: delegation does not discharge the
+#: append obligation inside these
+_BOUNDARY_ATTR_TYPES = ("repro.persistence.AuditJournal",)
+_BOUNDARY_ATTR_NAMES = ("journal", "wal")
+#: module-name tokens marking sampler/chain hot-path modules (BUD001)
+_SAMPLER_MODULE_TOKENS = ("sampler", "chain", "hit_and_run")
 
 
 class _OrderingChecker:
-    def __init__(self, index: PackageIndex, resolver: Resolver,
-                 engine: EffectEngine, config: OrderingConfig) -> None:
-        self.index = index
-        self.resolver = resolver
+    def __init__(self, facts: FunctionFacts, engine: EffectEngine) -> None:
+        self.facts = facts
+        self.index = facts.index
+        self.resolver = facts.resolver
         self.engine = engine
-        self.config = config
         self.findings: List[Finding] = []
-        self.functions_checked = 0
         self._boundary_cache: Dict[str, bool] = {}
 
     # -- scope ----------------------------------------------------------
@@ -97,15 +84,14 @@ class _OrderingChecker:
         result = False
         attrs = self.resolver.instance_attr_types(cls)
         for attr, attr_cls in attrs.items():
-            if attr_cls.qualname in self.config.boundary_attr_types:
+            if attr_cls.qualname in _BOUNDARY_ATTR_TYPES:
                 result = True
                 break
         if not result:
             # name-based fallback for untyped ``self.wal = wal`` params
             for c in self.resolver.mro(cls):
                 for method in c.methods.values():
-                    env = self.resolver.param_env(c.module, method,
-                                                  self_class=c)
+                    env = self.facts.param_env(c.module, method, c)
                     for stmt in ast.walk(method):
                         if (isinstance(stmt, ast.Assign)
                                 and len(stmt.targets) == 1
@@ -116,7 +102,7 @@ class _OrderingChecker:
                                 and stmt.targets[0].value.id
                                 == env.self_name
                                 and stmt.targets[0].attr
-                                in self.config.boundary_attr_names):
+                                in _BOUNDARY_ATTR_NAMES):
                             result = True
                 if result:
                     break
@@ -127,45 +113,28 @@ class _OrderingChecker:
 
     def check_function(self, module: str, node: FunctionNode,
                        self_class: Optional[ClassInfo]) -> None:
-        self.functions_checked += 1
         qualname = (f"{self_class.qualname}.{node.name}"
                     if self_class is not None
                     else f"{module}.{node.name}")
-        if qualname in self.engine.config.append_functions:
+        if qualname in APPEND_FUNCTIONS:
             return  # the journal primitives themselves ARE the append
-        env = self.resolver.param_env(module, node, self_class=self_class)
-        self._infer_assign_types(node, env)
+        env = self.facts.typed_env(module, node, self_class)
         boundary = self.is_boundary_class(self_class)
-        in_release_scope = (node.name in self.config.release_method_names
-                            or boundary)
-        mod = self.index.modules[module]
-        is_sampler_module = any(
-            token in mod.name.rsplit(".", 1)[-1]
-            for token in self.config.sampler_module_tokens)
+        in_release_scope = node.name in _RELEASE_METHOD_NAMES or boundary
+        is_sampler_module = any(token in module.rsplit(".", 1)[-1]
+                                for token in _SAMPLER_MODULE_TOKENS)
 
         if in_release_scope:
             self._check_wal(module, node, self_class, env, boundary)
         if is_sampler_module:
             self._check_bud(module, node, self_class, env)
 
-    def _infer_assign_types(self, node: FunctionNode, env: TypeEnv) -> None:
-        assigns = [stmt for stmt in ast.walk(node)
-                   if isinstance(stmt, ast.Assign)]
-        assigns.sort(key=lambda stmt: stmt.lineno)
-        for stmt in assigns:
-            if len(stmt.targets) != 1 or not isinstance(stmt.targets[0],
-                                                        ast.Name):
-                continue
-            inferred = self.resolver.infer_type(stmt.value, env)
-            if inferred is not None:
-                env.locals[stmt.targets[0].id] = inferred
-
     # -- WAL001 / WAL002 ------------------------------------------------
 
     def _check_wal(self, module: str, node: FunctionNode,
                    self_class: Optional[ClassInfo], env: TypeEnv,
                    boundary: bool) -> None:
-        graph = build_cfg(node)
+        graph = self.facts.cfg(node)
         real_append_sids: Set[int] = set()
         delegate_sids: Set[int] = set()
         satisfying_sids: Set[int] = set()
@@ -186,7 +155,7 @@ class _OrderingChecker:
         # A named release method is this rule's business if it journals
         # anywhere OR hands the obligation to a delegate: a cache-hit
         # branch that skips both must still be caught.
-        named_release = node.name in self.config.release_method_names
+        named_release = node.name in _RELEASE_METHOD_NAMES
         if not real_append_sids and not (named_release and delegate_sids):
             return  # nothing journals here: not this rule's business
 
@@ -318,50 +287,15 @@ class _OrderingChecker:
     def _emit(self, rule: str, module: str, node: ast.AST, sink: str,
               message: str, self_class: Optional[ClassInfo],
               method: str) -> None:
-        line = getattr(node, "lineno", 0)
-        col = getattr(node, "col_offset", 0)
-        pragma = self.index.pragma_for(module, rule, line)
-        entry_class = self_class.name if self_class is not None else ""
-        frame = Frame(
-            function=f"{entry_class}.{method}" if entry_class else method,
-            module=module,
-            file=self.index.relpath(module),
-            line=line,
-        )
-        self.findings.append(Finding(
-            rule=rule,
-            message=message,
-            file=self.index.relpath(module),
-            line=line,
-            col=col,
-            entry_class=entry_class,
-            entry_method=method,
-            entry_module=module,
-            sink=sink,
-            chain=(frame,),
-            pragma_reason=pragma,
-        ))
+        self.findings.append(function_finding(
+            self.index, rule, module, node, sink, message, self_class,
+            method))
 
 
-def check_ordering(index: PackageIndex, resolver: Resolver,
-                   engine: EffectEngine,
-                   config: Optional[OrderingConfig] = None,
-                   rules: Optional[Set[str]] = None,
-                   ) -> Tuple[List[Finding], int]:
-    """Run the WAL/BUD rules over every function of the package.
-
-    ``rules`` optionally restricts which of WAL001/WAL002/BUD001 emit;
-    scanning is cheap enough to always run whole-package.
-    """
-    config = config or DEFAULT_ORDERING_CONFIG
-    checker = _OrderingChecker(index, resolver, engine, config)
-    for mod in sorted(index.modules.values(), key=lambda m: m.name):
-        for node in mod.functions.values():
-            checker.check_function(mod.name, node, None)
-        for cls in mod.classes.values():
-            for node in cls.methods.values():
-                checker.check_function(mod.name, node, cls)
-    findings = checker.findings
-    if rules is not None:
-        findings = [f for f in findings if f.rule in rules]
-    return findings, checker.functions_checked
+def check_ordering(facts: FunctionFacts,
+                   engine: EffectEngine) -> List[Finding]:
+    """Run the WAL/BUD rules over every function of the package."""
+    checker = _OrderingChecker(facts, engine)
+    for module, node, self_class in facts.functions:
+        checker.check_function(module, node, self_class)
+    return checker.findings

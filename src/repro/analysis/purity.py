@@ -1,13 +1,13 @@
-"""Shared effect summaries for the DET/WAL/BUD rule families.
+"""Shared effect summaries for the DET/WAL/BUD/CONC/FORK/ATOM families.
 
 Each function/method of the analysed package gets an :class:`EffectSummary`
-— does it (transitively) draw randomness, append to the audit journal/WAL,
-checkpoint a budget, or pass a fault-injection site?  Summaries are
-computed by classifying the *primitive* effects of each call site (dotted
-stdlib/numpy names expanded through the module's import aliases, plus
-name-based conventions for journal/WAL/checkpoint calls) and then
-propagating them to fixpoint over the best-effort call graph from
-:mod:`repro.analysis.callgraph`.
+— does it (transitively) draw randomness (seeded or not), append to the
+audit journal/WAL, checkpoint a budget, pass a fault-injection site, or
+fsync a file or a directory?  Summaries are computed by classifying the
+*primitive* effects of each call site (dotted stdlib/numpy names expanded
+through the module's import aliases, plus name-based conventions for
+journal/WAL/checkpoint calls) and then propagating them to fixpoint over
+the best-effort call graph from :mod:`repro.analysis.callgraph`.
 
 The rule modules share the same per-call classifier
 (:meth:`EffectEngine.call_facts`), so "what counts as an append" is defined
@@ -16,7 +16,8 @@ exactly once:
 * **randomness** — module-level ``random.*`` / ``numpy.random.*`` calls,
   unseeded factory calls (``default_rng()`` / ``as_generator()`` with no
   seed), and draw methods (``integers`` / ``random`` / ``choice`` …) on
-  rng-ish receivers;
+  rng-ish receivers; the first two are also *unseeded* draws, which
+  FORK002 rejects in worker functions;
 * **clock/entropy** — ``time.time``, ``os.urandom``, ``uuid.uuid4``,
   ``secrets.*``, ``datetime.now`` …; ``time.monotonic`` (and the other
   monotonic clocks) is *allowed* — it is the budget layer's sanctioned
@@ -26,94 +27,83 @@ exactly once:
   ``record_update`` calling conventions (resolved or name-based);
 * **budget checkpoints** — ``BudgetScope.checkpoint`` and the
   ``checkpoint`` / ``_checkpoint`` calling conventions;
-* **fault sites** — ``repro.resilience.faults.fault_site``.
+* **fault sites** — ``repro.resilience.faults.fault_site``;
+* **fsync** — ``os.fsync`` / ``os.fdatasync`` and the ``fsync_directory``
+  helper, which also counts as a *directory* fsync.  CONC003 uses the
+  file bit to spot durability stalls under a lock; ATOM001 uses both to
+  prove a rename's fsync protocol through helpers.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional, Set
 
-from .callgraph import ResolvedCall, Resolver, TypeEnv
-from .modindex import ClassInfo, FunctionNode, PackageIndex
+from .callgraph import ResolvedCall, TypeEnv
+from .facts import FunctionFacts
+from .modindex import FunctionNode, PackageIndex
 
-
-@dataclass
-class EffectConfig:
-    """Names defining the primitive effects (see module docstring)."""
-
-    #: factories that are fine *when seeded*: flagged only when called with
-    #: no seed argument (or a literal ``None`` seed)
-    seeded_factories: FrozenSet[str] = frozenset({
-        "numpy.random.default_rng",
-        "numpy.random.RandomState",
-        "numpy.random.SeedSequence",
-        "random.Random",
-        "repro.rng.as_generator",
-        "repro.rng.spawn",
-    })
-    #: dotted prefixes whose *module-level* calls use hidden global RNG state
-    global_rng_prefixes: Tuple[str, ...] = ("random.", "numpy.random.",
-                                            "secrets.")
-    #: names under those prefixes that are not draws (types, submodule refs)
-    global_rng_allow: FrozenSet[str] = frozenset({
-        "numpy.random.Generator",
-        "numpy.random.BitGenerator",
-        "numpy.random.PCG64",
-        "numpy.random.Philox",
-    })
-    clock_entropy: FrozenSet[str] = frozenset({
-        "time.time", "time.time_ns",
-        "os.urandom", "os.getrandom",
-        "uuid.uuid1", "uuid.uuid4",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-        "random.SystemRandom",
-    })
-    #: deterministic-serving sanctioned clocks (the Budget deadline clock)
-    allowed_clocks: FrozenSet[str] = frozenset({
-        "time.monotonic", "time.monotonic_ns",
-        "time.perf_counter", "time.perf_counter_ns",
-        "time.process_time",
-    })
-    #: ``Generator`` draw methods; a call ``<rng-ish>.<draw>(...)`` draws
-    draw_methods: FrozenSet[str] = frozenset({
-        "random", "integers", "choice", "uniform", "normal",
-        "standard_normal", "shuffle", "permutation", "permuted",
-        "exponential", "beta", "gamma", "binomial", "poisson",
-        "multivariate_normal", "bytes", "bit_generator", "spawn",
-    })
-    #: receiver-name substrings that mark a receiver as an RNG handle
-    rngish_receivers: Tuple[str, ...] = ("rng", "gen", "random")
-    #: fully-resolved functions that append a decision/replay/update record
-    append_functions: FrozenSet[str] = frozenset({
-        "repro.resilience.checkpoint.CheckpointedWal.append",
-        "repro.resilience.checkpoint.CheckpointedWal.raw_append",
-        "repro.resilience.replication.Follower._apply_append",
-    })
-    #: method names that journal by convention, on any receiver
-    append_method_names: FrozenSet[str] = frozenset({
-        "record_decision", "record_replay", "record_refusal",
-        "record_update",
-    })
-    #: ``x.append(...)`` receivers (lowercased dotted text suffix) that are
-    #: write-ahead logs rather than plain lists
-    append_receiver_suffixes: Tuple[str, ...] = ("wal", "journal", "log")
-    checkpoint_functions: FrozenSet[str] = frozenset({
-        "repro.resilience.budget.BudgetScope.checkpoint",
-    })
-    checkpoint_names: FrozenSet[str] = frozenset({
-        "checkpoint", "_checkpoint",
-    })
-    fault_site_functions: FrozenSet[str] = frozenset({
-        "repro.resilience.faults.fault_site",
-    })
-    #: method names that *delegate* the whole release+journal obligation
-    delegate_method_names: FrozenSet[str] = frozenset({"audit"})
-
-
-DEFAULT_EFFECTS = EffectConfig()
+#: factories that are fine *when seeded*: flagged only when called with
+#: no seed argument (or a literal ``None`` seed)
+SEEDED_FACTORIES = frozenset({
+    "numpy.random.default_rng",
+    "numpy.random.RandomState",
+    "numpy.random.SeedSequence",
+    "random.Random",
+    "repro.rng.as_generator",
+    "repro.rng.spawn",
+})
+#: dotted prefixes whose *module-level* calls use hidden global RNG state
+_GLOBAL_RNG_PREFIXES = ("random.", "numpy.random.", "secrets.")
+#: names under those prefixes that are not draws (types, submodule refs)
+_GLOBAL_RNG_ALLOW = frozenset({
+    "numpy.random.Generator",
+    "numpy.random.BitGenerator",
+    "numpy.random.PCG64",
+    "numpy.random.Philox",
+})
+_CLOCK_ENTROPY = frozenset({
+    "time.time", "time.time_ns",
+    "os.urandom", "os.getrandom",
+    "uuid.uuid1", "uuid.uuid4",
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.datetime.today", "datetime.date.today",
+    "random.SystemRandom",
+})
+#: ``Generator`` draw methods; a call ``<rng-ish>.<draw>(...)`` draws
+_DRAW_METHODS = frozenset({
+    "random", "integers", "choice", "uniform", "normal",
+    "standard_normal", "shuffle", "permutation", "permuted",
+    "exponential", "beta", "gamma", "binomial", "poisson",
+    "multivariate_normal", "bytes", "bit_generator", "spawn",
+})
+#: receiver-name substrings that mark a receiver as an RNG handle
+_RNGISH_RECEIVERS = ("rng", "gen", "random")
+#: fully-resolved functions that append a decision/replay/update record
+APPEND_FUNCTIONS = frozenset({
+    "repro.resilience.checkpoint.CheckpointedWal.append",
+    "repro.resilience.checkpoint.CheckpointedWal.raw_append",
+    "repro.resilience.replication.Follower._apply_append",
+})
+#: method names that journal by convention, on any receiver
+_APPEND_METHOD_NAMES = frozenset({
+    "record_decision", "record_replay", "record_refusal", "record_update",
+})
+#: ``x.append(...)`` receivers (lowercased dotted text suffix) that are
+#: write-ahead logs rather than plain lists
+_APPEND_RECEIVER_SUFFIXES = ("wal", "journal", "log")
+_CHECKPOINT_FUNCTIONS = frozenset({
+    "repro.resilience.budget.BudgetScope.checkpoint",
+})
+_CHECKPOINT_NAMES = frozenset({"checkpoint", "_checkpoint"})
+_FAULT_SITE_FUNCTIONS = frozenset({"repro.resilience.faults.fault_site"})
+#: method names that *delegate* the whole release+journal obligation
+_DELEGATE_METHOD_NAMES = frozenset({"audit"})
+#: file-fsync primitives (the durable-write syscall)
+FSYNC_CALLS = frozenset({"os.fsync", "os.fdatasync"})
+#: directory-fsync helpers (persist a rename itself), matched by name
+DIR_FSYNC_NAMES = frozenset({"fsync_directory"})
 
 
 @dataclass
@@ -129,6 +119,8 @@ class CallFacts:
     delegates_audit: bool = False
     checkpoints: bool = False
     fault_site: bool = False
+    fsync: bool = False
+    dir_fsync: bool = False
 
 
 @dataclass
@@ -136,42 +128,31 @@ class EffectSummary:
     """Transitive effects of one function/method."""
 
     draws_randomness: bool = False
+    #: draws not derived from an explicit seed (a subset of the above)
+    draws_unseeded: bool = False
     appends_journal: bool = False
     checkpoints_budget: bool = False
     hits_fault_site: bool = False
+    fsyncs: bool = False
+    #: fsyncs a directory (a subset of ``fsyncs``)
+    fsyncs_directory: bool = False
 
     def merge(self, other: "EffectSummary") -> bool:
         """OR ``other`` in; True when anything changed."""
-        before = (self.draws_randomness, self.appends_journal,
-                  self.checkpoints_budget, self.hits_fault_site)
-        self.draws_randomness |= other.draws_randomness
-        self.appends_journal |= other.appends_journal
-        self.checkpoints_budget |= other.checkpoints_budget
-        self.hits_fault_site |= other.hits_fault_site
-        return before != (self.draws_randomness, self.appends_journal,
-                          self.checkpoints_budget, self.hits_fault_site)
+        changed = False
+        for name in _SUMMARY_BITS:
+            if getattr(other, name) and not getattr(self, name):
+                setattr(self, name, True)
+                changed = True
+        return changed
+
+
+_SUMMARY_BITS = tuple(f.name for f in fields(EffectSummary))
 
 
 # ----------------------------------------------------------------------
 # AST helpers
 # ----------------------------------------------------------------------
-
-def iter_calls(node: ast.AST) -> List[ast.Call]:
-    """Call nodes in a function body, excluding nested defs."""
-    out: List[ast.Call] = []
-
-    def visit(current: ast.AST) -> None:
-        for child in ast.iter_child_nodes(current):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                continue
-            if isinstance(child, ast.Call):
-                out.append(child)
-            visit(child)
-
-    visit(node)
-    return out
-
 
 def attr_text(expr: ast.expr) -> Optional[str]:
     """Best-effort dotted rendering of an attribute/name chain."""
@@ -226,16 +207,12 @@ def _seed_argument_missing(call: ast.Call) -> bool:
 class EffectEngine:
     """Computes and caches effect summaries for one package index."""
 
-    def __init__(self, index: PackageIndex, resolver: Resolver,
-                 config: Optional[EffectConfig] = None) -> None:
-        self.index = index
-        self.resolver = resolver
-        self.config = config or DEFAULT_EFFECTS
-        #: id(FunctionNode) -> summary
-        self._summaries: Dict[int, EffectSummary] = {}
-        #: id(FunctionNode) -> callee function ids
-        self._edges: Dict[int, Set[int]] = {}
-        self.functions_scanned = 0
+    def __init__(self, facts: FunctionFacts) -> None:
+        self.facts = facts
+        self.index: PackageIndex = facts.index
+        self.resolver = facts.resolver
+        #: function -> summary
+        self._summaries: Dict[FunctionNode, EffectSummary] = {}
         self._compute()
 
     # -- per-call classification ---------------------------------------
@@ -243,7 +220,6 @@ class EffectEngine:
     def call_facts(self, call: ast.Call, module: str,
                    env: TypeEnv) -> CallFacts:
         """Classify the primitive effects of one call site."""
-        config = self.config
         facts = CallFacts()
         facts.dotted = dotted_callee(call.func, self.index, module)
         try:
@@ -253,57 +229,55 @@ class EffectEngine:
 
         dotted = facts.dotted
         if dotted is not None:
-            if dotted in config.seeded_factories:
+            if dotted in SEEDED_FACTORIES:
                 if _seed_argument_missing(call):
                     facts.unseeded_rng = dotted
-            elif dotted in config.global_rng_allow:
+            elif dotted in _GLOBAL_RNG_ALLOW:
                 pass
-            elif any(dotted.startswith(p)
-                     for p in config.global_rng_prefixes):
+            elif dotted.startswith(_GLOBAL_RNG_PREFIXES):
                 facts.unseeded_rng = dotted
                 facts.draws = True
-            if dotted in config.clock_entropy:
+            if dotted in _CLOCK_ENTROPY:
                 facts.clock = dotted
-            if dotted in config.fault_site_functions:
+            if dotted in _FAULT_SITE_FUNCTIONS:
                 facts.fault_site = True
+            if dotted in FSYNC_CALLS:
+                facts.fsync = True
 
         resolved = facts.resolved
         if resolved is not None:
-            if resolved.qualname in config.seeded_factories:
+            if resolved.qualname in SEEDED_FACTORIES:
                 if _seed_argument_missing(call):
                     facts.unseeded_rng = resolved.qualname
-            if resolved.qualname in config.append_functions:
+            if resolved.qualname in APPEND_FUNCTIONS:
                 facts.appends = True
-            if resolved.qualname in config.checkpoint_functions:
+            if resolved.qualname in _CHECKPOINT_FUNCTIONS:
                 facts.checkpoints = True
-            if resolved.qualname in config.fault_site_functions:
+            if resolved.qualname in _FAULT_SITE_FUNCTIONS:
                 facts.fault_site = True
 
+        name: Optional[str] = None
         if isinstance(call.func, ast.Attribute):
-            attr = call.func.attr
+            name = attr = call.func.attr
             receiver = (attr_text(call.func.value) or "").lower()
             root = receiver.rsplit(".", 1)[-1]
-            if attr in config.draw_methods and any(
-                    token in root for token in config.rngish_receivers):
+            if attr in _DRAW_METHODS and any(
+                    token in root for token in _RNGISH_RECEIVERS):
                 facts.draws = True
-            if attr in config.append_method_names:
+            if attr in _APPEND_METHOD_NAMES:
                 facts.appends = True
-            if attr == "append" and any(
-                    root.endswith(sfx)
-                    for sfx in config.append_receiver_suffixes):
+            if attr == "append" and root.endswith(_APPEND_RECEIVER_SUFFIXES):
                 facts.appends = True
-            if attr in config.checkpoint_names:
-                facts.checkpoints = True
-            if attr == "fault_site":
-                facts.fault_site = True
-            if attr in config.delegate_method_names:
+            if attr in _DELEGATE_METHOD_NAMES:
                 facts.delegates_audit = True
         elif isinstance(call.func, ast.Name):
             name = call.func.id
-            if name in config.checkpoint_names:
-                facts.checkpoints = True
-            if name == "fault_site":
-                facts.fault_site = True
+        if name in _CHECKPOINT_NAMES:
+            facts.checkpoints = True
+        if name == "fault_site":
+            facts.fault_site = True
+        if name in DIR_FSYNC_NAMES:
+            facts.fsync = facts.dir_fsync = True
         return facts
 
     def merged_facts(self, call: ast.Call, module: str,
@@ -312,59 +286,49 @@ class EffectEngine:
         facts = self.call_facts(call, module, env)
         resolved = facts.resolved
         if resolved is not None and resolved.node is not None:
-            summary = self._summaries.get(id(resolved.node))
+            summary = self._summaries.get(resolved.node)
             if summary is not None:
-                facts.draws = facts.draws or summary.draws_randomness
-                facts.appends = facts.appends or summary.appends_journal
-                facts.checkpoints = (facts.checkpoints
-                                     or summary.checkpoints_budget)
-                facts.fault_site = (facts.fault_site
-                                    or summary.hits_fault_site)
+                facts.draws |= summary.draws_randomness
+                facts.appends |= summary.appends_journal
+                facts.checkpoints |= summary.checkpoints_budget
+                facts.fault_site |= summary.hits_fault_site
+                facts.fsync |= summary.fsyncs
+                facts.dir_fsync |= summary.fsyncs_directory
         return facts
 
     def summary_of(self, node: FunctionNode) -> EffectSummary:
         """The (transitive) summary of a function node; empty if unknown."""
-        return self._summaries.get(id(node), EffectSummary())
+        return self._summaries.get(node, EffectSummary())
 
     # -- whole-package fixpoint ----------------------------------------
 
-    def _all_functions(self) -> List[Tuple[str, FunctionNode,
-                                           Optional[ClassInfo]]]:
-        out: List[Tuple[str, FunctionNode, Optional[ClassInfo]]] = []
-        for mod in self.index.modules.values():
-            for fn in mod.functions.values():
-                out.append((mod.name, fn, None))
-            for cls in mod.classes.values():
-                for method in cls.methods.values():
-                    out.append((mod.name, method, cls))
-        return out
-
     def _compute(self) -> None:
-        functions = self._all_functions()
-        self.functions_scanned = len(functions)
-        for module, node, self_class in functions:
+        edges: Dict[FunctionNode, Set[FunctionNode]] = {}
+        for module, node, self_class in self.facts.functions:
             summary = EffectSummary()
-            edges: Set[int] = set()
-            env = self.resolver.param_env(module, node,
-                                          self_class=self_class)
-            for call in iter_calls(node):
+            callees: Set[FunctionNode] = set()
+            env = self.facts.param_env(module, node, self_class)
+            for call in self.facts.calls(node):
                 facts = self.call_facts(call, module, env)
                 summary.draws_randomness |= bool(facts.draws
                                                  or facts.unseeded_rng)
+                summary.draws_unseeded |= facts.unseeded_rng is not None
                 summary.appends_journal |= facts.appends
                 summary.checkpoints_budget |= facts.checkpoints
                 summary.hits_fault_site |= facts.fault_site
+                summary.fsyncs |= facts.fsync
+                summary.fsyncs_directory |= facts.dir_fsync
                 if (facts.resolved is not None
                         and facts.resolved.node is not None):
-                    edges.add(id(facts.resolved.node))
-            self._summaries[id(node)] = summary
-            self._edges[id(node)] = edges
+                    callees.add(facts.resolved.node)
+            self._summaries[node] = summary
+            edges[node] = callees
         changed = True
         while changed:
             changed = False
-            for fid, edges in self._edges.items():
-                target = self._summaries[fid]
-                for callee in edges:
+            for caller, callees in edges.items():
+                target = self._summaries[caller]
+                for callee in callees:
                     callee_summary = self._summaries.get(callee)
                     if callee_summary is not None and target.merge(
                             callee_summary):

@@ -18,7 +18,7 @@ callees, and reports every reachable read of a **sensitive source**:
 
 Decision paths *may* use the query structure, past answered values, and the
 dataset's public envelope (``n`` / ``low`` / ``high`` / ``len``) — exactly
-the allowlist encoded in :data:`DEFAULT_CONFIG`.
+the allowlist encoded in :data:`SENSITIVE_CLASSES`.
 
 Intentional violations (the §2.2 straw men, documented chain-seeding
 shortcuts) carry a ``# simulatability: violation -- <reason>`` pragma on or
@@ -29,21 +29,20 @@ do not fail the gate.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .callgraph import ResolvedCall, Resolver, TypeEnv
-from .cfg import CFG, StmtNode, build_cfg, flow_locals, stmt_expr_nodes
+from .cfg import CFG, StmtNode, flow_locals, stmt_expr_nodes
+from .facts import FunctionFacts
 from .findings import (
     RULE_SENSITIVE_ESCAPE,
     RULE_SENSITIVE_READ,
     RULE_TRUE_ANSWER,
     Finding,
     Frame,
-    Report,
 )
-from .modindex import ClassInfo, FunctionNode, PackageIndex, build_index
+from .modindex import ClassInfo, FunctionNode, PackageIndex
 
 #: Builtins whose application to a dataset enumerates its values.
 _ENUMERATING_BUILTINS = frozenset({
@@ -55,60 +54,32 @@ _ENUMERATING_BUILTINS = frozenset({
 _PUBLIC_BUILTINS = frozenset({"len", "isinstance", "type", "repr", "id"})
 
 
-@dataclass(frozen=True)
-class SensitiveClass:
-    """Public surface of a class whose instances hold sensitive values."""
-
-    qualname: str
-    public_attrs: FrozenSet[str] = frozenset({"n", "low", "high"})
-
-
-@dataclass
-class AnalysisConfig:
-    """Sources, sinks, and entry points of one analysis run."""
-
-    package: str = "repro"
-    #: qualified name of the auditor base class
-    base_class: str = "repro.auditors.base.Auditor"
-    #: methods whose bodies (and transitive callees) form the decision path
-    #: (``_deny_reason_sampled`` is the budgeted inner body the resilience
-    #: guard dispatches to — registered explicitly so the deadline
-    #: fallback's decision path stays covered even if the indirect call
-    #: through ``run_fail_closed`` ever stops resolving)
-    entry_methods: Tuple[str, ...] = ("_deny_reason", "would_answer",
-                                      "_record_answer",
-                                      "_deny_reason_sampled")
-    #: functions that evaluate the true answer of the current query
-    sensitive_functions: Set[str] = field(default_factory=lambda: {
-        "repro.sdb.aggregates.true_answer",
-        "repro.sdb.aggregates.evaluate_aggregate",
-    })
-    sensitive_classes: Dict[str, SensitiveClass] = field(
-        default_factory=lambda: {
-            "repro.sdb.dataset.Dataset": SensitiveClass(
-                "repro.sdb.dataset.Dataset"),
-        })
-    #: attribute names treated as sensitive even on untyped receivers named
-    #: like a dataset (defence in depth for un-annotated helpers)
-    sensitive_attr_names: Set[str] = field(
-        default_factory=lambda: {"values", "sorted_values"})
-    dataset_like_names: Set[str] = field(
-        default_factory=lambda: {"dataset", "data", "ds", "db"})
-    max_depth: int = 25
-
-    def register_sensitive_function(self, qualname: str) -> None:
-        """Mark another callable as a true-answer source."""
-        self.sensitive_functions.add(qualname)
-
-    def register_sensitive_class(self, qualname: str,
-                                 public_attrs: Iterable[str] = ()) -> None:
-        """Mark a class as sensitive, allowlisting ``public_attrs``."""
-        self.sensitive_classes[qualname] = SensitiveClass(
-            qualname, frozenset(public_attrs) or frozenset({"n", "low",
-                                                            "high"}))
-
-
-DEFAULT_CONFIG = AnalysisConfig()
+#: the analysed package
+PACKAGE = "repro"
+#: qualified name of the auditor base class
+BASE_CLASS = "repro.auditors.base.Auditor"
+#: methods whose bodies (and transitive callees) form the decision path
+#: (``_deny_reason_sampled`` is the budgeted inner body the resilience
+#: guard dispatches to — registered explicitly so the deadline fallback's
+#: decision path stays covered even if the indirect call through
+#: ``run_fail_closed`` ever stops resolving)
+ENTRY_METHODS = ("_deny_reason", "would_answer", "_record_answer",
+                 "_deny_reason_sampled")
+#: functions that evaluate the true answer of the current query
+TRUE_ANSWER_FUNCTIONS = frozenset({
+    "repro.sdb.aggregates.true_answer",
+    "repro.sdb.aggregates.evaluate_aggregate",
+})
+#: classes whose instances hold sensitive values -> their public members
+SENSITIVE_CLASSES: Dict[str, FrozenSet[str]] = {
+    "repro.sdb.dataset.Dataset": frozenset({"n", "low", "high"}),
+}
+#: attribute names treated as sensitive even on untyped receivers named
+#: like a dataset (defence in depth for un-annotated helpers)
+SENSITIVE_ATTR_NAMES = frozenset({"values", "sorted_values"})
+DATASET_LIKE_NAMES = frozenset({"dataset", "data", "ds", "db"})
+#: call-chain depth at which the SIM and DET walks stop following callees
+MAX_DEPTH = 25
 
 
 def default_package_dir() -> Path:
@@ -121,25 +92,24 @@ def default_package_dir() -> Path:
 # ----------------------------------------------------------------------
 
 class _Walker:
-    def __init__(self, index: PackageIndex, resolver: Resolver,
-                 config: AnalysisConfig) -> None:
-        self.index = index
-        self.resolver = resolver
-        self.config = config
+    def __init__(self, facts: FunctionFacts) -> None:
+        self.facts = facts
+        self.index = facts.index
+        self.resolver = facts.resolver
         self.findings: List[Finding] = []
         self._seen_findings: Set[Tuple] = set()
-        self._cfg_cache: Dict[int, CFG] = {}
 
     # -- sensitivity helpers -------------------------------------------
 
     def _sensitive_class(self, cls: Optional[ClassInfo]
-                         ) -> Optional[SensitiveClass]:
+                         ) -> Optional[Tuple[str, FrozenSet[str]]]:
+        """``(qualname, public members)`` when ``cls`` is sensitive."""
         if cls is None:
             return None
         for candidate in self.resolver.mro(cls):
-            hit = self.config.sensitive_classes.get(candidate.qualname)
-            if hit is not None:
-                return hit
+            public = SENSITIVE_CLASSES.get(candidate.qualname)
+            if public is not None:
+                return candidate.qualname, public
         return None
 
     def _root_name(self, expr: ast.expr) -> Optional[str]:
@@ -154,7 +124,7 @@ class _Walker:
     def check_class(self, cls: ClassInfo) -> int:
         """Walk every entry point of one auditor class; returns how many."""
         entries = 0
-        for entry_name in self.config.entry_methods:
+        for entry_name in ENTRY_METHODS:
             hit = self.resolver.find_method(cls, entry_name)
             if hit is None:
                 continue
@@ -188,9 +158,11 @@ class _Walker:
         only when both arms agree), and each statement's expressions are
         scanned against the type state that actually reaches it.
         """
-        env = self.resolver.param_env(module, node, self_class=self_class)
-        env.locals.update(extra_param_types)
-        graph = self._cfg(node)
+        params = self.facts.param_env(module, node, self_class)
+        env = TypeEnv(module=params.module, self_class=params.self_class,
+                      self_name=params.self_name,
+                      locals={**params.locals, **extra_param_types})
+        graph = self.facts.cfg(node)
         states = self._flow_types(graph, env)
         for stmt in graph.statements():
             local_env = TypeEnv(
@@ -211,13 +183,6 @@ class _Walker:
             for loop_iter in _stmt_iteration_exprs(stmt):
                 self._scan_iteration(loop_iter, module, local_env, entry,
                                      chain)
-
-    def _cfg(self, node: FunctionNode) -> CFG:
-        cached = self._cfg_cache.get(id(node))
-        if cached is None:
-            cached = build_cfg(node)
-            self._cfg_cache[id(node)] = cached
-        return cached
 
     def _flow_types(self, graph: CFG,
                     env: TypeEnv) -> Dict[int, Dict[str, ClassInfo]]:
@@ -265,7 +230,7 @@ class _Walker:
 
         # SIM001: the call evaluates a true answer.
         if (resolved is not None
-                and resolved.qualname in self.config.sensitive_functions):
+                and resolved.qualname in TRUE_ANSWER_FUNCTIONS):
             self._emit(RULE_TRUE_ANSWER, module, call,
                        sink=f"call to {resolved.qualname}",
                        message="decision path evaluates the true answer "
@@ -279,11 +244,12 @@ class _Walker:
         if receiver is not None and resolved is not None \
                 and resolved.constructed is None:
             method = resolved.qualname.rsplit(".", 1)[-1]
-            if method not in receiver.public_attrs:
+            qualname, public = receiver
+            if method not in public:
                 self._emit(RULE_SENSITIVE_READ, module, call,
                            sink=f"call to {resolved.qualname}",
                            message="decision path reads sensitive values "
-                                   f"via {receiver.qualname.rsplit('.', 1)[-1]}"
+                                   f"via {qualname.rsplit('.', 1)[-1]}"
                                    f".{method}()",
                            entry=entry, chain=chain)
             return
@@ -317,7 +283,7 @@ class _Walker:
 
         # Recurse into resolvable package-internal callees.
         if (resolved is None or resolved.node is None
-                or resolved.module is None or depth >= self.config.max_depth):
+                or resolved.module is None or depth >= MAX_DEPTH):
             return
         if self._sensitive_class(resolved.constructed) is not None:
             return  # constructing a dataset is not a read of this one
@@ -369,21 +335,20 @@ class _Walker:
             if env.self_class is not None and self._sensitive_class(
                     env.self_class) is not None:
                 return  # the sensitive class's own methods may touch itself
-            if attr.attr in sensitive.public_attrs:
+            qualname, public = sensitive
+            if attr.attr in public:
                 return
             self._emit(RULE_SENSITIVE_READ, module, attr,
-                       sink=f"attribute {sensitive.qualname.rsplit('.', 1)[-1]}"
+                       sink=f"attribute {qualname.rsplit('.', 1)[-1]}"
                             f".{attr.attr}",
                        message="decision path reads sensitive attribute "
                                f".{attr.attr}",
                        entry=entry, chain=chain)
             return
         # Name-based fallback: ``ds.values`` on an untyped dataset-like name.
-        if (base_cls is None
-                and attr.attr in self.config.sensitive_attr_names):
+        if base_cls is None and attr.attr in SENSITIVE_ATTR_NAMES:
             root = self._root_name(attr.value)
-            if root is not None and root.lower() in \
-                    self.config.dataset_like_names:
+            if root is not None and root.lower() in DATASET_LIKE_NAMES:
                 self._emit(RULE_SENSITIVE_READ, module, attr,
                            sink=f"attribute {root}.{attr.attr}",
                            message="decision path reads dataset-like "
@@ -504,63 +469,27 @@ def _is_abstract_stub(node: FunctionNode) -> bool:
 # Public API
 # ----------------------------------------------------------------------
 
-def find_auditor_classes(index: PackageIndex, resolver: Resolver,
-                         config: AnalysisConfig) -> List[ClassInfo]:
+def find_auditor_classes(index: PackageIndex,
+                         resolver: Resolver) -> List[ClassInfo]:
     """Concrete auditor classes: Auditor subclasses (or anything defining
     ``_deny_reason``) other than the abstract base itself."""
     out: List[ClassInfo] = []
     for cls in index.classes.values():
-        if cls.qualname == config.base_class:
+        if cls.qualname == BASE_CLASS:
             continue
-        if resolver.is_subclass_of(cls, config.base_class) \
+        if resolver.is_subclass_of(cls, BASE_CLASS) \
                 or "_deny_reason" in cls.methods:
             out.append(cls)
     out.sort(key=lambda c: c.qualname)
     return out
 
 
-def check_package(package_dir: Union[str, Path, None] = None,
-                  config: Optional[AnalysisConfig] = None,
-                  source_overrides: Optional[Dict[str, str]] = None,
-                  extra_modules: Optional[Iterable[Tuple[str, Path]]] = None,
-                  ) -> Report:
-    """Run the simulatability analyzer over a package tree.
-
-    Parameters
-    ----------
-    package_dir:
-        The package directory (holding ``__init__.py``); defaults to the
-        installed ``repro`` package.
-    config:
-        Sources/sinks/entry points; defaults to the repro conventions.
-    source_overrides:
-        ``{path: source}`` replacements applied before parsing (tests use
-        this to strip pragmas without touching the tree).
-    extra_modules:
-        Extra ``(dotted_name, path)`` modules analysed alongside the
-        package (tests inject fixture auditors this way).
-
-    Returns
-    -------
-    Report
-        Structured findings; ``report.ok`` is False when any undocumented
-        violation was found.
-    """
-    config = config or DEFAULT_CONFIG
-    package_dir = Path(package_dir) if package_dir is not None \
-        else default_package_dir()
-    index = build_index(package_dir, package=config.package,
-                        source_overrides=source_overrides,
-                        extra_modules=extra_modules)
-    resolver = Resolver(index)
-    walker = _Walker(index, resolver, config)
-    classes = find_auditor_classes(index, resolver, config)
+def check_simulatability(facts: FunctionFacts
+                         ) -> Tuple[List[Finding], int, int]:
+    """Run the SIM rules; returns (findings, entry points, classes)."""
+    walker = _Walker(facts)
+    classes = find_auditor_classes(facts.index, facts.resolver)
     entry_points = 0
     for cls in classes:
         entry_points += walker.check_class(cls)
-    report = Report(package=config.package, root=str(index.root),
-                    findings=walker.findings,
-                    entry_points=entry_points,
-                    classes_checked=len(classes),
-                    modules_scanned=len(index.modules))
-    return report
+    return walker.findings, entry_points, len(classes)

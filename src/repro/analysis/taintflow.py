@@ -8,7 +8,7 @@ module is the flow engine; :mod:`repro.analysis.leaks` turns its sink
 events into findings.
 
 The abstraction is an *origin set* per local name: ``{"source"}`` marks
-data derived from a configured sensitive source (a dataset cell, a true
+data derived from a declared sensitive source (a dataset cell, a true
 aggregate answer, synopsis internals), ``{"param:i"}`` marks data derived
 from the function's *i*-th parameter.  Origins propagate through
 assignments (including tuple unpacking and container-mutating method
@@ -50,13 +50,19 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .callgraph import ClassInfo, ResolvedCall, Resolver, TypeEnv
-from .cfg import CFG, StmtNode, build_cfg, stmt_expr_nodes
+from .callgraph import ClassInfo, ResolvedCall, TypeEnv
+from .cfg import CFG, StmtNode, stmt_expr_nodes
 from .escape import EscapeEngine
-from .modindex import FunctionNode, PackageIndex
-from .purity import EffectEngine, attr_text, dotted_callee, iter_calls
+from .facts import FunctionFacts
+from .modindex import FunctionNode
+from .purity import EffectEngine, attr_text, dotted_callee
+from .simulatability import (
+    DATASET_LIKE_NAMES,
+    SENSITIVE_ATTR_NAMES,
+    TRUE_ANSWER_FUNCTIONS,
+)
 
-#: The distinguished origin: data derived from a configured source.
+#: The distinguished origin: data derived from a declared source.
 SOURCE = "source"
 
 _EMPTY: FrozenSet[str] = frozenset()
@@ -80,120 +86,85 @@ def param_index(origin: str) -> Optional[int]:
     return None
 
 
-@dataclass
-class TaintConfig:
-    """Sources, sanitizers, release boundary, and sinks for the package.
+# Sources, sanitizers, release boundary and sinks, all keyed off the real
+# tree: the sdb aggregate evaluators (SIM's true-answer functions) and
+# dataset/table cell accessors are sources, synopsis classes are source
+# *classes* (any non-public member read yields sensitive data), the
+# audit-decision constructors are the release boundary, and the
+# journal/WAL/export surfaces are sinks.
 
-    Everything is keyed off the real tree: the sdb aggregate evaluators
-    and dataset/table cell accessors are sources, synopsis classes are
-    source *classes* (any non-public member read yields sensitive data),
-    the audit-decision constructors are the release boundary, and the
-    journal/WAL/replication/export surfaces are sinks.
-    """
+#: methods (qualified) whose return value is a cell-level read
+_SOURCE_METHODS = frozenset({
+    "repro.sdb.table.Table.row",
+    "repro.sdb.columns.TableView.column",
+})
+_SYNOPSIS_PUBLIC = frozenset({
+    "n", "size", "copy", "insert", "add_element", "is_consistent",
+    "would_be_consistent", "propagate",
+})
+#: classes whose non-public member reads yield sensitive data;
+#: value = the attacker-computable (public) member allowlist
+_SOURCE_CLASSES: Dict[str, FrozenSet[str]] = {
+    "repro.sdb.dataset.Dataset": frozenset({"n", "low", "high", "subset"}),
+    "repro.synopsis.combined.CombinedSynopsis": _SYNOPSIS_PUBLIC,
+    "repro.synopsis.extreme_synopsis.ExtremeSynopsis": _SYNOPSIS_PUBLIC,
+    # the audit worker's rebuild recipe carries the sensitive column in
+    # ``values``; every other field is public serving configuration
+    "repro.serving.shards.ShardSpec": frozenset({
+        "index", "low", "high", "auditor", "seed", "wal_dir",
+        "checkpoint_every", "checkpoint_bytes", "replicate_to",
+        "user_rate", "user_burst",
+    }),
+}
+#: ``rec[sensitive_column]``-style subscripts are cell reads
+_SOURCE_INDEX_NAMES = frozenset({"sensitive_column", "sensitive"})
 
-    # -- sources -------------------------------------------------------
-    #: functions whose return value is sensitive
-    source_functions: FrozenSet[str] = frozenset({
-        "repro.sdb.aggregates.true_answer",
-        "repro.sdb.aggregates.evaluate_aggregate",
-    })
-    #: methods (qualified) whose return value is a cell-level read
-    source_methods: FrozenSet[str] = frozenset({
-        "repro.sdb.table.Table.row",
-        "repro.sdb.columns.TableView.column",
-    })
-    #: classes whose non-public member reads yield sensitive data;
-    #: value = the attacker-computable (public) member allowlist
-    source_classes: Dict[str, FrozenSet[str]] = field(default_factory=lambda: {
-        "repro.sdb.dataset.Dataset": frozenset({
-            "n", "low", "high", "subset",
-        }),
-        "repro.synopsis.combined.CombinedSynopsis": frozenset({
-            "n", "size", "copy", "insert", "add_element",
-            "is_consistent", "would_be_consistent", "propagate",
-        }),
-        "repro.synopsis.extreme_synopsis.ExtremeSynopsis": frozenset({
-            "n", "size", "copy", "insert", "add_element",
-            "is_consistent", "would_be_consistent", "propagate",
-        }),
-        # the audit worker's rebuild recipe carries the sensitive column
-        # in ``values``; every other field is public serving configuration
-        "repro.serving.shards.ShardSpec": frozenset({
-            "index", "low", "high", "auditor", "seed", "wal_dir",
-            "checkpoint_every", "checkpoint_bytes", "replicate_to",
-            "user_rate", "user_burst",
-        }),
-    })
-    #: attribute names on *untyped* dataset-ish receivers (name fallback)
-    source_attr_names: FrozenSet[str] = frozenset({
-        "values", "sorted_values",
-    })
-    dataset_like_names: FrozenSet[str] = frozenset({
-        "dataset", "data", "ds", "db",
-    })
-    #: ``rec[sensitive_column]``-style subscripts are cell reads
-    source_index_names: FrozenSet[str] = frozenset({
-        "sensitive_column", "sensitive",
-    })
+_SANITIZER_BUILTINS = frozenset({
+    "len", "hash", "id", "bool", "isinstance", "issubclass", "type",
+    "range", "enumerate",
+})
+_SANITIZER_FUNCTIONS = frozenset({"repro.sdb.predicates.canonical_key"})
+#: public scalar projections, safe on any receiver
+_SANITIZER_ATTR_NAMES = frozenset({
+    "n", "size", "shape", "ndim", "dtype", "version",
+})
 
-    # -- sanitizers ----------------------------------------------------
-    sanitizer_builtins: FrozenSet[str] = frozenset({
-        "len", "hash", "id", "bool", "isinstance", "issubclass", "type",
-        "range", "enumerate",
-    })
-    sanitizer_functions: FrozenSet[str] = frozenset({
-        "repro.sdb.predicates.canonical_key",
-    })
-    #: public scalar projections, safe on any receiver
-    sanitizer_attr_names: FrozenSet[str] = frozenset({
-        "n", "size", "shape", "ndim", "dtype", "version",
-    })
+_RELEASE_FUNCTIONS = frozenset({
+    "repro.types.AuditDecision",
+    "repro.types.AuditDecision.__init__",
+    "repro.types.AuditDecision.answer",
+    "repro.types.AuditDecision.deny",
+})
+_RELEASE_RECEIVER_NAMES = frozenset({"AuditDecision"})
+_DENY_FUNCTIONS = frozenset({"repro.types.AuditDecision.deny"})
 
-    # -- the release boundary ------------------------------------------
-    release_functions: FrozenSet[str] = frozenset({
-        "repro.types.AuditDecision",
-        "repro.types.AuditDecision.__init__",
-        "repro.types.AuditDecision.answer",
-        "repro.types.AuditDecision.deny",
-    })
-    release_receiver_names: FrozenSet[str] = frozenset({"AuditDecision"})
-    deny_functions: FrozenSet[str] = frozenset({
-        "repro.types.AuditDecision.deny",
-    })
+_LOG_CALLABLES = frozenset({
+    "warnings.warn", "sys.stdout.write", "sys.stderr.write",
+})
+_LOG_PREFIXES = ("logging.",)
+#: package-internal output writers (CSV exports reach the operator)
+_LOG_FUNCTIONS = frozenset({
+    "repro.reporting.export.write_series_csv",
+    "repro.reporting.export.write_table_csv",
+    # serving tier: HTTP response bodies and SSE frames reach remote
+    # clients — tainted values must never flow into them except through
+    # the AuditDecision release boundary
+    "repro.serving.protocol.json_body",
+    "repro.serving.protocol.json_response",
+    "repro.serving.sse.format_event",
+})
+_LOG_METHOD_NAMES = frozenset({
+    "debug", "info", "warning", "error", "exception", "critical", "log",
+    "write",
+})
+_LOG_RECEIVER_NAMES = frozenset({
+    "logger", "log", "logging", "warnings", "stdout", "stderr",
+})
+#: wire-frame builders, matched by name: payloads cross the wire
+_FRAME_METHOD_NAMES = frozenset({"encode_frame"})
 
-    # -- sinks ---------------------------------------------------------
-    print_names: FrozenSet[str] = frozenset({"print"})
-    log_callables: FrozenSet[str] = frozenset({
-        "warnings.warn", "sys.stdout.write", "sys.stderr.write",
-    })
-    log_prefixes: Tuple[str, ...] = ("logging.",)
-    #: package-internal output writers (CSV exports reach the operator)
-    log_functions: FrozenSet[str] = frozenset({
-        "repro.reporting.export.write_series_csv",
-        "repro.reporting.export.write_table_csv",
-        # serving tier: HTTP response bodies and SSE frames reach remote
-        # clients — tainted values must never flow into them except
-        # through the AuditDecision release boundary
-        "repro.serving.protocol.json_body",
-        "repro.serving.protocol.json_response",
-        "repro.serving.sse.format_event",
-    })
-    log_method_names: FrozenSet[str] = frozenset({
-        "debug", "info", "warning", "error", "exception", "critical",
-        "log", "write",
-    })
-    log_receiver_names: FrozenSet[str] = frozenset({
-        "logger", "log", "logging", "warnings", "stdout", "stderr",
-    })
-    #: wire-frame builders: payloads cross the wire
-    frame_functions: FrozenSet[str] = frozenset()
-    frame_method_names: FrozenSet[str] = frozenset({"encode_frame"})
-
-    #: fixpoint safety valve (reprocessings per function)
-    max_passes_per_function: int = 40
-
-
-DEFAULT_TAINT_CONFIG = TaintConfig()
+#: fixpoint safety valve (reprocessings per function)
+_MAX_PASSES_PER_FUNCTION = 40
 
 
 @dataclass(frozen=True)
@@ -299,7 +270,6 @@ class _FnContext:
 
     module: str
     node: FunctionNode
-    self_class: Optional[ClassInfo]
     env: TypeEnv
     cfg: CFG
     param_taints: Dict[str, FrozenSet[str]]
@@ -311,19 +281,17 @@ class _FnContext:
 class TaintEngine:
     """Computes sink events and taint summaries for one package index."""
 
-    def __init__(self, index: PackageIndex, resolver: Resolver,
-                 engine: EffectEngine, escape: Optional[EscapeEngine] = None,
-                 config: Optional[TaintConfig] = None) -> None:
-        self.index = index
-        self.resolver = resolver
+    def __init__(self, facts: FunctionFacts, engine: EffectEngine,
+                 escape: Optional[EscapeEngine] = None) -> None:
+        self.facts = facts
+        self.index = facts.index
+        self.resolver = facts.resolver
         self.engine = engine
         self.escape = escape
-        self.config = config or DEFAULT_TAINT_CONFIG
         self._summaries: Dict[int, TaintSummary] = {}
         self._events: Dict[int, List[SinkEvent]] = {}
         self._contexts: Dict[int, _FnContext] = {}
         self._callers: Dict[int, Set[int]] = {}
-        self.functions_scanned = 0
         self._compute()
 
     # -- public accessors ----------------------------------------------
@@ -342,28 +310,15 @@ class TaintEngine:
         ctx = self._contexts.get(id(node))
         if ctx is not None:
             return ctx
-        env = self.resolver.param_env(module, node, self_class=self_class)
-        self._infer_assign_types(node, env)
         params = function_params(node, skip_self=self_class is not None)
         param_taints = {name: frozenset({_param(i)})
                         for i, name in enumerate(params)}
-        ctx = _FnContext(module=module, node=node, self_class=self_class,
-                         env=env, cfg=build_cfg(node),
+        ctx = _FnContext(module=module, node=node,
+                         env=self.facts.typed_env(module, node, self_class),
+                         cfg=self.facts.cfg(node),
                          param_taints=param_taints)
         self._contexts[id(node)] = ctx
         return ctx
-
-    def _infer_assign_types(self, node: FunctionNode, env: TypeEnv) -> None:
-        assigns = [stmt for stmt in ast.walk(node)
-                   if isinstance(stmt, ast.Assign)]
-        assigns.sort(key=lambda stmt: stmt.lineno)
-        for stmt in assigns:
-            if len(stmt.targets) != 1 or not isinstance(stmt.targets[0],
-                                                        ast.Name):
-                continue
-            inferred = self.resolver.infer_type(stmt.value, env)
-            if inferred is not None:
-                env.locals[stmt.targets[0].id] = inferred
 
     def _resolve(self, func: ast.expr, ctx: _FnContext
                  ) -> Optional[ResolvedCall]:
@@ -394,7 +349,7 @@ class TaintEngine:
         if cls is None:
             return None
         for c in self.resolver.mro(cls):
-            public = self.config.source_classes.get(c.qualname)
+            public = _SOURCE_CLASSES.get(c.qualname)
             if public is not None:
                 return public
         return None
@@ -476,12 +431,11 @@ class TaintEngine:
         public = self._source_public(self._infer(expr.value, ctx))
         if public is not None and expr.attr not in public:
             return _SOURCE_ONLY
-        if expr.attr in self.config.sanitizer_attr_names:
+        if expr.attr in _SANITIZER_ATTR_NAMES:
             return _EMPTY
-        if public is None and expr.attr in self.config.source_attr_names:
+        if public is None and expr.attr in SENSITIVE_ATTR_NAMES:
             root = _root_name(expr.value)
-            if (root is not None
-                    and root.lower() in self.config.dataset_like_names):
+            if root is not None and root.lower() in DATASET_LIKE_NAMES:
                 return _SOURCE_ONLY
         return self.expr_taint(expr.value, state, ctx)
 
@@ -494,7 +448,7 @@ class TaintEngine:
         base = self.expr_taint(expr.value, state, ctx)
         index = expr.slice
         if (isinstance(index, ast.Name)
-                and index.id in self.config.source_index_names):
+                and index.id in _SOURCE_INDEX_NAMES):
             # ``rec[sensitive_column]``: a cell read out of a raw record
             return base | _SOURCE_ONLY
         return base | self.expr_taint(index, state, ctx)
@@ -531,27 +485,26 @@ class TaintEngine:
     def call_taint(self, call: ast.Call, state: Dict[str, FrozenSet[str]],
                    ctx: _FnContext) -> FrozenSet[str]:
         """The origin set of a call's return value."""
-        config = self.config
         func = call.func
         name = func.id if isinstance(func, ast.Name) else None
         dotted = dotted_callee(func, self.index, ctx.module)
         resolved = self._resolve(func, ctx)
         qual = resolved.qualname if resolved is not None else None
 
-        if name in config.sanitizer_builtins:
+        if name in _SANITIZER_BUILTINS:
             return _EMPTY
         for candidate in (qual, dotted):
-            if candidate in config.sanitizer_functions:
+            if candidate in _SANITIZER_FUNCTIONS:
                 return _EMPTY
-            if candidate in config.release_functions:
+            if candidate in _RELEASE_FUNCTIONS:
                 return _EMPTY
         if (isinstance(func, ast.Attribute)
                 and func.attr in ("answer", "deny")
-                and attr_text(func.value) in config.release_receiver_names):
+                and attr_text(func.value) in _RELEASE_RECEIVER_NAMES):
             return _EMPTY
-        if qual in config.source_functions or dotted in config.source_functions:
+        if qual in TRUE_ANSWER_FUNCTIONS or dotted in TRUE_ANSWER_FUNCTIONS:
             return _SOURCE_ONLY
-        if qual in config.source_methods:
+        if qual in _SOURCE_METHODS:
             return _SOURCE_ONLY
         if resolved is not None and resolved.constructed is not None:
             constructed = resolved.constructed
@@ -804,7 +757,6 @@ class TaintEngine:
 
     def _scan_call(self, call: ast.Call, state: Dict[str, FrozenSet[str]],
                    ctx: _FnContext, events: List[SinkEvent]) -> None:
-        config = self.config
         func = call.func
         name = func.id if isinstance(func, ast.Name) else None
         dotted = dotted_callee(func, self.index, ctx.module)
@@ -820,9 +772,9 @@ class TaintEngine:
                 out |= self.expr_taint(kw.value, state, ctx)
             return out
 
-        is_deny = qual in config.deny_functions or (
+        is_deny = qual in _DENY_FUNCTIONS or (
             isinstance(func, ast.Attribute) and func.attr == "deny"
-            and attr_text(func.value) in config.release_receiver_names)
+            and attr_text(func.value) in _RELEASE_RECEIVER_NAMES)
         if is_deny:
             detail: Optional[ast.expr] = None
             if len(call.args) > 1:
@@ -842,19 +794,19 @@ class TaintEngine:
                         sink=f"deny(detail={snippet(detail)})",
                         origins=origins, constantish=is_const))
             return
-        if qual in config.release_functions:
+        if qual in _RELEASE_FUNCTIONS:
             return
 
-        is_log = (name in config.print_names
-                  or dotted in config.log_callables
-                  or qual in config.log_functions
-                  or dotted in config.log_functions
+        is_log = (name == "print"
+                  or dotted in _LOG_CALLABLES
+                  or qual in _LOG_FUNCTIONS
+                  or dotted in _LOG_FUNCTIONS
                   or (dotted is not None
-                      and dotted.startswith(config.log_prefixes)))
+                      and dotted.startswith(_LOG_PREFIXES)))
         if not is_log and isinstance(func, ast.Attribute):
             root = (_root_name(func.value) or "").lower()
-            if (func.attr in config.log_method_names
-                    and root in config.log_receiver_names):
+            if (func.attr in _LOG_METHOD_NAMES
+                    and root in _LOG_RECEIVER_NAMES):
                 is_log = True
         if is_log:
             origins = args_taint()
@@ -865,11 +817,9 @@ class TaintEngine:
             return
 
         facts = self.engine.call_facts(call, ctx.module, ctx.env)
-        is_frame = (qual in config.frame_functions
-                    or dotted in config.frame_functions
-                    or name in config.frame_method_names
+        is_frame = (name in _FRAME_METHOD_NAMES
                     or (isinstance(func, ast.Attribute)
-                        and func.attr in config.frame_method_names))
+                        and func.attr in _FRAME_METHOD_NAMES))
         if facts.appends or is_frame:
             origins = args_taint()
             if origins:
@@ -952,8 +902,7 @@ class TaintEngine:
         return summary, events
 
     def _compute(self) -> None:
-        functions = self._all_functions()
-        self.functions_scanned = len(functions)
+        functions = self.facts.functions
         by_id = {id(node): (module, node, self_class)
                  for module, node, self_class in functions}
         for fid in by_id:
@@ -961,7 +910,7 @@ class TaintEngine:
         # reverse call edges drive the worklist
         for module, node, self_class in functions:
             ctx = self._context(module, node, self_class)
-            for call in iter_calls(node):
+            for call in self.facts.calls(node):
                 resolved = self._resolve(call.func, ctx)
                 if resolved is not None and resolved.node is not None:
                     self._callers.setdefault(
@@ -973,7 +922,7 @@ class TaintEngine:
             fid = pending.popleft()
             queued.discard(fid)
             passes[fid] = passes.get(fid, 0) + 1
-            if passes[fid] > self.config.max_passes_per_function:
+            if passes[fid] > _MAX_PASSES_PER_FUNCTION:
                 continue  # pragma: no cover - safety valve
             module, node, self_class = by_id[fid]
             ctx = self._context(module, node, self_class)
@@ -985,17 +934,6 @@ class TaintEngine:
                     if caller not in queued and caller in by_id:
                         pending.append(caller)
                         queued.add(caller)
-
-    def _all_functions(self):
-        out = []
-        for mod in sorted(self.index.modules.values(),
-                          key=lambda m: m.name):
-            for fn in mod.functions.values():
-                out.append((mod.name, fn, None))
-            for cls in mod.classes.values():
-                for method in cls.methods.values():
-                    out.append((mod.name, method, cls))
-        return out
 
 
 def _root_name(expr: ast.expr) -> Optional[str]:

@@ -89,6 +89,11 @@ def _dataset_header(dataset: Dataset) -> Dict[str, Any]:
     }
 
 
+#: Snapshots the manifest retains: two means recovery survives one
+#: torn/corrupt snapshot without resorting to a full replay.
+KEEP_SNAPSHOTS = 2
+
+
 @dataclass(frozen=True)
 class CheckpointPolicy:
     """When to checkpoint, and how much history to retain.
@@ -101,10 +106,6 @@ class CheckpointPolicy:
     every_bytes:
         Checkpoint once the active segment holds at least this many bytes
         (``None`` disables the byte trigger).
-    keep_snapshots:
-        How many snapshots the manifest retains.  Two (the default) means
-        recovery survives one torn/corrupt snapshot without resorting to
-        a full replay.
     compact:
         Whether to delete segments every retained snapshot has covered.
         Compaction bounds disk usage but retires the full-replay fallback
@@ -114,7 +115,6 @@ class CheckpointPolicy:
 
     every_records: Optional[int] = 256
     every_bytes: Optional[int] = None
-    keep_snapshots: int = 2
     compact: bool = True
 
     @classmethod
@@ -134,8 +134,6 @@ class CheckpointPolicy:
             raise JournalError("every_records must be positive or None")
         if self.every_bytes is not None and self.every_bytes < 1:
             raise JournalError("every_bytes must be positive or None")
-        if self.keep_snapshots < 1:
-            raise JournalError("keep_snapshots must be at least 1")
 
 
 @dataclass
@@ -625,9 +623,8 @@ class CheckpointedWal:
         # Retention: the new manifest stops referencing superseded files;
         # only then may compaction delete them.
         self._snapshots.append({"name": snap_name, "events": events})
-        keep = self.policy.keep_snapshots
-        dropped = self._snapshots[:-keep]
-        self._snapshots = self._snapshots[-keep:]
+        dropped = self._snapshots[:-KEEP_SNAPSHOTS]
+        self._snapshots = self._snapshots[-KEEP_SNAPSHOTS:]
         if self.policy.compact:
             horizon = int(self._snapshots[0]["events"])
             live = []

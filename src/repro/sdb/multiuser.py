@@ -19,8 +19,7 @@ completing query.
 from __future__ import annotations
 
 import threading
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..exceptions import InvalidQueryError
 from ..resilience.overload import AdmissionController
@@ -41,14 +40,6 @@ class MultiUserFrontend:
         Called with ``dataset`` to build each auditor.
     mode:
         ``"pooled"`` or ``"independent"`` (see module docstring).
-    history_limit:
-        Optional cap on the *reporting* history ring buffer.  ``history``
-        then retains only the most recent ``history_limit`` events, while
-        ``denial_counts()``/``users()`` keep exact cumulative bookkeeping.
-        Only the report is bounded: the auditors' own state (synopses,
-        answered-query logs) is **never** truncated — audit safety depends
-        on every past answer, so forgetting one would let an attacker
-        replay old queries against a weakened gate.
     admission:
         Optional :class:`~repro.resilience.overload.AdmissionController`.
         Every :meth:`ask` is gated *before* the auditor runs: over-limit
@@ -67,12 +58,9 @@ class MultiUserFrontend:
 
     def __init__(self, dataset: Dataset, auditor_factory: AuditorFactory,
                  mode: str = "pooled",
-                 history_limit: Optional[int] = None,
                  admission: Optional[AdmissionController] = None):
         if mode not in self.MODES:
             raise InvalidQueryError(f"mode must be one of {self.MODES}")
-        if history_limit is not None and history_limit < 1:
-            raise InvalidQueryError("history_limit must be positive")
         self.dataset = dataset
         self.mode = mode
         self._factory = auditor_factory
@@ -80,22 +68,14 @@ class MultiUserFrontend:
         self._pooled = auditor_factory(dataset) if mode == "pooled" else None
         self._per_user: Dict[str, object] = {}
         # Serializes auditor runs and bookkeeping: auditors mutate
-        # posterior state per decision, and the disclosure history must
-        # interleave in the order answers were released.  Admission
-        # gating stays *outside* this lock — shedding is the admission
-        # controller's own (internally locked) job.
+        # posterior state per decision.  Admission gating stays *outside*
+        # this lock — shedding is the admission controller's own
+        # (internally locked) job.
         self._lock = threading.RLock()
-        self.history: Deque[Tuple[str, Query, AuditDecision]] = deque(
-            maxlen=history_limit
-        )
-        # Exact cumulative counters, immune to ring-buffer eviction.
+        # Exact cumulative counters: the auditor's own state keeps every
+        # past answer, so the frontend keeps only counts.
         self._denials: Dict[str, int] = {}
         self._users: List[str] = []
-
-    @property
-    def history_limit(self) -> Optional[int]:
-        """The reporting ring-buffer cap (``None`` = unbounded)."""
-        return self.history.maxlen
 
     def _auditor_for(self, user: str):
         if self.mode == "pooled":
@@ -122,12 +102,12 @@ class MultiUserFrontend:
             try:
                 with self._lock:
                     decision = self._auditor_for(user).audit(query)
-                    return self._bookkeep(user, query, decision)
+                    return self._bookkeep(user, decision)
             finally:
                 self.admission.release()
         with self._lock:
             decision = self._auditor_for(user).audit(query)
-            return self._bookkeep(user, query, decision)
+            return self._bookkeep(user, decision)
 
     def refuse(self, user: str, query: Query,
                decision: AuditDecision) -> AuditDecision:
@@ -143,12 +123,10 @@ class MultiUserFrontend:
         """
         with self._lock:
             self._auditor_for(user).record_refusal(query, decision)
-            return self._bookkeep(user, query, decision)
+            return self._bookkeep(user, decision)
 
-    def _bookkeep(self, user: str, query: Query,
-                  decision: AuditDecision) -> AuditDecision:
+    def _bookkeep(self, user: str, decision: AuditDecision) -> AuditDecision:
         with self._lock:
-            self.history.append((user, query, decision))
             if user not in self._denials:
                 self._denials[user] = 0
                 self._users.append(user)
@@ -160,11 +138,8 @@ class MultiUserFrontend:
     # ------------------------------------------------------------------
 
     def denial_counts(self) -> Dict[str, int]:
-        """Denials per user (the "fair share" the paper worries about).
-
-        Cumulative over the frontend's lifetime, even when ``history``
-        is a bounded ring buffer.
-        """
+        """Denials per user (the "fair share" the paper worries about),
+        cumulative over the frontend's lifetime."""
         return dict(self._denials)
 
     def users(self) -> List[str]:

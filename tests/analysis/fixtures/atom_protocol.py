@@ -63,3 +63,37 @@ def publish_manifest_gated(tmp_path: str, manifest_path: str,
     os.replace(tmp_path, manifest_path)
     if durable_fsync:
         fsync_directory(os.path.dirname(manifest_path))
+
+
+def _sync_parent(path: str) -> None:
+    fsync_directory(os.path.dirname(path))
+
+
+def _publish(path: str) -> None:
+    _sync_parent(path)
+
+
+def _close_out(path: str) -> None:
+    os.path.exists(path)
+
+
+def publish_manifest_via_helpers(tmp_path: str, manifest_path: str,
+                                 payload: bytes) -> None:
+    """Twin whose directory fsync sits two helpers down: zero findings."""
+    with open(tmp_path, "wb") as fh:
+        fh.write(payload)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp_path, manifest_path)
+    _publish(manifest_path)
+
+
+def rename_then_helper_without_dir_fsync(tmp_path: str, manifest_path: str,
+                                         payload: bytes) -> None:
+    """ATOM001: the helper after the rename never fsyncs the directory."""
+    with open(tmp_path, "wb") as fh:
+        fh.write(payload)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp_path, manifest_path)
+    _close_out(manifest_path)

@@ -105,6 +105,27 @@ class PipelinedAppender:
         os.fsync(self._fd)
 
 
+def _sync_fd(fd: int) -> None:
+    os.fsync(fd)
+
+
+def _write_durably(fd: int, record: bytes) -> None:
+    os.write(fd, record)
+    _sync_fd(fd)
+
+
+class HelperStallingAppender:
+    """fsyncs under its lock two helpers down (CONC003, transitive)."""
+
+    def __init__(self, fd: int) -> None:
+        self._lock = threading.Lock()
+        self._fd = fd
+
+    def append(self, record: bytes) -> None:
+        with self._lock:
+            _write_durably(self._fd, record)  # CONC003: fsync two calls down
+
+
 class SharedRegistry:
     """Thread-shared (flows into a Thread payload) with no lock (CONC004)."""
 

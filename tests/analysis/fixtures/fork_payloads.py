@@ -24,6 +24,14 @@ def _unseeded_worker(_seed: int) -> float:
     return float(gen.normal())
 
 
+def _fresh_generator():
+    return np.random.default_rng()  # no seed: diverges per process
+
+
+def _helper_unseeded_worker(_seed: int) -> float:
+    return float(_fresh_generator().normal())
+
+
 def ship_open_handle(path: str, seeds):
     """FORK001: a live file handle rides the pool payload."""
     ctx = multiprocessing.get_context("spawn")
@@ -52,6 +60,13 @@ def fan_out_unseeded(seeds):
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(2) as pool:
         return pool.map(_unseeded_worker, seeds)
+
+
+def fan_out_helper_unseeded(seeds):
+    """FORK002: the worker's unseeded generator comes from a helper."""
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(2) as pool:
+        return pool.map(_helper_unseeded_worker, seeds)
 
 
 def default_start_method(seeds):

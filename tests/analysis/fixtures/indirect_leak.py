@@ -1,7 +1,7 @@
 """Fixture: an auditor leaking the true answer through a two-hop helper chain.
 
 Never imported at runtime — the analyzer tests feed this file to
-``check_package(extra_modules=...)`` to prove that *indirect* sensitive
+``analyze_package(extra_modules=...)`` to prove that *indirect* sensitive
 reads (decision path -> helper -> helper -> ``dataset.values``) are caught.
 The second hop is deliberately un-annotated so the test also exercises
 argument-type propagation across calls.

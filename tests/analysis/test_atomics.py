@@ -55,6 +55,16 @@ def test_policy_gated_protocol_is_clean(report):
     assert not fixture_findings(report, "publish_manifest_gated")
 
 
+def test_dir_fsync_two_helpers_down_is_clean(report):
+    assert not fixture_findings(report, "publish_manifest_via_helpers")
+
+
+def test_helper_without_dir_fsync_is_caught(report):
+    hits = fixture_findings(report, "rename_then_helper_without_dir_fsync")
+    assert [f.rule for f in hits] == [RULE_RENAME_WITHOUT_FSYNC]
+    assert "without directory fsync" in hits[0].sink
+
+
 def test_stripping_checkpoint_file_fsync_is_caught():
     # Acceptance scenario: drop the snapshot-write fsync from the real
     # checkpoint layer and ATOM001 must fire on the snapshot publication.

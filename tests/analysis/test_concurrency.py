@@ -62,6 +62,12 @@ def test_fsync_under_lock_is_caught(report):
     assert "os.fsync" in hits[0].sink
 
 
+def test_fsync_two_helpers_under_lock_is_caught(report):
+    hits = by_class(report, "HelperStallingAppender")
+    assert [f.rule for f in hits] == [RULE_BLOCKING_UNDER_LOCK]
+    assert "_write_durably (transitive fsync)" in hits[0].sink
+
+
 def test_fsync_after_release_is_clean(report):
     assert not by_class(report, "PipelinedAppender")
 

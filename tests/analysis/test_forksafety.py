@@ -51,6 +51,12 @@ def test_unseeded_worker_fn_is_caught(report):
     assert "unseeded" in hits[0].sink
 
 
+def test_unseeded_draw_in_worker_helper_is_caught(report):
+    hits = fixture_findings(report, "fan_out_helper_unseeded")
+    assert [f.rule for f in hits] == [RULE_EFFECTFUL_WORKER_FN]
+    assert "_helper_unseeded_worker draws unseeded" in hits[0].sink
+
+
 def test_bare_pool_is_caught(report):
     hits = fixture_findings(report, "default_start_method")
     assert [f.rule for f in hits] == [RULE_NONSPAWN_CONTEXT]

@@ -10,7 +10,7 @@ from repro.analysis import (
     RULE_SENSITIVE_READ,
     RULE_TRUE_ANSWER,
     SCHEMA_VERSION,
-    check_package,
+    analyze_package,
 )
 from repro.analysis.simulatability import default_package_dir
 from repro.cli import main
@@ -33,7 +33,7 @@ SIMULATABLE_AUDITORS = {
 
 @pytest.fixture(scope="module")
 def report():
-    return check_package()
+    return analyze_package(select=["SIM"])
 
 
 def naive_path() -> pathlib.Path:
@@ -93,7 +93,8 @@ def test_analyzer_covers_the_auditor_zoo(report):
 def test_naive_auditor_detected_when_pragma_stripped():
     path = naive_path()
     stripped = strip_pragmas(path.read_text())
-    report = check_package(source_overrides={str(path): stripped})
+    report = analyze_package(select=["SIM"],
+                             source_overrides={str(path): stripped})
     assert not report.ok
     hits = [f for f in report.violations
             if f.entry_class == "NaiveMaxAuditor"]
@@ -108,7 +109,8 @@ def test_pragma_only_documents_its_own_line():
     # Stripping the *other* files' pragmas must not excuse naive.py.
     path = default_package_dir() / "auditors" / "sum_prob.py"
     stripped = strip_pragmas(path.read_text())
-    report = check_package(source_overrides={str(path): stripped})
+    report = analyze_package(select=["SIM"],
+                             source_overrides={str(path): stripped})
     undocumented = {f.entry_class for f in report.violations}
     assert undocumented == {"SumProbabilisticAuditor"}
 
@@ -118,7 +120,7 @@ def test_pragma_only_documents_its_own_line():
 # ----------------------------------------------------------------------
 
 def test_two_hop_indirect_read_is_caught():
-    report = check_package(extra_modules=[
+    report = analyze_package(select=["SIM"], extra_modules=[
         ("repro._fixture_indirect_leak", FIXTURES / "indirect_leak.py"),
     ])
     hits = [f for f in report.violations

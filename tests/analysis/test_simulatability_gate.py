@@ -7,11 +7,11 @@ moment any auditor (or a helper reachable from a decision path) reads
 and in CI, not just when someone remembers to run ``repro-audit lint``.
 """
 
-from repro.analysis import check_package
+from repro.analysis import analyze_package
 
 
 def test_simulatability_gate():
-    report = check_package()
+    report = analyze_package(select=["SIM"])
     assert report.ok, (
         "simulatability invariant broken — decision paths reach sensitive "
         "data without a documented pragma:\n" + report.format_text()
@@ -21,7 +21,7 @@ def test_simulatability_gate():
 def test_gate_actually_analyzed_the_auditors():
     # Guard against the gate passing vacuously (e.g. the analyzer failing
     # to discover any Auditor subclass after a refactor).
-    report = check_package()
+    report = analyze_package(select=["SIM"])
     assert report.classes_checked >= 10, report.format_text()
     assert report.entry_points >= 20, report.format_text()
     # The intentional straw man must remain visible as a documented finding.

@@ -13,6 +13,7 @@ import pathlib
 import pytest
 
 from repro.analysis.callgraph import Resolver
+from repro.analysis.facts import FunctionFacts
 from repro.analysis.findings import Finding
 from repro.analysis.modindex import build_index
 from repro.analysis.purity import EffectEngine
@@ -27,9 +28,8 @@ UNIT_MODULES = [("repro._fixture_taint_units", FIXTURES / "taint_units.py")]
 def taint_and_module():
     index = build_index(default_package_dir(), package="repro",
                         extra_modules=UNIT_MODULES)
-    resolver = Resolver(index)
-    engine = EffectEngine(index, resolver)
-    taint = TaintEngine(index, resolver, engine)
+    facts = FunctionFacts(index, Resolver(index))
+    taint = TaintEngine(facts, EffectEngine(facts))
     return taint, index.modules["repro._fixture_taint_units"]
 
 

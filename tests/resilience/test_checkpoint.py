@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.auditors.sum_classic import SumClassicAuditor
 from repro.persistence import JournalError
 from repro.resilience.checkpoint import (
+    KEEP_SNAPSHOTS,
     MANIFEST_NAME,
     CheckpointPolicy,
     CheckpointedWal,
@@ -113,11 +114,11 @@ def test_compaction_deletes_covered_segments(tmp_path):
     names = sorted(os.listdir(directory))
     segments = [n for n in names if n.startswith("segment-")]
     snapshots = [n for n in names if n.startswith("snapshot-")]
-    # keep_snapshots=2 retains two snapshots and only the segments newer
+    # KEEP_SNAPSHOTS=2 retains two snapshots and only the segments newer
     # than the older of them; the early history is gone from disk.
-    assert len(snapshots) == POLICY.keep_snapshots
+    assert len(snapshots) == KEEP_SNAPSHOTS
     assert "segment-000001.log" not in segments
-    assert len(segments) <= POLICY.keep_snapshots + 1
+    assert len(segments) <= KEEP_SNAPSHOTS + 1
 
 
 def test_compaction_disabled_keeps_full_history(tmp_path):

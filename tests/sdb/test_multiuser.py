@@ -48,33 +48,6 @@ def test_unknown_mode_rejected():
                           mode="hybrid")
 
 
-def test_history_limit_bounds_report_but_not_bookkeeping():
-    data = Dataset([10.0, 20.0, 30.0], low=0.0, high=50.0)
-    frontend = MultiUserFrontend(data, lambda ds: SumClassicAuditor(ds),
-                                 history_limit=2)
-    assert frontend.history_limit == 2
-    frontend.ask("alice", sum_query([0, 1, 2]))
-    frontend.ask("bob", sum_query([0, 1]))       # denied
-    frontend.ask("bob", sum_query([2]))          # denied
-    frontend.ask("carol", sum_query([0, 1, 2]))
-    # The *report* ring holds only the two most recent events...
-    assert len(frontend.history) == 2
-    assert [user for user, _q, _d in frontend.history] == ["bob", "carol"]
-    # ...but the cumulative bookkeeping is exact...
-    assert frontend.denial_counts() == {"alice": 0, "bob": 2, "carol": 0}
-    assert frontend.users() == ["alice", "bob", "carol"]
-    # ...and the *auditor* never forgets: the collusion-completing query
-    # evicted from the report ring is still held against new askers.
-    assert frontend.ask("dave", sum_query([2])).denied
-
-
-def test_history_limit_must_be_positive():
-    data = Dataset([1.0, 2.0])
-    with pytest.raises(InvalidQueryError):
-        MultiUserFrontend(data, lambda ds: SumClassicAuditor(ds),
-                          history_limit=0)
-
-
 def test_pooled_frontend_recovers_from_wal(tmp_path):
     path = str(tmp_path / "wal")
 
