@@ -44,6 +44,7 @@ FIXTURE_MODULES = [
     ("repro._fixture_fork_payloads", FIXTURES / "fork_payloads.py"),
     ("repro._fixture_indirect_leak", FIXTURES / "indirect_leak.py"),
     ("repro._fixture_leak_channels", FIXTURES / "leak_channels.py"),
+    ("repro._fixture_sim_escape", FIXTURES / "sim_escape.py"),
     ("repro._fixture_wal_boundary", FIXTURES / "wal_boundary.py"),
 ]
 

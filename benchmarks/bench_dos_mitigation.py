@@ -4,12 +4,15 @@ A saboteur floods the shared auditor with random sum queries, spending the
 rank budget so that a victim's important panel (the grand total plus group
 subtotals) gets denied.  Two complementary mitigations are measured:
 pre-seeding (the paper's proposal: fold the panel in first, so it stays
-answerable through any flood) and admission control (the serving layer's
+answerable through any flood) and admission control (the audit worker's
 per-user token bucket, which sheds the flood with ``RESOURCE_EXHAUSTED``
 before it can spend the shared budget).
 """
 
 from __future__ import annotations
+
+import os
+import tempfile
 
 import numpy as np
 
@@ -17,14 +20,10 @@ from repro.attack.dos_attack import (
     important_panel,
     run_dos_experiment,
 )
-from repro.auditors.sum_classic import SumClassicAuditor
 from repro.reporting.tables import format_table
-from repro.resilience.faults import FaultClock
-from repro.resilience.overload import AdmissionController, AdmissionPolicy
 from repro.rng import random_subset
 from repro.sdb.dataset import Dataset
-from repro.sdb.multiuser import MultiUserFrontend
-from repro.types import DenialReason, sum_query
+from repro.serving.shards import ShardSpec, ShardWorker
 
 from .conftest import run_once
 
@@ -64,18 +63,27 @@ def _panel_rate(auditor, panel):
     return sum(auditor.would_answer(q) for q in panel) / len(panel)
 
 
-def _flooded_frontend(n, seed, admission):
-    """Pooled frontend after a 3n-query flood; returns (frontend, shed)."""
+def _flooded_worker(n, seed, wal_dir, user_rate=None, burst=10):
+    """Audit worker after a 3n-query flood; returns (worker, shed)."""
     gen = np.random.default_rng(seed)
-    values = Dataset.uniform(n, rng=gen, duplicate_free=False).values
-    frontend = MultiUserFrontend(Dataset(list(values)), SumClassicAuditor,
-                                 admission=admission)
+    data = Dataset.uniform(n, rng=gen, duplicate_free=False)
+    worker = ShardWorker(ShardSpec(
+        values=tuple(data.values), low=data.low, high=data.high,
+        wal_dir=wal_dir, auditor="sum", user_rate=user_rate,
+        user_burst=burst))
     shed = 0
     for _ in range(3 * n):
-        decision = frontend.ask("saboteur",
-                                sum_query(random_subset(gen, n)))
-        shed += decision.reason == DenialReason.RESOURCE_EXHAUSTED
-    return frontend, shed
+        reply = worker.handle({"op": "query", "user": "saboteur",
+                               "kind": "sum",
+                               "members": sorted(random_subset(gen, n))})
+        shed += reply["shed"]
+    return worker, shed
+
+
+def _panel_rate_after(worker, n):
+    rate = _panel_rate(worker.auditor.auditor, important_panel(n))
+    worker.close()
+    return rate
 
 
 def _measure_admission():
@@ -83,34 +91,38 @@ def _measure_admission():
     of the shared rank budget any one user can spend, so the flood is shed
     at the door instead of freezing the panel."""
     rows = []
-    for n in (40, 80, 160):
-        burst = n // 4
-        unprotected, protected, sheds = [], [], []
-        for seed in range(TRIALS):
-            frontend, shed = _flooded_frontend(n, seed, admission=None)
-            unprotected.append(
-                _panel_rate(frontend._pooled, important_panel(n)))
-            assert shed == 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in (40, 80, 160):
+            burst = n // 4
+            unprotected, protected, sheds = [], [], []
+            for seed in range(TRIALS):
+                worker, shed = _flooded_worker(
+                    n, seed, os.path.join(tmp, f"open-{n}-{seed}"))
+                assert shed == 0
+                unprotected.append(_panel_rate_after(worker, n))
 
-            clock = FaultClock()
-            gate = AdmissionController(AdmissionPolicy(
-                user_rate=1e-9, user_burst=burst, clock=clock.now))
-            frontend, shed = _flooded_frontend(n, seed, admission=gate)
-            protected.append(
-                _panel_rate(frontend._pooled, important_panel(n)))
-            sheds.append(shed)
-            # The bucket admits exactly the burst; the rest is journalled
-            # RESOURCE_EXHAUSTED, never an unhandled exception.
-            assert shed == 3 * n - burst
-            assert gate.shed_counts()["rate"] == shed
-        for prot, unprot in zip(protected, unprotected):
-            assert prot >= unprot
-        rows.append((
-            n, burst,
-            f"{np.mean(unprotected):.2f}",
-            f"{np.mean(protected):.2f}",
-            f"{np.mean(sheds):.0f}/{3 * n}",
-        ))
+                # A bucket that never refills within the run: the
+                # saboteur gets its burst and nothing more.
+                worker, shed = _flooded_worker(
+                    n, seed, os.path.join(tmp, f"gated-{n}-{seed}"),
+                    user_rate=1e-9, burst=burst)
+                sheds.append(shed)
+                # The bucket admits exactly the burst; the rest is
+                # journalled RESOURCE_EXHAUSTED, never an unhandled
+                # exception.
+                assert shed == 3 * n - burst
+                stats = worker.handle({"op": "stats"})
+                assert stats["shed"] == {"rate": shed}
+                assert stats["events"] == 3 * n
+                protected.append(_panel_rate_after(worker, n))
+            for prot, unprot in zip(protected, unprotected):
+                assert prot >= unprot
+            rows.append((
+                n, burst,
+                f"{np.mean(unprotected):.2f}",
+                f"{np.mean(protected):.2f}",
+                f"{np.mean(sheds):.0f}/{3 * n}",
+            ))
     return rows
 
 

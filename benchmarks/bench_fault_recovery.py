@@ -2,9 +2,9 @@
 
 Three tables (see docs/ROBUSTNESS.md):
 
-1. per-query serving cost of the journalling stack — bare auditor, journal
-   only, WAL without fsync, and the full durable WAL (fsync per record) —
-   the price of the "answer released ⇒ record durable" invariant;
+1. per-query serving cost of the journalling stack — bare auditor, WAL
+   without fsync, and the full durable WAL (fsync per record) — the price
+   of the "answer released ⇒ record durable" invariant;
 2. crash-recovery time (parse + heal + replay, with and without verify
    mode) as a function of journal length, for a WAL directory that never
    checkpoints;
@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.auditors.sum_classic import SumClassicAuditor
-from repro.persistence import JournaledAuditor
 from repro.reporting.tables import format_table
 from repro.resilience.checkpoint import CheckpointPolicy
 from repro.resilience.wal import open_wal_auditor
@@ -69,24 +68,26 @@ def _serve(make_auditor):
 
 
 def _measure_append_overhead():
-    tmp = tempfile.mkdtemp()
+    with tempfile.TemporaryDirectory() as tmp:
+        return _append_overhead_rows(tmp)
 
+
+def _append_overhead_rows(tmp):
     def bare():
         return SumClassicAuditor(_make_dataset())
 
-    def journal_only():
-        return JournaledAuditor(bare())
+    opened = []
 
     def wal(fsync):
         wrapped, _ = open_wal_auditor(tempfile.mkdtemp(dir=tmp),
                                       SumClassicAuditor, _make_dataset(),
                                       fsync=fsync, policy=NEVER)
+        opened.append(wrapped)
         return wrapped
 
     rows = []
     baseline = None
     for label, make in (("bare auditor", bare),
-                        ("journal (in memory)", journal_only),
                         ("WAL, no fsync", lambda: wal(False)),
                         ("WAL + fsync per record", lambda: wal(True))):
         per_query = _serve(make)
@@ -94,11 +95,17 @@ def _measure_append_overhead():
             baseline = per_query
         rows.append((label, f"{per_query * 1e6:.0f}",
                      f"{per_query / baseline:.2f}x"))
+    for wrapped in opened:
+        wrapped.close()
     return rows
 
 
 def _measure_recovery():
-    tmp = tempfile.mkdtemp()
+    with tempfile.TemporaryDirectory() as tmp:
+        return _recovery_rows(tmp)
+
+
+def _recovery_rows(tmp):
     rows = []
     for events in (100, 400, 1600):
         path = os.path.join(tmp, f"recover-{events}")
@@ -160,7 +167,11 @@ def _time_best(fn, repeats=3):
 
 
 def _measure_checkpointed_recovery():
-    tmp = tempfile.mkdtemp()
+    with tempfile.TemporaryDirectory() as tmp:
+        return _checkpointed_recovery_report(tmp)
+
+
+def _checkpointed_recovery_report(tmp):
     factory = SumClassicAuditor
     policy = CheckpointPolicy(every_records=CHECKPOINT_EVERY)
     series = []

@@ -116,14 +116,14 @@ def _run_pool(server, clients, requests):
 
 
 def _measure_sustained():
-    root = tempfile.mkdtemp()
-    server = _Server(_make_spec(root))
-    try:
-        latencies, statuses, elapsed = _run_pool(
-            server, SUSTAINED_CLIENTS, SUSTAINED_REQUESTS)
-        assert all(s == 200 for s in statuses)
-    finally:
-        server.stop()
+    with tempfile.TemporaryDirectory() as root:
+        server = _Server(_make_spec(root))
+        try:
+            latencies, statuses, elapsed = _run_pool(
+                server, SUSTAINED_CLIENTS, SUSTAINED_REQUESTS)
+            assert all(s == 200 for s in statuses)
+        finally:
+            server.stop()
     lat_ms = np.asarray(latencies) * 1e3
     total = SUSTAINED_CLIENTS * SUSTAINED_REQUESTS
     return {
@@ -139,18 +139,18 @@ def _measure_sustained():
 
 
 def _measure_flood():
-    root = tempfile.mkdtemp()
-    # a practically non-refilling bucket: FLOOD_BURST admissions per
-    # user, everything past that must shed at the edge
-    server = _Server(_make_spec(root, user_rate=0.001,
-                                user_burst=FLOOD_BURST))
-    try:
-        _, statuses, elapsed = _run_pool(
-            server, FLOOD_CLIENTS, FLOOD_REQUESTS)
-        client = server.client()
-        stats = client.stats().payload
-    finally:
-        server.stop()
+    with tempfile.TemporaryDirectory() as root:
+        # a practically non-refilling bucket: FLOOD_BURST admissions per
+        # user, everything past that must shed at the edge
+        server = _Server(_make_spec(root, user_rate=0.001,
+                                    user_burst=FLOOD_BURST))
+        try:
+            _, statuses, elapsed = _run_pool(
+                server, FLOOD_CLIENTS, FLOOD_REQUESTS)
+            client = server.client()
+            stats = client.stats().payload
+        finally:
+            server.stop()
     shed_429 = sum(1 for s in statuses if s == 429)
     journalled = sum(stats["worker"]["shed"].values())
     total = FLOOD_CLIENTS * FLOOD_REQUESTS

@@ -68,7 +68,11 @@ def show(label, res):
 
 
 def main():
-    root = tempfile.mkdtemp()
+    with tempfile.TemporaryDirectory() as root:
+        demo(root)
+
+
+def demo(root):
     server, supervisor = start_server(root)
     client = AuditClient("127.0.0.1", server.port)
 

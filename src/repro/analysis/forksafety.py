@@ -42,10 +42,7 @@ from .modindex import ClassInfo
 from .purity import SEEDED_FACTORIES, EffectEngine, attr_text, dotted_callee
 
 #: package classes that wrap an OS-level handle (fd, file, socket)
-_HANDLE_CLASSES = (
-    "repro.persistence.AuditJournal",
-    "repro.resilience.checkpoint.CheckpointedWal",
-)
+_HANDLE_CLASSES = ("repro.resilience.checkpoint.CheckpointedWal",)
 #: factory calls binding a handle to a local
 _HANDLE_FACTORIES = frozenset({"open", "io.open"})
 #: factory calls binding a live RNG generator to a local (a SeedSequence

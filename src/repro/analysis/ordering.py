@@ -22,7 +22,7 @@ path.  These rules prove the ordering statically:
 Delegation is understood: in a non-journal-holding class, ``return
 self.auditor.audit(query)`` passes the whole release+journal obligation
 down, so it *satisfies* domination; inside a journal boundary class (one
-whose attrs hold an ``AuditJournal`` or a WAL) only real appends
+that assigns ``self.journal`` or ``self.wal``) only real appends
 count — reordering ``JournaledAuditor.audit`` is exactly what WAL001 is
 for.
 """
@@ -54,9 +54,11 @@ _RELEASE_METHOD_NAMES = (
     # release point of a shard — every dict it returns is released)
     "ask", "refuse", "handle",
 )
-#: classes holding the journal: delegation does not discharge the
-#: append obligation inside these
-_BOUNDARY_ATTR_TYPES = ("repro.persistence.AuditJournal",)
+#: release methods that never consult an auditor (deny-before-audit
+#: refusals): each value they return must be journalled right there
+_REFUSAL_METHOD_NAMES = ("refuse",)
+#: attributes holding the journal: delegation does not discharge the
+#: append obligation inside a class that assigns one
 _BOUNDARY_ATTR_NAMES = ("journal", "wal")
 #: module-name tokens marking sampler/chain hot-path modules (BUD001)
 _SAMPLER_MODULE_TOKENS = ("sampler", "chain", "hit_and_run")
@@ -82,30 +84,20 @@ class _OrderingChecker:
             return cached
         self._boundary_cache[cls.qualname] = False  # cycle guard
         result = False
-        attrs = self.resolver.instance_attr_types(cls)
-        for attr, attr_cls in attrs.items():
-            if attr_cls.qualname in _BOUNDARY_ATTR_TYPES:
-                result = True
+        for c in self.resolver.mro(cls):
+            for method in c.methods.values():
+                env = self.facts.param_env(c.module, method, c)
+                for stmt in ast.walk(method):
+                    if (isinstance(stmt, ast.Assign)
+                            and len(stmt.targets) == 1
+                            and isinstance(stmt.targets[0], ast.Attribute)
+                            and isinstance(stmt.targets[0].value, ast.Name)
+                            and stmt.targets[0].value.id == env.self_name
+                            and stmt.targets[0].attr
+                            in _BOUNDARY_ATTR_NAMES):
+                        result = True
+            if result:
                 break
-        if not result:
-            # name-based fallback for untyped ``self.wal = wal`` params
-            for c in self.resolver.mro(cls):
-                for method in c.methods.values():
-                    env = self.facts.param_env(c.module, method, c)
-                    for stmt in ast.walk(method):
-                        if (isinstance(stmt, ast.Assign)
-                                and len(stmt.targets) == 1
-                                and isinstance(stmt.targets[0],
-                                               ast.Attribute)
-                                and isinstance(stmt.targets[0].value,
-                                               ast.Name)
-                                and stmt.targets[0].value.id
-                                == env.self_name
-                                and stmt.targets[0].attr
-                                in _BOUNDARY_ATTR_NAMES):
-                            result = True
-                if result:
-                    break
         self._boundary_cache[cls.qualname] = result
         return result
 
@@ -154,9 +146,12 @@ class _OrderingChecker:
                 satisfying_sids.add(stmt.sid)
         # A named release method is this rule's business if it journals
         # anywhere OR hands the obligation to a delegate: a cache-hit
-        # branch that skips both must still be caught.
+        # branch that skips both must still be caught.  A refusal has no
+        # delegate to hand it to, so it is always this rule's business.
         named_release = node.name in _RELEASE_METHOD_NAMES
-        if not real_append_sids and not (named_release and delegate_sids):
+        if (not real_append_sids
+                and not (named_release and delegate_sids)
+                and node.name not in _REFUSAL_METHOD_NAMES):
             return  # nothing journals here: not this rule's business
 
         for ret_sid in graph.returns:

@@ -31,7 +31,6 @@ from ..privacy.posterior import (
     max_predicate_bucket_probabilities_general,
 )
 from ..resilience.budget import Budget, BudgetScope, run_fail_closed
-from ..resilience.overload import CircuitBreaker
 from ..rng import (
     RngLike,
     as_generator,
@@ -143,10 +142,6 @@ class MaxProbabilisticAuditor(Auditor):
         set, decisions run under its deadline/step caps with bounded
         retry-and-reseed and fail closed to a ``RESOURCE_EXHAUSTED``
         denial on exhaustion.
-    breaker:
-        Optional :class:`~repro.resilience.overload.CircuitBreaker`;
-        repeated budget exhaustions trip it and subsequent decisions
-        short-circuit to a conservative denial until its cooldown passes.
     vectorized:
         Whether a decision reads only the samples it checks (default) or
         draws the whole block and assembles it row by row (the
@@ -165,7 +160,6 @@ class MaxProbabilisticAuditor(Auditor):
                  delta: float = 0.05, rounds: int = 100,
                  num_samples: Optional[int] = None, rng: RngLike = None,
                  distribution=None, budget: Optional[Budget] = None,
-                 breaker: Optional[CircuitBreaker] = None,
                  vectorized: bool = True):
         super().__init__(dataset)
         dataset.require_duplicate_free()
@@ -186,7 +180,6 @@ class MaxProbabilisticAuditor(Auditor):
         self.num_samples = num_samples
         self._rng = as_generator(rng)
         self.budget = budget
-        self.breaker = breaker
         self.vectorized = vectorized
         # Public model parameters (range and size are known to the attacker;
         # caching them keeps the decision path off the sensitive values).
@@ -349,7 +342,6 @@ class MaxProbabilisticAuditor(Auditor):
         return run_fail_closed(
             self.budget, self._rng,
             lambda scope, gen: self._deny_reason_sampled(query, scope, gen),
-            breaker=self.breaker,
         )
 
     def _deny_reason_sampled(self, query: Query,

@@ -32,7 +32,6 @@ from ..exceptions import InconsistentAnswersError, PrivacyParameterError
 from ..privacy.compromise import ratios_within_band
 from ..privacy.intervals import IntervalGrid
 from ..resilience.budget import Budget, BudgetScope, run_fail_closed
-from ..resilience.overload import CircuitBreaker
 from ..rng import RngLike, as_generator
 from ..sdb.dataset import Dataset
 from ..synopsis.combined import CombinedSynopsis
@@ -82,7 +81,6 @@ class MaxMinProbabilisticAuditor(Auditor):
                  num_outer: int = 8, num_inner: int = 120,
                  mc_tolerance: float = 0.15, rng: RngLike = None,
                  budget: Optional[Budget] = None,
-                 breaker: Optional[CircuitBreaker] = None,
                  vectorized: bool = True):
         super().__init__(dataset)
         dataset.require_duplicate_free()
@@ -98,7 +96,6 @@ class MaxMinProbabilisticAuditor(Auditor):
         self.mc_tolerance = mc_tolerance
         self._rng = as_generator(rng)
         self.budget = budget
-        self.breaker = breaker
         self.vectorized = vectorized
         self._synopsis = CombinedSynopsis(dataset.n, dataset.low, dataset.high)
         self._answers: List[float] = []
@@ -183,7 +180,6 @@ class MaxMinProbabilisticAuditor(Auditor):
         return run_fail_closed(
             self.budget, self._rng,
             lambda scope, gen: self._deny_reason_sampled(query, scope, gen),
-            breaker=self.breaker,
         )
 
     def _deny_reason_sampled(self, query: Query,

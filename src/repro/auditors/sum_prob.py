@@ -26,7 +26,6 @@ from ..privacy.intervals import IntervalGrid
 from ..polytope.halfspace import AffineSlice
 from ..polytope.hit_and_run import HitAndRunSampler
 from ..resilience.budget import Budget, BudgetScope, run_fail_closed
-from ..resilience.overload import CircuitBreaker
 from ..rng import RngLike, as_generator
 from ..sdb.dataset import Dataset
 from ..types import (
@@ -77,7 +76,6 @@ class SumProbabilisticAuditor(Auditor):
                  num_outer: int = 5, num_inner: int = 100,
                  mc_tolerance: float = 0.1, rng: RngLike = None,
                  budget: Optional[Budget] = None,
-                 breaker: Optional[CircuitBreaker] = None,
                  steps_per_sample: Optional[int] = None,
                  vectorized: bool = True):
         super().__init__(dataset)
@@ -93,7 +91,6 @@ class SumProbabilisticAuditor(Auditor):
         self.mc_tolerance = mc_tolerance
         self._rng = as_generator(rng)
         self.budget = budget
-        self.breaker = breaker
         self.steps_per_sample = steps_per_sample
         self.vectorized = vectorized
         self._slice = AffineSlice(dataset.n, dataset.low, dataset.high)
@@ -138,7 +135,6 @@ class SumProbabilisticAuditor(Auditor):
         return run_fail_closed(
             self.budget, self._rng,
             lambda scope, gen: self._deny_reason_sampled(query, scope, gen),
-            breaker=self.breaker,
         )
 
     def _deny_reason_sampled(self, query: Query,

@@ -119,9 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="name of the sensitive column")
     p.add_argument("--auditor", choices=list(SERVED_AUDITORS),
                    default="sum")
-    p.add_argument("--journal", default=None,
-                   help="without --wal: write the in-memory audit journal "
-                        "to this JSON file on exit")
     p.add_argument("--wal", default=None, metavar="DIR",
                    help="crash-safe write-ahead audit log directory; every "
                         "decision is fsynced before its answer is printed, "
@@ -454,7 +451,6 @@ def _cmd_serve(args, stdin=None) -> int:
     from .auditors import SERVED_AUDITORS, served_auditor_factory
     from .exceptions import ReproError
     from .io import read_csv
-    from .persistence import JournaledAuditor
     from .resilience import Budget
     from .resilience.checkpoint import CheckpointPolicy
     from .sdb.engine import StatisticalDatabase, split_records
@@ -507,22 +503,9 @@ def _cmd_serve(args, stdin=None) -> int:
             "--follow is incompatible with --listen: the networked "
             "serving tier appends to a writable WAL, while a "
             "follower is a read-only replica")
-    if follow and args.journal:
-        return conflict(
-            "--journal requires a journalling auditor; a read-only "
-            "follower only re-releases replicated decisions")
     if replicate_to and not args.wal:
         return conflict(
             "--replicate-to requires --wal (the primary's WAL directory)")
-    if listen and args.journal:
-        return conflict(
-            "--journal belongs to the stdin SQL loop; with --listen "
-            "the audit worker persists its WAL (use --wal)")
-    if args.journal and args.wal:
-        return conflict(
-            "--journal is incompatible with --wal: the WAL directory is "
-            "the journal, and only it holds the events its snapshots "
-            "cover")
     if listen and not args.wal:
         return conflict(
             "--listen requires --wal: a restarted audit worker recovers "
@@ -553,7 +536,7 @@ def _cmd_serve(args, stdin=None) -> int:
                                                    checkpoint_bytes),
                 replicate_to=replicate_to)
         else:
-            auditor = JournaledAuditor(factory(dataset))
+            auditor = factory(dataset)
         db = StatisticalDatabase(table, dataset, auditor)
     except (OSError, ReproError) as exc:
         print(f"error: {exc}")
@@ -588,10 +571,6 @@ def _cmd_serve(args, stdin=None) -> int:
         else:
             print(f"DENIED ({decision.reason.value}): {decision.detail}")
 
-    if args.journal:
-        with open(args.journal, "w") as handle:
-            handle.write(db.auditor.journal.to_json())
-        print(f"journal written to {args.journal}")
     if args.wal:
         db.auditor.close()
         if replicate_to:

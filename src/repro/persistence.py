@@ -1,25 +1,24 @@
-"""Audit-journal persistence: snapshot and restore auditor state.
+"""Audit-journal events and their replay.
 
 A production statistical database must survive restarts without forgetting
 what it has already disclosed — an auditor that reboots amnesiac is an open
-door.  The journal captures everything an auditor's state is a function of:
+door.  :class:`JournaledAuditor` writes every decision, cache replay,
+refusal and update to the write-ahead log (a
+:class:`~repro.resilience.checkpoint.CheckpointedWal` directory, opened by
+:func:`repro.resilience.wal.open_wal_auditor`) before it is released; the
+log's header records the initial sensitive values and range.
 
-* the initial sensitive values (and range),
-* the ordered stream of audited queries with their outcomes,
-* interleaved update events.
-
-Restoring replays the journal: answered queries are folded back through the
-auditor's state hooks (no re-decision, so randomized probabilistic auditors
-restore deterministically), denials are re-logged, updates re-applied.  For
-the deterministic classical auditors a *verify* mode re-runs every decision
-and flags any divergence (journal corruption or version drift).
+Recovery replays the events with :func:`replay_events`: answered queries
+are folded back through the auditor's state hooks (no re-decision, so
+randomized probabilistic auditors restore deterministically), denials are
+re-logged, updates re-applied.  For the deterministic classical auditors a
+*verify* mode re-runs every decision and flags any divergence (journal
+corruption or version drift).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from .exceptions import ReproError
 from .resilience.budget import Budget
@@ -27,8 +26,6 @@ from .resilience.faults import fault_site
 from .sdb.dataset import Dataset
 from .sdb.updates import Delete, Insert, Modify
 from .types import AggregateKind, AuditDecision, DenialReason, Query
-
-JOURNAL_VERSION = 1
 
 
 class JournalError(ReproError):
@@ -71,7 +68,7 @@ def _replay_event(query: Query, decision: AuditDecision) -> Dict[str, Any]:
 def _refusal_event(query: Query, decision: AuditDecision) -> Dict[str, Any]:
     """A fail-closed refusal that never consulted the auditor.
 
-    Admission control and the sampler circuit breaker deny queries
+    The audit worker's admission gate and the network edge deny queries
     *before* the audit decision procedure runs; the refusal still goes
     into the disclosure log (denials are observable outputs too), but
     :func:`replay_events` re-logs it without re-auditing — even in verify
@@ -98,82 +95,6 @@ def _update_event(event) -> Dict[str, Any]:
     if isinstance(event, Delete):
         return {"type": "delete", "index": event.index}
     raise JournalError(f"unknown update event {event!r}")  # pragma: no cover
-
-
-@dataclass
-class AuditJournal:
-    """An ordered, serialisable record of an auditor's lifetime."""
-
-    initial_values: List[float]
-    low: float
-    high: float
-    events: List[Dict[str, Any]]
-
-    @staticmethod
-    def begin(dataset: Dataset) -> "AuditJournal":
-        """Start a journal for a fresh auditor over ``dataset``."""
-        return AuditJournal(
-            initial_values=list(dataset.values),
-            low=dataset.low,
-            high=dataset.high,
-            events=[],
-        )
-
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialise to a JSON string."""
-        return json.dumps({
-            "version": JOURNAL_VERSION,
-            "dataset": {
-                "values": self.initial_values,
-                "low": self.low,
-                "high": self.high,
-            },
-            "events": self.events,
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "AuditJournal":
-        """Parse a journal produced by :meth:`to_json`."""
-        try:
-            blob = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise JournalError(f"invalid journal JSON: {exc}") from exc
-        if blob.get("version") != JOURNAL_VERSION:
-            raise JournalError(
-                f"unsupported journal version {blob.get('version')!r}"
-            )
-        dataset = blob.get("dataset", {})
-        try:
-            return AuditJournal(
-                initial_values=[float(v) for v in dataset["values"]],
-                low=float(dataset["low"]),
-                high=float(dataset["high"]),
-                events=list(blob["events"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise JournalError(f"malformed journal: {exc}") from exc
-
-    # ------------------------------------------------------------------
-    # Restore
-    # ------------------------------------------------------------------
-
-    def restore(self, auditor_factory: Callable[[Dataset], Any],
-                verify: bool = False):
-        """Rebuild ``(auditor, dataset)`` by replaying the journal.
-
-        ``verify=True`` re-runs every recorded decision through the
-        auditor's own logic and raises :class:`JournalError` on divergence
-        (only meaningful for deterministic auditors).
-        """
-        dataset = Dataset(list(self.initial_values), low=self.low,
-                          high=self.high)
-        auditor = auditor_factory(dataset)
-        replay_events(auditor, dataset, self.events, verify=verify)
-        return auditor, dataset
 
 
 def _journalled_reason(event: Dict[str, Any]) -> DenialReason:
@@ -216,9 +137,9 @@ def _replay_query(auditor, event: Dict[str, Any], verify: bool) -> None:
 def replay_events(auditor, dataset: Dataset, events, verify: bool = False) -> int:
     """Fold journal ``events`` into a live ``(auditor, dataset)`` pair.
 
-    The workhorse shared by :meth:`AuditJournal.restore` (full replay from
-    the initial dataset) and checkpointed recovery (suffix replay onto a
-    snapshot-restored auditor).  Returns the number of events applied.
+    The workhorse of WAL recovery: a full replay from the initial dataset,
+    or a suffix replay onto a snapshot-restored auditor.  Returns the
+    number of events applied.
     """
     applied = 0
     for event in events:
@@ -230,8 +151,8 @@ def replay_events(auditor, dataset: Dataset, events, verify: bool = False) -> in
             # (the original "query" event already carried it).
             pass
         elif etype == "denial":
-            # A fail-closed refusal (admission control, circuit breaker):
-            # the auditor was never consulted, so there is nothing to
+            # A fail-closed refusal (admission shed, edge refusal): the
+            # auditor was never consulted, so there is nothing to
             # verify — re-log it and move on.
             query = Query(AggregateKind(event["kind"]),
                           frozenset(int(i) for i in event["members"]))
@@ -256,33 +177,27 @@ def replay_events(auditor, dataset: Dataset, events, verify: bool = False) -> in
 
 
 class JournaledAuditor:
-    """Wraps any auditor, journalling every decision and update.
+    """Wraps any auditor, journalling every decision and update to a WAL.
 
     Drop-in replacement: exposes ``audit`` / ``apply_update`` plus the
     disclosure trail.  Decisions, cache replays, refusals and updates all
-    reach the log through one path, :meth:`_journal`.
-
-    With a WAL attached (see :func:`repro.resilience.wal.open_wal_auditor`)
-    every event is durably appended (fsync-per-record) *before*
-    :meth:`audit` returns — an answer is never released unless the log
-    already remembers it, so no crash can make the auditor forget a
-    disclosure.  The WAL is then the only copy of the log and ``journal``
-    is ``None``.  Without one, events collect in the in-memory
-    :class:`AuditJournal` ``journal``; use :meth:`AuditJournal.restore`
-    after a restart.
+    reach the log through one path, :meth:`_journal`, which durably
+    appends each event (fsync-per-record) *before* the method returns —
+    an answer is never released unless the log already remembers it, so
+    no crash can make the auditor forget a disclosure.  Build it with
+    :func:`repro.resilience.wal.open_wal_auditor`, which creates or
+    recovers the log.
     """
 
-    def __init__(self, auditor, wal=None):
+    def __init__(self, auditor, wal) -> None:
         self.auditor = auditor
         self.wal = wal
-        self.journal: Optional[AuditJournal] = (
-            AuditJournal.begin(auditor.dataset) if wal is None else None)
         #: A budget for one request's decisions (the serving worker sets
         #: it around each request); ``None`` keeps the auditor's own.
         self.request_budget: Optional[Budget] = None
 
     def audit(self, query: Query) -> AuditDecision:
-        """Audit and journal; with a WAL, persist before releasing.
+        """Audit, then persist the decision before releasing it.
 
         A :attr:`request_budget` holds for the wrapped auditor's decision
         only.  The append and the checkpoint it may take see the
@@ -315,17 +230,16 @@ class JournaledAuditor:
     def record_refusal(self, query: Query, decision: AuditDecision) -> None:
         """Durably log a fail-closed refusal before it goes out.
 
-        Used by the overload layer (admission control, circuit breaker)
-        for denials that never consulted the wrapped auditor: the denial
-        is trail-recorded and logged like any other decision, but carries
-        a dedicated ``denial`` event type so replay never tries to
-        re-audit it.
+        Used for admission sheds and edge refusals, denials that never
+        consulted the wrapped auditor: the denial is trail-recorded and
+        logged like any other decision, but carries a dedicated
+        ``denial`` event type so replay never tries to re-audit it.
         """
         self.trail.record(query, decision)
         self._journal(_refusal_event(query, decision))
 
     def apply_update(self, event) -> None:
-        """Apply and journal an update (durably, when a WAL is attached)."""
+        """Apply and durably journal an update."""
         self.auditor.apply_update(event)
         self._journal(_update_event(event))
 
@@ -337,17 +251,13 @@ class JournaledAuditor:
         exactly the same state.
         """
         fault_site("journal.pre-record")
-        if self.journal is not None:
-            self.journal.events.append(event)
-        else:
-            self.wal.append(event)
-            self.wal.maybe_checkpoint(self.auditor)
+        self.wal.append(event)
+        self.wal.maybe_checkpoint(self.auditor)
         fault_site("journal.post-record")
 
     def close(self) -> None:
-        """Close the attached WAL, if any."""
-        if self.wal is not None:
-            self.wal.close()
+        """Close the WAL and its replicas."""
+        self.wal.close()
 
     @property
     def trail(self):

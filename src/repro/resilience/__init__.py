@@ -39,7 +39,6 @@ from .faults import (
 from .overload import (
     AdmissionController,
     AdmissionPolicy,
-    CircuitBreaker,
     TokenBucket,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "BudgetScope",
     "CheckpointPolicy",
     "CheckpointedWal",
-    "CircuitBreaker",
     "Crash",
     "FaultClock",
     "FaultPlan",

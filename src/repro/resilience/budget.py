@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,9 +36,6 @@ from ..exceptions import (
 )
 from ..types import AuditDecision, DenialReason
 from .faults import fault_site
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .overload import CircuitBreaker
 
 Clock = Callable[[], float]
 
@@ -127,9 +124,7 @@ DecideFn = Callable[[Optional[BudgetScope], np.random.Generator],
 
 
 def run_fail_closed(budget: Optional[Budget], rng: np.random.Generator,
-                    decide: DecideFn,
-                    breaker: Optional["CircuitBreaker"] = None,
-                    ) -> Optional[AuditDecision]:
+                    decide: DecideFn) -> Optional[AuditDecision]:
     """Run one sampling-based decision under ``budget``, failing closed.
 
     ``decide(scope, gen)`` is the auditor's sampling decision body; it
@@ -144,29 +139,10 @@ def run_fail_closed(budget: Optional[Budget], rng: np.random.Generator,
     * :class:`ResourceExhaustedError` — raised by the scope's checkpoints —
       and attempt exhaustion both yield a ``RESOURCE_EXHAUSTED`` denial.
 
-    With a :class:`~repro.resilience.overload.CircuitBreaker` attached,
-    the breaker is consulted first — while it is open the samplers are
-    never entered and the decision short-circuits to a conservative
-    ``RESOURCE_EXHAUSTED`` denial — and every computed outcome is fed
-    back so repeated exhaustions trip it (the short-circuit denial is
-    *not* fed back, or the breaker would latch open on its own output).
-
     This guard sits on the auditor decision path, so it must stay
     taint-clean: it touches the query's decision machinery only through
     the opaque ``decide`` callback and never the sensitive dataset.
     """
-    if breaker is not None:
-        short_circuit = breaker.preflight()
-        if short_circuit is not None:
-            return short_circuit
-    decision = _run_budgeted(budget, rng, decide)
-    if breaker is not None:
-        breaker.observe(decision)
-    return decision
-
-
-def _run_budgeted(budget: Optional[Budget], rng: np.random.Generator,
-                  decide: DecideFn) -> Optional[AuditDecision]:
     if budget is None:
         return decide(None, rng)
     seed = int(rng.integers(_SEED_SPAN))

@@ -1,34 +1,23 @@
-"""Overload-safe serving: admission control and a sampler circuit breaker.
+"""Overload-safe serving: per-user admission control.
 
 The fail-closed story of :mod:`repro.resilience.budget` bounds *one*
 decision; this module bounds the *load*.  An auditing frontend that accepts
-unbounded concurrent queries is a denial-of-service surface (see
+unbounded queries is a denial-of-service surface (see
 ``attack/dos_attack.py``): an attacker who floods it with expensive
 probabilistic audits starves everyone else, and an operator who "fixes"
 that with an unbounded queue merely converts the outage into unbounded
-latency.  Both layers here shed load instead of queueing it, and every
-shed query is a first-class **journalled denial** — admission decisions
-are observable outputs, so they go through the same disclosure log as
-audit decisions (see :meth:`repro.persistence.JournaledAuditor.
-record_refusal`), and they depend only on public state (arrival times,
-concurrency), never on the sensitive data, so simulatability is preserved.
+latency.  The gate here sheds load instead of queueing it, and every shed
+query is a first-class **journalled denial** — admission decisions are
+observable outputs, so they go through the same disclosure log as audit
+decisions (see :meth:`repro.persistence.JournaledAuditor.record_refusal`),
+and they depend only on public state (arrival times and public policy
+constants), never on the sensitive data, so simulatability is preserved.
 
-Two mechanisms:
-
-* :class:`AdmissionController` — per-user token buckets (sustained rate +
-  burst) and a bounded in-flight gate, applied by
-  :class:`~repro.sdb.multiuser.MultiUserFrontend` *before* the auditor
-  runs.  Over-limit queries are denied with
-  :attr:`~repro.types.DenialReason.RESOURCE_EXHAUSTED`, never queued.
-* :class:`CircuitBreaker` — wraps the budgeted MCMC sampling path
-  (:func:`repro.resilience.budget.run_fail_closed`).  Repeated budget
-  exhaustions mean the samplers cannot finish under current parameters or
-  load; rather than burn a full deadline per query, the breaker trips and
-  short-circuits to the fast conservative path — **deny** — until a
-  cooldown passes, then lets one trial decision probe recovery
-  (half-open) before closing again.
-
-Both are deliberately *deny*-biased: the degraded mode of an auditor must
+:class:`AdmissionController` keeps per-user token buckets (sustained rate
++ burst).  The audit worker (:class:`~repro.serving.shards.ShardWorker`)
+applies it *before* the auditor runs; over-limit queries are denied with
+:attr:`~repro.types.DenialReason.RESOURCE_EXHAUSTED`, never queued.  The
+gate is deliberately *deny*-biased: the degraded mode of an auditor must
 never be "answer without auditing".
 """
 
@@ -107,18 +96,12 @@ class AdmissionPolicy:
     user_burst:
         Bucket capacity: how many queries a user may issue back-to-back
         before the sustained rate applies.
-    max_in_flight:
-        Bound on concurrently executing audits across *all* users
-        (``None`` disables the concurrency gate).  Queries beyond the
-        bound are denied, not queued — unbounded queueing only converts
-        an outage into unbounded latency.
     clock:
         Injectable monotonic time source for the buckets.
     """
 
     user_rate: Optional[float] = None
     user_burst: int = 10
-    max_in_flight: Optional[int] = None
     clock: Optional[Clock] = None
 
     def __post_init__(self) -> None:
@@ -126,154 +109,46 @@ class AdmissionPolicy:
             raise PrivacyParameterError("user_rate must be positive")
         if self.user_burst < 1:
             raise PrivacyParameterError("user_burst must be at least 1")
-        if self.max_in_flight is not None and self.max_in_flight < 1:
-            raise PrivacyParameterError("max_in_flight must be at least 1")
 
 
 class AdmissionController:
     """Fail-closed load shedding in front of the auditor.
 
-    ``try_admit(user)`` either admits (returns ``None`` and counts the
-    query in flight — the caller **must** pair it with :meth:`release`,
-    typically in a ``finally``) or returns a ready-made
-    ``RESOURCE_EXHAUSTED`` denial for the frontend to journal and return.
-    Thread-safe: one lock guards the buckets and the in-flight counter.
+    ``try_admit(user)`` either admits (returns ``None``) or returns a
+    ready-made ``RESOURCE_EXHAUSTED`` denial for the worker to journal
+    and return.  Thread-safe: one lock guards the bucket table and the
+    shed counter.
     """
 
     def __init__(self, policy: Optional[AdmissionPolicy] = None) -> None:
         self.policy = policy or AdmissionPolicy()
         self._lock = threading.Lock()
         self._buckets: Dict[str, TokenBucket] = {}
-        self._in_flight = 0
         self._shed_rate = 0
-        self._shed_in_flight = 0
 
     def try_admit(self, user: str) -> Optional[AuditDecision]:
-        """Admit (``None``) or deny (a journallable decision), atomically.
-
-        The in-flight gate is checked first: a server at capacity sheds
-        load regardless of whose query arrives, so a single user's burst
-        cannot starve the rate-compliant majority of admission checks.
-        """
+        """Admit (``None``) or deny (a journallable decision), atomically."""
         policy = self.policy
-        with self._lock:
-            cap = policy.max_in_flight
-            if cap is not None and self._in_flight >= cap:
-                self._shed_in_flight += 1
-                # audit: LEAK001 -- in-flight count and cap are operational
-                # load metrics independent of any dataset value
-                return AuditDecision.deny(
-                    DenialReason.RESOURCE_EXHAUSTED,
-                    f"server at capacity ({self._in_flight} audits in "
-                    f"flight, limit {cap}); not queueing — retry later",
-                )
-            if policy.user_rate is not None:
-                bucket = self._buckets.get(user)
-                if bucket is None:
-                    bucket = TokenBucket(policy.user_rate,
-                                         policy.user_burst,
-                                         clock=policy.clock)
-                    self._buckets[user] = bucket
-                if not bucket.try_take():
-                    self._shed_rate += 1
-                    # audit: LEAK001 -- rate and burst are public policy
-                    # constants from OverloadPolicy
-                    return AuditDecision.deny(
-                        DenialReason.RESOURCE_EXHAUSTED,
-                        f"per-user rate limit exceeded "
-                        f"({policy.user_rate:g}/s sustained, burst "
-                        f"{policy.user_burst}); retry later",
-                    )
-            self._in_flight += 1
+        if policy.user_rate is None:
             return None
-
-    def release(self) -> None:
-        """Mark one admitted query finished (pair with :meth:`try_admit`)."""
         with self._lock:
-            if self._in_flight > 0:
-                self._in_flight -= 1
-
-    def in_flight(self) -> int:
-        """Currently executing admitted queries."""
-        with self._lock:
-            return self._in_flight
+            bucket = self._buckets.get(user)
+            if bucket is None:
+                bucket = TokenBucket(policy.user_rate, policy.user_burst,
+                                     clock=policy.clock)
+                self._buckets[user] = bucket
+            if bucket.try_take():
+                return None
+            self._shed_rate += 1
+        # audit: LEAK001 -- rate and burst are public policy constants
+        # from AdmissionPolicy
+        return AuditDecision.deny(
+            DenialReason.RESOURCE_EXHAUSTED,
+            f"per-user rate limit exceeded ({policy.user_rate:g}/s "
+            f"sustained, burst {policy.user_burst}); retry later",
+        )
 
     def shed_counts(self) -> Dict[str, int]:
-        """How many queries each gate has shed (cumulative)."""
+        """How many queries the gate has shed (cumulative)."""
         with self._lock:
-            return {"rate": self._shed_rate,
-                    "in_flight": self._shed_in_flight}
-
-
-class CircuitBreaker:
-    """Trip to the conservative deny path after repeated exhaustions.
-
-    State machine: **closed** (normal; consecutive ``RESOURCE_EXHAUSTED``
-    outcomes are counted, any other outcome resets the count) →
-    **open** after ``failure_threshold`` consecutive failures (every
-    decision short-circuits to a denial without touching the samplers) →
-    **half-open** once ``cooldown`` seconds pass (exactly the next
-    decision runs the samplers as a probe) → **closed** on a non-exhausted
-    probe, back to **open** on an exhausted one.
-
-    The open-state short-circuit is itself a ``RESOURCE_EXHAUSTED``
-    denial; it is *not* fed back into :meth:`observe` (the breaker would
-    otherwise latch open on its own output).
-    """
-
-    def __init__(self, failure_threshold: int = 3, cooldown: float = 30.0,
-                 clock: Optional[Clock] = None) -> None:
-        if failure_threshold < 1:
-            raise PrivacyParameterError(
-                "failure_threshold must be at least 1")
-        if cooldown <= 0:
-            raise PrivacyParameterError("cooldown must be positive")
-        self.failure_threshold = failure_threshold
-        self.cooldown = float(cooldown)
-        self._clock: Clock = clock or time.monotonic
-        self._lock = threading.Lock()
-        self._state = "closed"
-        self._failures = 0
-        self._opened_at = 0.0
-        self.trips = 0
-
-    @property
-    def state(self) -> str:
-        """``"closed"``, ``"open"``, or ``"half-open"``."""
-        with self._lock:
-            return self._state
-
-    def preflight(self) -> Optional[AuditDecision]:
-        """Before sampling: ``None`` to proceed, or the short-circuit denial."""
-        with self._lock:
-            if self._state != "open":
-                return None
-            if self._clock() - self._opened_at >= self.cooldown:
-                self._state = "half-open"  # admit one probe decision
-                return None
-            # audit: LEAK001 -- failure counter and cooldown are operational
-            # breaker state independent of any dataset value
-            return AuditDecision.deny(
-                DenialReason.RESOURCE_EXHAUSTED,
-                f"sampler circuit breaker open after {self._failures} "
-                f"consecutive budget exhaustion(s); denying "
-                f"conservatively until the {self.cooldown:g}s cooldown "
-                f"passes",
-            )
-
-    def observe(self, decision: Optional[AuditDecision]) -> None:
-        """Record a sampling outcome (``None`` = an answer was computed)."""
-        failed = (decision is not None and decision.denied
-                  and decision.reason == DenialReason.RESOURCE_EXHAUSTED)
-        with self._lock:
-            if failed:
-                self._failures += 1
-                if (self._state == "half-open"
-                        or self._failures >= self.failure_threshold):
-                    if self._state != "open":
-                        self.trips += 1
-                    self._state = "open"
-                    self._opened_at = self._clock()
-            else:
-                self._failures = 0
-                self._state = "closed"
+            return {"rate": self._shed_rate}

@@ -26,7 +26,9 @@ replica promotable:
   epoch** in its MANIFEST.  Every shipment carries the primary's epoch; a
   follower rejects one from an older epoch with :class:`FencedError`, so
   a resurrected old primary's appends are refused — split-brain writes
-  cannot merge into the audit history.
+  cannot merge into the audit history.  A follower re-reads the epoch
+  whenever the MANIFEST changed under it, so an old primary that is
+  still running is fenced at its next shipment, not its next attach.
 
 The log imports this module only once a replica attaches.  Because
 decision replay is re-audit-free and deterministic, a client retrying a
@@ -68,6 +70,7 @@ from .checkpoint import (
     CheckpointedWal,
     RecoveryInfo,
     _dataset_header,
+    _read_manifest,
 )
 from .faults import fault_site
 from .wal import AuditorFactory, _decode_record
@@ -170,6 +173,10 @@ class Follower:
         self._fsync = fsync
         self._wal: Optional[CheckpointedWal] = None
         self._epoch = 0
+        #: ``(inode, size, mtime)`` of the MANIFEST as this follower
+        #: last wrote or read it; a change means another writer (a
+        #: promoted replica) committed one.
+        self._manifest_seen: Optional[Tuple[int, int, int]] = None
 
     @classmethod
     def open(cls, directory: str,
@@ -216,15 +223,31 @@ class Follower:
 
     # -- internals ------------------------------------------------------
 
+    def _manifest_stat(self) -> Optional[Tuple[int, int, int]]:
+        try:
+            st = os.stat(os.path.join(self.directory, MANIFEST_NAME))
+        except FileNotFoundError:
+            return None
+        return st.st_ino, st.st_size, st.st_mtime_ns
+
     def _check_epoch(self, epoch: int) -> None:
+        seen = self._manifest_stat()
+        if seen is not None and seen != self._manifest_seen:
+            # Another writer committed a MANIFEST here since this
+            # follower last wrote or read one: a promotion fences that way.
+            self._manifest_seen = seen
+            self._adopt(int(_read_manifest(self.directory).get("epoch", 0)))
         if epoch < self._epoch:
             raise FencedError(
                 f"rejecting a shipment from epoch {epoch}: replica "
                 f"{self.directory!r} is fenced at epoch {self._epoch}"
             )
+        # A legitimately newer primary (post-failover): adopt its epoch.
+        # It becomes durable with the next manifest commit.
+        self._adopt(epoch)
+
+    def _adopt(self, epoch: int) -> None:
         if epoch > self._epoch:
-            # A legitimately newer primary (post-failover): adopt its
-            # epoch.  It becomes durable with the next manifest commit.
             self._epoch = epoch
             if self._wal is not None:
                 self._wal._epoch = epoch
@@ -258,6 +281,7 @@ class Follower:
         _check_record(ship.data, f"snapshot {ship.snapshot}", "snapshot")
         wal.install_checkpoint(ship.seq, ship.snapshot, ship.events,
                                ship.data)
+        self._manifest_seen = self._manifest_stat()
 
     def _apply_install(self, ship: Install) -> None:
         if self._wal is not None and self._wal.total_events > ship.events:
@@ -313,6 +337,7 @@ class Follower:
 
     def _reopen(self) -> None:
         """Rebuild in-memory state from the replica directory."""
+        self._manifest_seen = self._manifest_stat()
         wal, _records = CheckpointedWal._load(self.directory, self._policy,
                                               self._fsync)
         wal._resume()

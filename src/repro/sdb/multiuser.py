@@ -19,10 +19,9 @@ completing query.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..exceptions import InvalidQueryError
-from ..resilience.overload import AdmissionController
 from ..types import AuditDecision, Query
 from .dataset import Dataset
 
@@ -40,14 +39,10 @@ class MultiUserFrontend:
         Called with ``dataset`` to build each auditor.
     mode:
         ``"pooled"`` or ``"independent"`` (see module docstring).
-    admission:
-        Optional :class:`~repro.resilience.overload.AdmissionController`.
-        Every :meth:`ask` is gated *before* the auditor runs: over-limit
-        queries (per-user rate, global in-flight bound) are denied with a
-        journalled ``RESOURCE_EXHAUSTED`` — shed, never queued, never an
-        unaudited answer.
 
-    To serve over a durable audit log, open it with
+    Admission control is the audit worker's job
+    (:class:`~repro.serving.shards.ShardWorker`), which hands its sheds
+    to :meth:`refuse`.  To serve over a durable audit log, open it with
     :func:`repro.resilience.wal.open_wal_auditor` and build a pooled
     frontend over the live dataset it returns, with a factory that
     returns its journalled auditor.  A log records one auditor's
@@ -57,20 +52,16 @@ class MultiUserFrontend:
     MODES = ("pooled", "independent")
 
     def __init__(self, dataset: Dataset, auditor_factory: AuditorFactory,
-                 mode: str = "pooled",
-                 admission: Optional[AdmissionController] = None):
+                 mode: str = "pooled"):
         if mode not in self.MODES:
             raise InvalidQueryError(f"mode must be one of {self.MODES}")
         self.dataset = dataset
         self.mode = mode
         self._factory = auditor_factory
-        self.admission = admission
         self._pooled = auditor_factory(dataset) if mode == "pooled" else None
         self._per_user: Dict[str, object] = {}
         # Serializes auditor runs and bookkeeping: auditors mutate
-        # posterior state per decision.  Admission gating stays *outside*
-        # this lock — shedding is the admission controller's own
-        # (internally locked) job.
+        # posterior state per decision.
         self._lock = threading.RLock()
         # Exact cumulative counters: the auditor's own state keeps every
         # past answer, so the frontend keeps only counts.
@@ -86,25 +77,7 @@ class MultiUserFrontend:
             return self._per_user[user]
 
     def ask(self, user: str, query: Query) -> AuditDecision:
-        """Audit ``query`` on behalf of ``user``.
-
-        With an admission controller attached, over-limit queries are
-        denied *before* the auditor runs.  The refusal is still a
-        first-class output: it is journalled (durably, when the pooled
-        auditor carries a WAL) and counted in the per-user bookkeeping,
-        so load shedding never silently drops a query — and never, under
-        any failure, releases an unaudited answer.
-        """
-        if self.admission is not None:
-            refusal = self.admission.try_admit(user)
-            if refusal is not None:
-                return self.refuse(user, query, refusal)
-            try:
-                with self._lock:
-                    decision = self._auditor_for(user).audit(query)
-                    return self._bookkeep(user, decision)
-            finally:
-                self.admission.release()
+        """Audit ``query`` on behalf of ``user``."""
         with self._lock:
             decision = self._auditor_for(user).audit(query)
             return self._bookkeep(user, decision)
@@ -113,13 +86,13 @@ class MultiUserFrontend:
                decision: AuditDecision) -> AuditDecision:
         """Journal and bookkeep a fail-closed refusal, without auditing.
 
-        The public entry point for every deny-before-audit path —
-        admission sheds (used by :meth:`ask` itself) and the network
-        edge's expired-deadline and backpressure refusals.  The refusal
-        is recorded through the auditor's disclosure trail (durably, when
+        The public entry point for every deny-before-audit path — the
+        audit worker's admission sheds and the network edge's
+        expired-deadline and backpressure refusals.  The refusal is
+        recorded through the auditor's disclosure trail (durably, when
         the auditor carries a WAL) and counted in the per-user
-        bookkeeping, exactly like an in-process shed: a refused query is
-        never a silent drop, and never an unaudited answer.
+        bookkeeping: a refused query is never a silent drop, and never
+        an unaudited answer.
         """
         with self._lock:
             self._auditor_for(user).record_refusal(query, decision)

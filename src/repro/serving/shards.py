@@ -139,11 +139,11 @@ class ShardWorker:
         auditor = self.auditor
         self.frontend = MultiUserFrontend(dataset, lambda _ds: auditor,
                                           mode="pooled")
-        self.admission: Optional[AdmissionController] = None
-        if spec.user_rate is not None:
-            self.admission = AdmissionController(AdmissionPolicy(
-                user_rate=spec.user_rate, user_burst=spec.user_burst,
-            ))
+        #: The one admission gate of the serving tier: per-user token
+        #: buckets (a no-op without ``spec.user_rate``).
+        self.admission = AdmissionController(AdmissionPolicy(
+            user_rate=spec.user_rate, user_burst=spec.user_burst,
+        ))
 
     # ------------------------------------------------------------------
     # Request handling
@@ -183,19 +183,13 @@ class ShardWorker:
             user, query = self._parse_query(request)
         except (InvalidQueryError, ValueError, TypeError):
             return {"ok": False, "error": "invalid query"}
+        refusal = self.admission.try_admit(user)
+        if refusal is not None:
+            decision = self.frontend.refuse(user, query, refusal)
+            fault_site("shard.post-journal")
+            return self._respond(user, query, decision, shed=True)
         try:
-            if self.admission is not None:
-                refusal = self.admission.try_admit(user)
-                if refusal is not None:
-                    decision = self.frontend.refuse(user, query, refusal)
-                    fault_site("shard.post-journal")
-                    return self._respond(user, query, decision, shed=True)
-                try:
-                    decision = self._audit(user, query, request)
-                finally:
-                    self.admission.release()
-            else:
-                decision = self._audit(user, query, request)
+            decision = self._audit(user, query, request)
         except (InvalidQueryError, UnsupportedQueryError):
             # Parseable but unanswerable — a kind this worker's auditor
             # does not serve, or an index outside the dataset.  Nothing
@@ -271,7 +265,7 @@ class ShardWorker:
             "denials": self.frontend.denial_counts(),
             "events": self._logged_events(),
         }
-        if self.admission is not None:
+        if self.spec.user_rate is not None:
             stats["shed"] = self.admission.shed_counts()
         return stats
 

@@ -5,14 +5,14 @@ journal itself (boundary classes), so their release methods carry the
 append-before-release obligation.  Never imported at runtime.
 """
 
-from repro.persistence import AuditJournal
+from repro.resilience.checkpoint import CheckpointedWal
 from repro.types import AuditDecision, Query
 
 
 class LeakyJournaledAuditor:
     """Releases the cheap path without journalling it (WAL001)."""
 
-    def __init__(self, inner, journal: AuditJournal) -> None:
+    def __init__(self, inner, journal: CheckpointedWal) -> None:
         self.inner = inner
         self.journal = journal
 
@@ -26,7 +26,7 @@ class LeakyJournaledAuditor:
 class SwallowingJournaledAuditor:
     """Swallows the journal-write failure but still answers (WAL002)."""
 
-    def __init__(self, inner, journal: AuditJournal) -> None:
+    def __init__(self, inner, journal: CheckpointedWal) -> None:
         self.inner = inner
         self.journal = journal
 
@@ -41,7 +41,7 @@ class SwallowingJournaledAuditor:
 class StrictJournaledAuditor:
     """Fail-closed twin: zero findings expected."""
 
-    def __init__(self, inner, journal: AuditJournal) -> None:
+    def __init__(self, inner, journal: CheckpointedWal) -> None:
         self.inner = inner
         self.journal = journal
 

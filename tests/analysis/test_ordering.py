@@ -101,10 +101,11 @@ def test_stripping_replay_journal_from_engine_is_caught():
 
 
 def test_stripping_refusal_journal_from_frontend_is_caught():
-    # Admission sheds and the edge's expired-deadline refusals all go
-    # through MultiUserFrontend.refuse.  WAL001 checks its body instead of
-    # trusting it as a journal primitive: delete its record call and the
-    # shed path of ask(), which releases the refusal, must trip WAL001.
+    # The audit worker's admission sheds and the edge's expired-deadline
+    # refusals all go through MultiUserFrontend.refuse.  WAL001 checks its
+    # body instead of trusting it as a journal primitive: delete its
+    # record call and refuse(), which releases the refusal, must trip
+    # WAL001.
     from repro.analysis.simulatability import default_package_dir
 
     path = default_package_dir() / "sdb" / "multiuser.py"
@@ -118,7 +119,7 @@ def test_stripping_refusal_journal_from_frontend_is_caught():
     hits = [f for f in stripped.findings
             if f.rule == RULE_RELEASE_BEFORE_APPEND
             and f.file.endswith("multiuser.py")
-            and f.entry_method == "ask"]
+            and f.entry_method == "refuse"]
     assert len(hits) == 1, stripped.format_text()
 
 

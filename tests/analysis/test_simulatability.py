@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 from repro.analysis import (
+    RULE_SENSITIVE_ESCAPE,
     RULE_SENSITIVE_READ,
     RULE_TRUE_ANSWER,
     SCHEMA_VERSION,
@@ -136,6 +137,26 @@ def test_two_hop_indirect_read_is_caught():
     # nothing else in the shipped tree regresses
     assert {f.entry_class for f in report.violations} == {
         "IndirectLeakAuditor"}
+
+
+# ----------------------------------------------------------------------
+# Detection: the dataset escaping into a call the analyzer cannot follow
+# ----------------------------------------------------------------------
+
+def test_dataset_passed_to_an_opaque_callee_is_sim003():
+    report = analyze_package(select=["SIM"], extra_modules=[
+        ("repro._fixture_sim_escape", FIXTURES / "sim_escape.py"),
+    ])
+    hits = [f for f in report.violations
+            if f.rule == RULE_SENSITIVE_ESCAPE]
+    assert [(f.entry_class, f.entry_method) for f in hits] == [
+        ("OpaqueScoringAuditor", "_deny_reason")], report.format_text()
+    assert hits[0].file.endswith("sim_escape.py")
+    assert "scorer" in hits[0].sink
+    # The twin that hands over only the public size stays silent, and
+    # nothing in the shipped tree regresses.
+    assert {f.entry_class for f in report.violations} == {
+        "OpaqueScoringAuditor"}
 
 
 # ----------------------------------------------------------------------

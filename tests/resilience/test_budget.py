@@ -10,9 +10,10 @@ from repro.exceptions import (
     ResourceExhaustedError,
     SamplingError,
 )
-from repro.persistence import JournaledAuditor
 from repro.resilience.budget import Budget, run_fail_closed
 from repro.resilience.faults import FaultClock, FaultPlan, Raise, Stall, inject
+from repro.resilience.replication import replica_events
+from repro.resilience.wal import open_wal_auditor
 from repro.sdb.dataset import Dataset
 from repro.types import DenialReason, max_query, sum_query
 
@@ -24,8 +25,9 @@ def make_max_auditor(budget=None, seed=5):
                                    budget=budget)
 
 
-def make_sum_auditor(budget=None, seed=5):
-    data = Dataset.uniform(6, rng=3)
+def make_sum_auditor(budget=None, seed=5, data=None):
+    if data is None:
+        data = Dataset.uniform(6, rng=3)
     return SumProbabilisticAuditor(data, num_outer=2, num_inner=10,
                                    rng=seed, budget=budget)
 
@@ -102,18 +104,23 @@ def test_persistent_sampling_failure_exhausts_attempts():
     assert len(set(calls)) == 1
 
 
-def test_exhaustion_denial_is_journalled_and_replayable():
+def test_exhaustion_denial_is_journalled_and_replayable(tmp_path):
     budget = Budget(max_chain_steps=5)
-    wrapped = JournaledAuditor(make_sum_auditor(budget=budget))
+    path = str(tmp_path / "wal")
+
+    def factory(ds):
+        return make_sum_auditor(budget=budget, data=ds)
+
+    wrapped, _ = open_wal_auditor(path, factory, Dataset.uniform(6, rng=3))
     decision = wrapped.audit(sum_query([0, 1, 2]))
     assert decision.reason is DenialReason.RESOURCE_EXHAUSTED
-    event = wrapped.journal.events[-1]
+    wrapped.close()
+    event = replica_events(path)[-1]
     assert event["denied"] and event["reason"] == "resource-exhausted"
-    restored, _ = wrapped.journal.restore(
-        lambda ds: make_sum_auditor(budget=budget)
-    )
+    restored, _ = open_wal_auditor(path, factory, Dataset.uniform(6, rng=3))
     summary = restored.trail.summary()
     assert summary["denied_by_reason"] == {"resource-exhausted": 1}
+    restored.close()
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ a theorem here and a non-goal there.
 """
 
 import os
-import tempfile
 
 import pytest
 
@@ -79,9 +78,9 @@ MAX_OCCURRENCES = 64
 
 
 @pytest.fixture(scope="module")
-def baseline():
+def baseline(tmp_path_factory):
     """Released decisions of the uncrashed checkpointed run."""
-    directory = os.path.join(tempfile.mkdtemp(), "wal")
+    directory = str(tmp_path_factory.mktemp("baseline") / "wal")
     wrapped, _ = open_wal_auditor(directory, factory,
                                   make_dataset(), policy=POLICY)
     decisions = [wrapped.audit(q) for q in QUERIES]
@@ -90,14 +89,15 @@ def baseline():
     return [(d.denied, d.value, d.reason) for d in decisions]
 
 
-def crash_run(site, occurrence):
-    """Serve QUERIES, crashing at the ``occurrence``-th hit of ``site``;
-    recover and resume from the first unacknowledged query.
+def crash_run(root, site, occurrence):
+    """Serve QUERIES over a fresh WAL under ``root``, crashing at the
+    ``occurrence``-th hit of ``site``; recover and resume from the first
+    unacknowledged query.
 
     Returns ``(released, crash_fired, recovery_info)`` where ``released``
     is the full decision stream in query order.
     """
-    directory = os.path.join(tempfile.mkdtemp(), "wal")
+    directory = os.path.join(str(root), f"{site}-{occurrence}")
     plan = FaultPlan.crash_at(site, occurrence)
     released = {}
     with inject(plan):
@@ -136,12 +136,12 @@ def crash_run(site, occurrence):
 
 
 @pytest.mark.parametrize("site", SWEEP_SITES)
-def test_crash_everywhere_is_bitwise_identical(site, baseline):
+def test_crash_everywhere_is_bitwise_identical(site, baseline, tmp_path):
     """For every occurrence of every site: crash, recover, resume —
     the released stream equals the uncrashed stream, bit for bit."""
     occurrence = 0
     while occurrence < MAX_OCCURRENCES:
-        stream, fired, info = crash_run(site, occurrence)
+        stream, fired, info = crash_run(tmp_path, site, occurrence)
         assert stream == baseline, (
             f"crash at {site}#{occurrence} changed the decision stream"
         )
@@ -163,18 +163,18 @@ def test_crash_everywhere_is_bitwise_identical(site, baseline):
         assert occurrence >= len(QUERIES)
 
 
-def test_sampler_sites_do_not_fire_on_the_deterministic_path():
+def test_sampler_sites_do_not_fire_on_the_deterministic_path(tmp_path):
     """The classic serving path never enters the samplers — asserted so
     the sweep above provably covers every site that *can* fire."""
     for site in ("auditor.attempt", "hit_and_run.step", "coloring.step"):
-        _, fired, _ = crash_run(site, 0)
+        _, fired, _ = crash_run(tmp_path, site, 0)
         assert not fired
 
 
-def test_double_crash_still_converges(baseline):
+def test_double_crash_still_converges(baseline, tmp_path):
     """Crash mid-checkpoint, recover, then crash again mid-append on the
     resumed run: two consecutive kills still converge to the baseline."""
-    directory = os.path.join(tempfile.mkdtemp(), "wal")
+    directory = str(tmp_path / "wal")
     released = {}
     resume_from = 0
     with inject(FaultPlan.crash_at("checkpoint.pre-commit", 0)):
@@ -207,11 +207,11 @@ def test_double_crash_still_converges(baseline):
     assert stream == baseline
 
 
-def test_recovery_after_crash_replays_only_the_suffix():
+def test_recovery_after_crash_replays_only_the_suffix(tmp_path):
     """The acceptance criterion, asserted via replay counts: after the
     stream's checkpoints, a crash-recovery replays at most one
     checkpoint interval of events — not the whole history."""
-    stream, fired, info = crash_run("wal.post-fsync",
+    stream, fired, info = crash_run(tmp_path, "wal.post-fsync",
                                     len(QUERIES) - 1)  # last record
     assert fired
     assert info is not None and info.snapshot_name is not None

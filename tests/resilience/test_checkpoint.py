@@ -69,11 +69,11 @@ def serve(directory, queries=QUERIES, policy=POLICY, verify=False):
 
 
 @pytest.fixture(scope="module")
-def baseline():
-    from repro.persistence import JournaledAuditor
-
-    wrapped = JournaledAuditor(factory(make_dataset()))
+def baseline(tmp_path_factory):
+    wrapped, _ = open_wal_auditor(str(tmp_path_factory.mktemp("baseline")),
+                                  factory, make_dataset())
     decisions = [wrapped.audit(q) for q in QUERIES]
+    wrapped.close()
     assert [d.denied for d in decisions].count(True) >= 2
     return [(d.denied, d.value) for d in decisions]
 

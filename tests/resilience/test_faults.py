@@ -9,13 +9,11 @@ unfaulted auditor would have denied.
 """
 
 import os
-import tempfile
 
 import pytest
 
 from repro.auditors.sum_classic import SumClassicAuditor
 from repro.exceptions import ReproError
-from repro.persistence import JournaledAuditor
 from repro.resilience.checkpoint import MANIFEST_NAME
 from repro.resilience.faults import (
     KNOWN_SITES,
@@ -65,10 +63,12 @@ AUDIT_PATH_SITES = [
 
 
 @pytest.fixture(scope="module")
-def baseline():
+def baseline(tmp_path_factory):
     """Decisions of the unfaulted auditor over QUERIES."""
-    wrapped = JournaledAuditor(factory(make_dataset()))
+    wrapped, _ = open_wal_auditor(str(tmp_path_factory.mktemp("baseline")),
+                                  factory, make_dataset())
     decisions = [wrapped.audit(q) for q in QUERIES]
+    wrapped.close()
     assert [d.denied for d in decisions] == [False, False, True, False, True]
     return [(d.denied, d.value) for d in decisions]
 
@@ -126,13 +126,13 @@ def test_fault_clock_stalls():
 # The crash/recover/replay drill
 # ----------------------------------------------------------------------
 
-def crash_recover_replay(site, query_index, occurrence_offset):
-    """Serve QUERIES, crash at the given site during ``query_index``,
-    recover, resume from the first unacknowledged query.
+def crash_recover_replay(path, site, query_index, occurrence_offset):
+    """Serve QUERIES over a fresh WAL at ``path``, crash at the given
+    site during ``query_index``, recover, resume from the first
+    unacknowledged query.
 
     Returns the full list of *released* decisions, in query order.
     """
-    path = os.path.join(tempfile.mkdtemp(), "wal")
     released = {}
     plan = FaultPlan.crash_at(site, query_index + occurrence_offset)
     with inject(plan):
@@ -162,18 +162,22 @@ def crash_recover_replay(site, query_index, occurrence_offset):
 @pytest.mark.parametrize("site,offset", AUDIT_PATH_SITES)
 @pytest.mark.parametrize("query_index", range(len(QUERIES)))
 def test_no_crash_point_changes_released_decisions(site, offset,
-                                                   query_index, baseline):
-    released = crash_recover_replay(site, query_index, offset)
+                                                   query_index, baseline,
+                                                   tmp_path):
+    released = crash_recover_replay(str(tmp_path / "wal"), site,
+                                    query_index, offset)
     assert released == baseline
 
 
 @pytest.mark.parametrize("site,offset", AUDIT_PATH_SITES)
-def test_no_crash_turns_a_denial_into_an_answer(site, offset, baseline):
+def test_no_crash_turns_a_denial_into_an_answer(site, offset, baseline,
+                                                tmp_path):
     """The fail-closed property, asserted directly: across every crash
     point, a query the unfaulted auditor denies is never answered."""
     denied_indices = {i for i, (denied, _) in enumerate(baseline) if denied}
     for query_index in range(len(QUERIES)):
-        released = crash_recover_replay(site, query_index, offset)
+        released = crash_recover_replay(str(tmp_path / f"wal-{query_index}"),
+                                        site, query_index, offset)
         for i in denied_indices:
             assert released[i][0], (
                 f"crash at {site} on query {query_index} released an "
@@ -197,12 +201,12 @@ def test_crash_during_header_write_means_fresh_start(tmp_path):
     assert sorted(os.listdir(path)) == [MANIFEST_NAME, "segment-000001.log"]
 
 
-def test_durable_but_unreleased_decision_is_treated_as_disclosed():
+def test_durable_but_unreleased_decision_is_treated_as_disclosed(tmp_path):
     """Crash after fsync, before release: the record is durable, the
     answer was never seen.  Recovery must keep it — the fail-closed
     resolution of the ambiguity — because the attacker *may* have seen
     the answer even though the server never saw it acknowledged."""
-    path = os.path.join(tempfile.mkdtemp(), "wal")
+    path = str(tmp_path / "wal")
     wrapped, _ = open_wal_auditor(path, factory, make_dataset())
     with inject(FaultPlan.crash_at("journal.post-record")):
         with pytest.raises(InjectedCrash):

@@ -1,31 +1,30 @@
-"""Overload protection: admission control, in-flight gate, circuit breaker.
+"""Overload protection: per-user admission control in the audit worker.
 
 The property under test is the serving-layer half of fail-closed: under
-any burst, flood, or sampler meltdown the frontend sheds load with
-journalled ``RESOURCE_EXHAUSTED`` denials — never an unhandled exception,
-never an unbounded queue, and never an answer that skipped the auditor.
+any burst or flood the audit worker sheds load with journalled
+``RESOURCE_EXHAUSTED`` denials — never an unhandled exception, never an
+unbounded queue, and never an answer that skipped the auditor.
 """
 
-import numpy as np
+import os
+
 import pytest
 
 from repro.auditors.sum_classic import SumClassicAuditor
-from repro.auditors.sum_prob import SumProbabilisticAuditor
-from repro.exceptions import PrivacyParameterError, ResourceExhaustedError
+from repro.exceptions import PrivacyParameterError
 from repro.persistence import JournaledAuditor
-from repro.resilience.budget import Budget, run_fail_closed
 from repro.resilience.faults import FaultClock
 from repro.resilience.overload import (
     AdmissionController,
     AdmissionPolicy,
-    CircuitBreaker,
     TokenBucket,
 )
 from repro.resilience.replication import replica_events
 from repro.resilience.wal import open_wal_auditor
 from repro.sdb.dataset import Dataset
 from repro.sdb.multiuser import MultiUserFrontend
-from repro.types import DenialReason, sum_query
+from repro.serving.shards import ShardSpec, ShardWorker
+from repro.types import AuditDecision, DenialReason, sum_query
 
 pytestmark = pytest.mark.faults
 
@@ -36,6 +35,25 @@ def make_dataset():
 
 def factory(ds):
     return SumClassicAuditor(ds)
+
+
+def flood_worker(wal_dir, burst, **spec):
+    """An audit worker over ``make_dataset()`` whose per-user bucket
+    practically never refills: ``burst`` admissions, then sheds."""
+    data = make_dataset()
+    return ShardWorker(ShardSpec(
+        values=tuple(data.values), low=data.low, high=data.high,
+        wal_dir=wal_dir, auditor="sum", user_rate=0.001, user_burst=burst,
+        **spec))
+
+
+def query_op(user, members):
+    return {"op": "query", "user": user, "kind": "sum",
+            "members": list(members)}
+
+
+def exhausted():
+    return AuditDecision.deny(DenialReason.RESOURCE_EXHAUSTED, "boom")
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +81,7 @@ def test_token_bucket_validates_parameters():
     with pytest.raises(PrivacyParameterError):
         AdmissionPolicy(user_rate=-1.0)
     with pytest.raises(PrivacyParameterError):
-        AdmissionPolicy(max_in_flight=0)
+        AdmissionPolicy(user_rate=1.0, user_burst=0)
 
 
 # ----------------------------------------------------------------------
@@ -75,63 +93,42 @@ def test_per_user_rate_limit_sheds_with_resource_exhausted():
     controller = AdmissionController(AdmissionPolicy(
         user_rate=1.0, user_burst=2, clock=clock.now))
     assert controller.try_admit("mallory") is None
-    controller.release()
     assert controller.try_admit("mallory") is None
-    controller.release()
     denial = controller.try_admit("mallory")
     assert denial is not None and denial.denied
     assert denial.reason == DenialReason.RESOURCE_EXHAUSTED
     # Another user has their own bucket: the flood is not contagious.
     assert controller.try_admit("alice") is None
-    controller.release()
-    assert controller.shed_counts() == {"rate": 1, "in_flight": 0}
-
-
-def test_in_flight_gate_denies_instead_of_queueing():
-    controller = AdmissionController(AdmissionPolicy(max_in_flight=2))
-    assert controller.try_admit("a") is None
-    assert controller.try_admit("b") is None
-    assert controller.in_flight() == 2
-    denial = controller.try_admit("c")
-    assert denial is not None
-    assert denial.reason == DenialReason.RESOURCE_EXHAUSTED
-    assert "not queueing" in denial.detail
-    controller.release()
-    assert controller.try_admit("c") is None
-    assert controller.shed_counts()["in_flight"] == 1
+    assert controller.shed_counts() == {"rate": 1}
 
 
 # ----------------------------------------------------------------------
-# Frontend integration: the synthetic burst acceptance criterion
+# Worker integration: the synthetic burst acceptance criterion
 # ----------------------------------------------------------------------
 
 def test_burst_yields_journalled_denials_never_exceptions(tmp_path):
-    clock = FaultClock()
-    wrapped, live = open_wal_auditor(str(tmp_path / "wal"), factory,
-                                     make_dataset())
-    frontend = MultiUserFrontend(
-        live, lambda _ds: wrapped, mode="pooled",
-        admission=AdmissionController(AdmissionPolicy(
-            user_rate=0.001, user_burst=3, clock=clock.now)),
-    )
-    query = sum_query([0, 1, 2, 3])
-    decisions = [frontend.ask("mallory", query) for _ in range(10)]
+    wal_dir = str(tmp_path / "wal")
+    worker = flood_worker(wal_dir, burst=3)
+    replies = [worker.handle(query_op("mallory", [0, 1, 2, 3]))
+               for _ in range(10)]
+    decisions = [reply["decision"] for reply in replies]
     # Never an unhandled exception, never an unaudited answer: the first
     # burst is audited, everything past it is a shed denial.
-    assert [d.denied for d in decisions[:3]] == [False, False, False]
-    for decision in decisions[3:]:
-        assert decision.denied
-        assert decision.reason == DenialReason.RESOURCE_EXHAUSTED
-    assert frontend.denial_counts() == {"mallory": 7}
+    assert [d["denied"] for d in decisions[:3]] == [False, False, False]
+    for reply in replies[3:]:
+        assert reply["shed"]
+        assert reply["decision"]["denied"]
+        assert reply["decision"]["reason"] == "resource-exhausted"
+    assert worker.frontend.denial_counts() == {"mallory": 7}
     # The shed queries are first-class, durable WAL events...
-    events = replica_events(str(tmp_path / "wal"))
+    events = replica_events(wal_dir)
     assert [e["type"] for e in events].count("denial") == 7
-    wrapped.close()
+    worker.close()
     # ...and replay re-logs them without re-auditing (verify mode would
     # diverge otherwise: there is no auditor decision behind a shed query
     # to re-check).
-    recovered, _ = open_wal_auditor(str(tmp_path / "wal"), factory,
-                                    make_dataset(), verify=True)
+    recovered, _ = open_wal_auditor(wal_dir, factory, make_dataset(),
+                                    verify=True)
     assert len(recovered.trail) == 10
     assert recovered.trail.denial_count() == 7
     recovered.close()
@@ -139,151 +136,26 @@ def test_burst_yields_journalled_denials_never_exceptions(tmp_path):
 
 def test_burst_against_checkpointed_wal(tmp_path):
     """Denial events survive the snapshot/suffix recovery path too."""
-    from repro.resilience.checkpoint import CheckpointPolicy
-
-    clock = FaultClock()
     wal_dir = str(tmp_path / "waldir")
-
-    def build():
-        wrapped, live = open_wal_auditor(
-            wal_dir, factory, make_dataset(),
-            policy=CheckpointPolicy(every_records=4))
-        return MultiUserFrontend(
-            live, lambda _ds: wrapped, mode="pooled",
-            admission=AdmissionController(AdmissionPolicy(
-                user_rate=0.001, user_burst=2, clock=clock.now)),
-        ), wrapped
-
-    frontend, wrapped = build()
-    query = sum_query([0, 1, 2, 3])
+    worker = flood_worker(wal_dir, burst=2, checkpoint_every=4)
     for _ in range(6):
-        frontend.ask("mallory", query)
-    wrapped.close()
-    revived, wrapped = build()
-    assert len(wrapped.trail) == 6
-    assert wrapped.trail.denial_count() == 4
-    wrapped.close()
-
-
-def test_in_flight_exhaustion_on_the_frontend(tmp_path):
-    controller = AdmissionController(AdmissionPolicy(max_in_flight=1))
-    frontend = MultiUserFrontend(make_dataset(), factory,
-                                 admission=controller)
-    # A stuck query holds the only slot...
-    assert controller.try_admit("slow-user") is None
-    decision = frontend.ask("alice", sum_query([0, 1, 2, 3]))
-    assert decision.denied
-    assert decision.reason == DenialReason.RESOURCE_EXHAUSTED
-    controller.release()
-    assert frontend.ask("alice", sum_query([0, 1, 2, 3])).answered
+        worker.handle(query_op("mallory", [0, 1, 2, 3]))
+    worker.close()
+    assert any(name.startswith("snapshot-")
+               for name in os.listdir(wal_dir))
+    revived = flood_worker(wal_dir, burst=2, checkpoint_every=4)
+    assert len(revived.auditor.trail) == 6
+    assert revived.auditor.trail.denial_count() == 4
+    revived.close()
 
 
 def test_independent_mode_records_refusals_on_the_user_trail():
-    clock = FaultClock()
-    frontend = MultiUserFrontend(
-        make_dataset(), factory, mode="independent",
-        admission=AdmissionController(AdmissionPolicy(
-            user_rate=0.001, user_burst=1, clock=clock.now)),
-    )
+    frontend = MultiUserFrontend(make_dataset(), factory, mode="independent")
     query = sum_query([0, 1, 2, 3])
     assert frontend.ask("u", query).answered
-    assert frontend.ask("u", query).denied
+    assert frontend.refuse("u", query, exhausted()).denied
     trail = frontend._per_user["u"].trail
     assert len(trail) == 2 and trail.denial_count() == 1
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-
-def exhausted():
-    from repro.types import AuditDecision
-
-    return AuditDecision.deny(DenialReason.RESOURCE_EXHAUSTED, "boom")
-
-
-def test_breaker_trips_after_threshold_and_cools_down():
-    clock = FaultClock()
-    breaker = CircuitBreaker(failure_threshold=2, cooldown=10.0,
-                             clock=clock.now)
-    assert breaker.preflight() is None
-    breaker.observe(exhausted())
-    assert breaker.state == "closed"    # one failure: not yet
-    breaker.observe(exhausted())
-    assert breaker.state == "open"
-    assert breaker.trips == 1
-    denial = breaker.preflight()
-    assert denial is not None
-    assert denial.reason == DenialReason.RESOURCE_EXHAUSTED
-    assert "circuit breaker open" in denial.detail
-    clock.advance(10.0)
-    assert breaker.preflight() is None  # half-open: one probe admitted
-    assert breaker.state == "half-open"
-    breaker.observe(None)               # probe computed an answer
-    assert breaker.state == "closed"
-
-
-def test_breaker_reopens_on_failed_probe():
-    clock = FaultClock()
-    breaker = CircuitBreaker(failure_threshold=1, cooldown=5.0,
-                             clock=clock.now)
-    breaker.observe(exhausted())
-    clock.advance(5.0)
-    assert breaker.preflight() is None
-    breaker.observe(exhausted())        # probe failed: straight back open
-    assert breaker.state == "open"
-    assert breaker.trips == 2
-    assert breaker.preflight() is not None
-
-
-def test_breaker_success_resets_the_failure_count():
-    breaker = CircuitBreaker(failure_threshold=2)
-    breaker.observe(exhausted())
-    breaker.observe(None)               # success: streak broken
-    breaker.observe(exhausted())
-    assert breaker.state == "closed"
-
-
-def test_run_fail_closed_short_circuits_while_open():
-    clock = FaultClock()
-    breaker = CircuitBreaker(failure_threshold=1, cooldown=60.0,
-                             clock=clock.now)
-    budget = Budget(max_sampler_attempts=1)
-    rng = np.random.default_rng(0)
-    calls = []
-
-    def melt_down(scope, gen):
-        calls.append(1)
-        raise ResourceExhaustedError("sampler out of budget")
-
-    first = run_fail_closed(budget, rng, melt_down, breaker=breaker)
-    assert first.reason == DenialReason.RESOURCE_EXHAUSTED
-    assert breaker.state == "open"
-    second = run_fail_closed(budget, rng, melt_down, breaker=breaker)
-    assert second.reason == DenialReason.RESOURCE_EXHAUSTED
-    assert "circuit breaker open" in second.detail
-    # The degraded path never touched the samplers — that is the point.
-    assert len(calls) == 1
-
-
-def test_probabilistic_auditor_degrades_through_the_breaker():
-    """End to end: a sampler that cannot finish under its budget trips the
-    breaker, and subsequent queries fail fast on the conservative path."""
-    clock = FaultClock()
-    breaker = CircuitBreaker(failure_threshold=2, cooldown=60.0,
-                             clock=clock.now)
-    auditor = SumProbabilisticAuditor(
-        make_dataset(), rng=0,
-        budget=Budget(max_chain_steps=1), breaker=breaker,
-    )
-    query = sum_query([0, 1, 2])
-    decisions = [auditor.audit(query) for _ in range(4)]
-    for decision in decisions:
-        assert decision.denied
-        assert decision.reason == DenialReason.RESOURCE_EXHAUSTED
-    assert breaker.state == "open"
-    assert any("circuit breaker open" in (d.detail or "")
-               for d in decisions[2:])
 
 
 def test_journaled_auditor_passes_refusals_through(tmp_path):
@@ -329,8 +201,10 @@ def test_token_bucket_is_exact_under_contention():
 def test_admission_controller_counters_exact_under_threads():
     import threading
 
-    threads_n, attempts = 12, 50
-    controller = AdmissionController(AdmissionPolicy(max_in_flight=4))
+    threads_n, attempts, burst = 12, 50, 100
+    clock = FaultClock()  # frozen: no refill during the race
+    controller = AdmissionController(AdmissionPolicy(
+        user_rate=1.0, user_burst=burst, clock=clock.now))
     outcomes = []
     outcomes_lock = threading.Lock()
 
@@ -339,18 +213,16 @@ def test_admission_controller_counters_exact_under_threads():
         for _ in range(attempts):
             refusal = controller.try_admit(name)
             if refusal is None:
-                try:
-                    admitted += 1
-                finally:
-                    controller.release()
+                admitted += 1
             else:
                 assert refusal.reason == DenialReason.RESOURCE_EXHAUSTED
                 shed += 1
         with outcomes_lock:
             outcomes.append((admitted, shed))
 
-    workers = [threading.Thread(target=user, args=(f"u{i}",))
-               for i in range(threads_n)]
+    # Every thread floods the same user's bucket.
+    workers = [threading.Thread(target=user, args=("mallory",))
+               for _ in range(threads_n)]
     for w in workers:
         w.start()
     for w in workers:
@@ -358,9 +230,8 @@ def test_admission_controller_counters_exact_under_threads():
 
     admitted = sum(a for a, _ in outcomes)
     shed = sum(s for _, s in outcomes)
-    # Every attempt is accounted for exactly once, every admission was
-    # released, and the shed ledger matches the callers' view.
+    # Every attempt is accounted for exactly once, the bucket admitted
+    # exactly its burst, and the shed ledger matches the callers' view.
     assert admitted + shed == threads_n * attempts
-    assert controller.in_flight() == 0
-    counts = controller.shed_counts()
-    assert counts == {"rate": 0, "in_flight": shed}
+    assert admitted == burst
+    assert controller.shed_counts() == {"rate": shed}

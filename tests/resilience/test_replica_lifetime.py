@@ -40,8 +40,11 @@ def stored(directory):
 """
 
 
-def run_fresh(script, *flags):
+def run_fresh(root, script, *flags):
+    """Run ``script`` in a fresh interpreter with ``TMPDIR`` at ``root``,
+    so the directories the script makes live under the test's own."""
     env = dict(os.environ)
+    env["TMPDIR"] = str(root)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run(
@@ -50,8 +53,8 @@ def run_fresh(script, *flags):
         capture_output=True, text=True, timeout=120, env=env)
 
 
-def test_a_log_without_replicas_never_imports_replication():
-    result = run_fresh("""
+def test_a_log_without_replicas_never_imports_replication(tmp_path):
+    result = run_fresh(tmp_path, """
         from repro.serving.shards import ShardSpec, ShardWorker
 
         wrapped, _ = open_wal_auditor(os.path.join(root, "log"),
@@ -91,11 +94,11 @@ def test_a_log_without_replicas_never_imports_replication():
     assert facts["replicated"] and facts["bitwise"]
 
 
-def test_the_log_closes_the_replica_directories_it_opened():
+def test_the_log_closes_the_replica_directories_it_opened(tmp_path):
     """Both after a clean close and after a failed attach sync (the
     replica was promoted, so the old primary is fenced), no replica
     segment is left open."""
-    result = run_fresh("""
+    result = run_fresh(tmp_path, """
         from repro.resilience.replication import FencedError, promote_replica
 
         primary, replica = (os.path.join(root, "primary"),

@@ -12,7 +12,6 @@ no longer get an append acknowledged.
 
 import os
 import pathlib
-import tempfile
 
 import pytest
 
@@ -63,10 +62,6 @@ QUERIES = [
 POLICY = CheckpointPolicy(every_records=4)
 
 
-def tmpdir(name):
-    return os.path.join(tempfile.mkdtemp(), name)
-
-
 def stored_files(directory):
     """Segment and snapshot bytes by name (the bitwise-parity payload)."""
     out = {}
@@ -77,9 +72,10 @@ def stored_files(directory):
     return out
 
 
-def serve_pair(queries=QUERIES, policy=POLICY):
-    """A primary replicating to one in-process follower; serve queries."""
-    pdir, fdir = tmpdir("primary"), tmpdir("follower")
+def serve_pair(root, queries=QUERIES, policy=POLICY):
+    """A primary under ``root`` replicating to one in-process follower;
+    serve queries."""
+    pdir, fdir = str(root / "primary"), str(root / "follower")
     wrapped, _ = open_wal_auditor(
         pdir, factory, make_dataset(), replicate_to=[fdir], policy=policy,
     )
@@ -104,10 +100,10 @@ def all_files(directory):
             for path in sorted(pathlib.Path(directory).iterdir())}
 
 
-def released_baseline():
+def released_baseline(root):
     """The decision stream of an unreplicated checkpointed run."""
     wrapped, _ = open_wal_auditor(
-        tmpdir("baseline"), factory, make_dataset(), policy=POLICY)
+        str(root / "baseline"), factory, make_dataset(), policy=POLICY)
     decisions = [wrapped.audit(q) for q in QUERIES]
     wrapped.close()
     return [(d.denied, d.value, d.reason) for d in decisions]
@@ -117,10 +113,10 @@ def released_baseline():
 # Replicated serving parity
 # ----------------------------------------------------------------------
 
-def test_replicated_serving_is_bitwise_parity():
+def test_replicated_serving_is_bitwise_parity(tmp_path):
     """After a full served stream the follower holds the same events in
     the same bytes, and a read of the replica re-releases the same bits."""
-    pdir, fdir, follower, wrapped, decisions = serve_pair()
+    pdir, fdir, follower, wrapped, decisions = serve_pair(tmp_path)
     assert [d.denied for d in decisions].count(True) >= 2
     assert follower.total_events == wrapped.wal.total_events == len(QUERIES)
     assert replica_events(fdir) == replica_events(pdir)
@@ -133,17 +129,17 @@ def test_replicated_serving_is_bitwise_parity():
     wrapped.close()
 
 
-def test_released_stream_matches_the_unreplicated_run():
-    _, _, _, wrapped, decisions = serve_pair()
+def test_released_stream_matches_the_unreplicated_run(tmp_path):
+    _, _, _, wrapped, decisions = serve_pair(tmp_path)
     wrapped.close()
     assert [(d.denied, d.value, d.reason)
-            for d in decisions] == released_baseline()
+            for d in decisions] == released_baseline(tmp_path)
 
 
-def test_replica_directories_are_durability_only_followers():
+def test_replica_directories_are_durability_only_followers(tmp_path):
     """A directory named in replicate_to keeps a bitwise copy of the log
     and nothing else: no second live auditor replays the stream."""
-    pdir, rdir = tmpdir("primary"), tmpdir("replica")
+    pdir, rdir = str(tmp_path / "primary"), str(tmp_path / "replica")
     wrapped, _ = open_wal_auditor(pdir, factory, make_dataset(),
                                   replicate_to=[rdir], policy=POLICY)
     decisions = [wrapped.audit(q) for q in QUERIES[:7]]
@@ -157,20 +153,20 @@ def test_replica_directories_are_durability_only_followers():
     decisions += [wrapped.audit(q) for q in QUERIES[7:]]
     wrapped.close()
     assert [(d.denied, d.value, d.reason)
-            for d in decisions] == released_baseline()
+            for d in decisions] == released_baseline(tmp_path)
     assert replica_events(rdir) == replica_events(pdir)
     assert stored_files(rdir) == stored_files(pdir)
 
 
-def test_late_attach_snapshot_installs_the_backlog():
+def test_late_attach_snapshot_installs_the_backlog(tmp_path):
     """A follower attached mid-stream is synced to a full copy before
     the next answer is released."""
-    pdir = tmpdir("primary")
+    pdir = str(tmp_path / "primary")
     wrapped, _ = open_wal_auditor(pdir, factory, make_dataset(),
                                          policy=POLICY)
     for query in QUERIES[:7]:
         wrapped.audit(query)
-    fdir = tmpdir("late-follower")
+    fdir = str(tmp_path / "late-follower")
     wrapped.wal.attach(fdir)
     assert wrapped.wal.links[0].follower.total_events == 7
     for query in QUERIES[7:]:
@@ -180,24 +176,25 @@ def test_late_attach_snapshot_installs_the_backlog():
     wrapped.close()
 
 
-def test_update_events_replicate_into_the_live_dataset():
+def test_update_events_replicate_into_the_live_dataset(tmp_path):
     # No checkpoint covers the update, so reading the replica replays it.
     _, fdir, follower, wrapped, _ = serve_pair(
-        queries=QUERIES[:3], policy=CheckpointPolicy(every_records=8))
+        tmp_path, queries=QUERIES[:3],
+        policy=CheckpointPolicy(every_records=8))
     wrapped.apply_update(Modify(index=0, value=15.0))
     assert follower.total_events == 4
     wrapped.close()
     assert FollowerReadOnlyAuditor(fdir, factory).dataset.values[0] == 15.0
 
 
-def test_sync_refuses_to_rewind_replicated_history():
+def test_sync_refuses_to_rewind_replicated_history(tmp_path):
     """A fresh (empty) primary cannot snapshot-install over a replica
     that already holds more audit history — that would erase released
     decisions."""
-    _, fdir, _, wrapped, _ = serve_pair()
+    _, fdir, _, wrapped, _ = serve_pair(tmp_path)
     wrapped.close()
     with pytest.raises(ReplicationError, match="rewind"):
-        open_wal_auditor(tmpdir("fresh"), factory, make_dataset(),
+        open_wal_auditor(str(tmp_path / "fresh"), factory, make_dataset(),
                          replicate_to=[fdir], policy=POLICY)
 
 
@@ -205,8 +202,8 @@ def test_sync_refuses_to_rewind_replicated_history():
 # Attach writes nothing to a replica that already holds the bytes
 # ----------------------------------------------------------------------
 
-def test_reopening_skips_the_install_on_an_identical_replica():
-    pdir, fdir, _, wrapped, _ = serve_pair(queries=QUERIES[:7])
+def test_reopening_skips_the_install_on_an_identical_replica(tmp_path):
+    pdir, fdir, _, wrapped, _ = serve_pair(tmp_path, queries=QUERIES[:7])
     wrapped.close()
     before_inodes, before_bytes = inodes(fdir), all_files(fdir)
     assert before_bytes == all_files(pdir)
@@ -218,8 +215,8 @@ def test_reopening_skips_the_install_on_an_identical_replica():
     wrapped.close()
 
 
-def test_reopening_reinstalls_a_replica_missing_its_last_record():
-    pdir, fdir, _, wrapped, _ = serve_pair(queries=QUERIES[:7])
+def test_reopening_reinstalls_a_replica_missing_its_last_record(tmp_path):
+    pdir, fdir, _, wrapped, _ = serve_pair(tmp_path, queries=QUERIES[:7])
     wrapped.close()
     active = max(name for name in os.listdir(fdir)
                  if name.startswith("segment-"))
@@ -243,10 +240,10 @@ def test_reopening_reinstalls_a_replica_missing_its_last_record():
 # Damaged ships leave the replica at its last committed state
 # ----------------------------------------------------------------------
 
-def test_corrupted_record_crc_is_rejected_before_any_byte_lands():
+def test_corrupted_record_crc_is_rejected_before_any_byte_lands(tmp_path):
     """A shipped record whose own checksum is damaged must not move the
     replica."""
-    _, fdir, follower, wrapped, _ = serve_pair(queries=QUERIES[:3])
+    _, fdir, follower, wrapped, _ = serve_pair(tmp_path, queries=QUERIES[:3])
     before_events = follower.total_events
     before_files = stored_files(fdir)
     record = _encode_record({"type": "noise", "kind": "sum"})
@@ -261,15 +258,15 @@ def test_corrupted_record_crc_is_rejected_before_any_byte_lands():
     wrapped.close()
 
 
-def test_append_gap_demands_a_resync():
-    _, _, follower, wrapped, _ = serve_pair(queries=QUERIES[:2])
+def test_append_gap_demands_a_resync(tmp_path):
+    _, _, follower, wrapped, _ = serve_pair(tmp_path, queries=QUERIES[:2])
     with pytest.raises(ReplicationError, match="re-sync"):
         follower.apply(record_ship(follower.total_events + 1))
     wrapped.close()
 
 
-def test_append_before_any_sync_is_refused():
-    follower = Follower.open(tmpdir("unsynced"))
+def test_append_before_any_sync_is_refused(tmp_path):
+    follower = Follower.open(str(tmp_path / "unsynced"))
     with pytest.raises(ReplicationError, match="sync"):
         follower.apply(record_ship(0))
 
@@ -278,10 +275,10 @@ def test_append_before_any_sync_is_refused():
 # Failover, promotion, fencing
 # ----------------------------------------------------------------------
 
-def test_promotion_serves_the_exact_remaining_stream():
+def test_promotion_serves_the_exact_remaining_stream(tmp_path):
     """Kill the primary after 7 answers; the promoted follower releases
     the remaining 5 exactly as the unfaulted primary would have."""
-    _, fdir, _, wrapped, released = serve_pair(queries=QUERIES[:7])
+    _, fdir, _, wrapped, released = serve_pair(tmp_path, queries=QUERIES[:7])
     # The primary dies, and its in-process follower with it.  Fail over.
     wrapped.close()
     promoted, _, info = promote_replica(fdir, factory, policy=POLICY,
@@ -291,12 +288,12 @@ def test_promotion_serves_the_exact_remaining_stream():
     assert promoted.wal.epoch == 1
     released = list(released) + [promoted.audit(q) for q in QUERIES[7:]]
     assert [(d.denied, d.value, d.reason)
-            for d in released] == released_baseline()
+            for d in released] == released_baseline(tmp_path)
     promoted.close()
 
 
-def test_fenced_old_primary_cannot_release_answers():
-    pdir, fdir, _, wrapped, _ = serve_pair(queries=QUERIES[:5])
+def test_fenced_old_primary_cannot_release_answers(tmp_path):
+    pdir, fdir, _, wrapped, _ = serve_pair(tmp_path, queries=QUERIES[:5])
     wrapped.close()
     promoted, _, _ = promote_replica(fdir, factory, policy=POLICY)
     promoted.close()
@@ -308,10 +305,30 @@ def test_fenced_old_primary_cannot_release_answers():
         wrapped.audit(QUERIES[5])
 
 
-def test_fencing_epoch_is_durable_across_reopen():
+def test_promotion_fences_a_still_running_old_primary(tmp_path):
+    """Failover while the old primary still runs: its next shipment
+    finds the promoted MANIFEST and is refused, so the answer is never
+    released and never reaches the promoted node's history."""
+    pdir, rdir = str(tmp_path / "primary"), str(tmp_path / "replica")
+    wrapped, _ = open_wal_auditor(pdir, factory, make_dataset(),
+                                  replicate_to=[rdir])
+    assert wrapped.audit(sum_query([0, 1, 2])).value == 60.0
+    promoted, _, _ = promote_replica(rdir, factory)
+    # Without the fence, sum(x3..x5) = 150 here and sum(x3, x4) = 90
+    # on the promoted node would disclose x5.
+    with pytest.raises(FencedError):
+        wrapped.audit(sum_query([3, 4, 5]))
+    assert promoted.audit(sum_query([3, 4])).value == 90.0
+    assert [e["members"] for e in replica_events(rdir)] == [[0, 1, 2],
+                                                           [3, 4]]
+    promoted.close()
+    wrapped.close()
+
+
+def test_fencing_epoch_is_durable_across_reopen(tmp_path):
     """The bumped epoch survives in the MANIFEST: a re-opened replica of
     the promoted directory still rejects the dead epoch's frames."""
-    _, fdir, _, wrapped, _ = serve_pair(queries=QUERIES[:5])
+    _, fdir, _, wrapped, _ = serve_pair(tmp_path, queries=QUERIES[:5])
     wrapped.close()
     promoted, _, _ = promote_replica(fdir, factory, policy=POLICY)
     promoted.close()
@@ -325,11 +342,11 @@ def test_fencing_epoch_is_durable_across_reopen():
     reopened.close()
 
 
-def test_promote_requires_replicated_state_and_a_factory():
+def test_promote_requires_replicated_state_and_a_factory(tmp_path):
     with pytest.raises(ReplicationError, match="factory"):
-        promote_replica(tmpdir("bare"), None)
+        promote_replica(str(tmp_path / "bare"), None)
     with pytest.raises(ReplicationError, match="never synced"):
-        promote_replica(tmpdir("bare2"), factory)
+        promote_replica(str(tmp_path / "bare2"), factory)
 
 
 # ----------------------------------------------------------------------
@@ -352,11 +369,11 @@ class MisbehavingFollower:
         pass
 
 
-def misbehaving_primary(ack):
+def misbehaving_primary(root, ack):
     """A primary whose one replica's follower misbehaves after attach."""
-    wrapped, _ = open_wal_auditor(tmpdir("primary"), factory,
+    wrapped, _ = open_wal_auditor(str(root / "primary"), factory,
                                   make_dataset(), policy=POLICY,
-                                  replicate_to=[tmpdir("replica")])
+                                  replicate_to=[str(root / "replica")])
     [link] = wrapped.wal.links
     link.follower.close()
     link.follower = MisbehavingFollower(ack)
@@ -370,8 +387,8 @@ def misbehaving_primary(ack):
     (0, "divergence"),
 ], ids=["None-no acknowledgement", "ack1-refused the ship",
         "ack2-divergence"])
-def test_bad_acknowledgements_withhold_the_answer(ack, match):
-    wrapped = misbehaving_primary(ack)
+def test_bad_acknowledgements_withhold_the_answer(ack, match, tmp_path):
+    wrapped = misbehaving_primary(tmp_path, ack)
     with pytest.raises(ReplicationError, match=match):
         wrapped.audit(QUERIES[0])
     # The record is locally durable, but the answer was never released:
@@ -379,8 +396,8 @@ def test_bad_acknowledgements_withhold_the_answer(ack, match):
     wrapped.close()
 
 
-def test_fenced_ack_raises_fenced_error_on_the_sender():
-    wrapped = misbehaving_primary(FencedError("superseded"))
+def test_fenced_ack_raises_fenced_error_on_the_sender(tmp_path):
+    wrapped = misbehaving_primary(tmp_path, FencedError("superseded"))
     with pytest.raises(FencedError, match="superseded"):
         wrapped.audit(QUERIES[0])
     wrapped.close()
@@ -390,8 +407,8 @@ def test_fenced_ack_raises_fenced_error_on_the_sender():
 # Read-only follower serving
 # ----------------------------------------------------------------------
 
-def test_follower_read_only_auditor_replays_or_denies():
-    _, fdir, _, wrapped, decisions = serve_pair(queries=QUERIES[:6])
+def test_follower_read_only_auditor_replays_or_denies(tmp_path):
+    _, fdir, _, wrapped, decisions = serve_pair(tmp_path, queries=QUERIES[:6])
     replica = FollowerReadOnlyAuditor(fdir, factory, make_dataset())
     hit = replica.audit(QUERIES[0])
     assert (hit.denied, hit.value) == (decisions[0].denied,
@@ -404,8 +421,8 @@ def test_follower_read_only_auditor_replays_or_denies():
     wrapped.close()
 
 
-def test_follower_read_only_auditor_rejects_a_foreign_dataset():
-    _, fdir, _, wrapped, _ = serve_pair(queries=QUERIES[:3])
+def test_follower_read_only_auditor_rejects_a_foreign_dataset(tmp_path):
+    _, fdir, _, wrapped, _ = serve_pair(tmp_path, queries=QUERIES[:3])
     other = Dataset([1.0, 2.0, 3.0], low=0.0, high=10.0)
     with pytest.raises(ReplicationError, match="different dataset"):
         FollowerReadOnlyAuditor(fdir, factory, other)

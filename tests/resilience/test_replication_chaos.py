@@ -20,7 +20,6 @@ reaches it.
 """
 
 import os
-import tempfile
 
 import pytest
 
@@ -97,8 +96,8 @@ SWEEP_SITES = [
 MAX_OCCURRENCES = 64
 
 
-def fresh_pair():
-    root = tempfile.mkdtemp()
+def fresh_pair(root):
+    """Primary and follower directory paths under ``root``."""
     return os.path.join(root, "primary"), os.path.join(root, "follower")
 
 
@@ -111,9 +110,10 @@ def open_pair(pdir, fdir, verify=False):
 
 
 @pytest.fixture(scope="module")
-def baseline():
+def baseline(tmp_path_factory):
     """Released decisions of the uncrashed replicated run."""
-    wrapped, _ = open_pair(*fresh_pair())
+    wrapped, _ = open_pair(*fresh_pair(
+        str(tmp_path_factory.mktemp("baseline"))))
     decisions = [wrapped.audit(q) for q in QUERIES]
     wrapped.close()
     assert [d.denied for d in decisions].count(True) >= 2
@@ -147,10 +147,10 @@ def crashed_serve(pdir, fdir, plan):
     return released, resume_from
 
 
-def crash_run_primary_recovery(site, occurrence):
+def crash_run_primary_recovery(root, site, occurrence):
     """Crash at the site, then recover the *primary* and re-sync the
     follower by snapshot-install; resume serving the pair."""
-    pdir, fdir = fresh_pair()
+    pdir, fdir = fresh_pair(os.path.join(str(root), f"{site}-{occurrence}"))
     plan = FaultPlan.crash_at(site, occurrence)
     with inject(plan):
         released, resume_from = crashed_serve(pdir, fdir, plan)
@@ -167,12 +167,12 @@ def crash_run_primary_recovery(site, occurrence):
     return stream, crash_fired
 
 
-def crash_run_failover(site, occurrence):
+def crash_run_failover(root, site, occurrence):
     """Crash at the site, then *fail over*: promote the follower and
     resume on it.  If the crash predates any committed replica state
     there is nothing to promote — recover the primary instead (you can
     only fail over to a replica that exists)."""
-    pdir, fdir = fresh_pair()
+    pdir, fdir = fresh_pair(os.path.join(str(root), f"{site}-{occurrence}"))
     plan = FaultPlan.crash_at(site, occurrence)
     promoted_runs = 0
     with inject(plan):
@@ -198,10 +198,11 @@ def crash_run_failover(site, occurrence):
 
 @pytest.mark.parametrize("site", SWEEP_SITES)
 def test_crash_everywhere_primary_recovery_is_bitwise_identical(
-        site, baseline):
+        site, baseline, tmp_path):
     occurrence = 0
     while occurrence < MAX_OCCURRENCES:
-        stream, fired = crash_run_primary_recovery(site, occurrence)
+        stream, fired = crash_run_primary_recovery(tmp_path, site,
+                                                   occurrence)
         assert stream == baseline, (
             f"crash at {site}#{occurrence} changed the released stream"
         )
@@ -218,11 +219,13 @@ def test_crash_everywhere_primary_recovery_is_bitwise_identical(
 
 
 @pytest.mark.parametrize("site", SWEEP_SITES)
-def test_crash_everywhere_failover_is_bitwise_identical(site, baseline):
+def test_crash_everywhere_failover_is_bitwise_identical(site, baseline,
+                                                        tmp_path):
     occurrence = 0
     promotions = 0
     while occurrence < MAX_OCCURRENCES:
-        stream, fired, promoted = crash_run_failover(site, occurrence)
+        stream, fired, promoted = crash_run_failover(tmp_path, site,
+                                                     occurrence)
         promotions += promoted
         assert stream == baseline, (
             f"failover after a crash at {site}#{occurrence} changed the "
@@ -239,11 +242,11 @@ def test_crash_everywhere_failover_is_bitwise_identical(site, baseline):
     assert promotions >= 1
 
 
-def test_promotion_crash_before_the_fence_is_retryable():
+def test_promotion_crash_before_the_fence_is_retryable(tmp_path):
     """Kill the would-be primary between recovery and the fence commit:
     the epoch is unbumped, the replica unharmed, and a promotion retry
     succeeds — after which the old epoch is durably dead."""
-    pdir, fdir = fresh_pair()
+    pdir, fdir = fresh_pair(str(tmp_path))
     wrapped, follower = open_pair(pdir, fdir)
     for query in QUERIES[:7]:
         wrapped.audit(query)
@@ -265,11 +268,12 @@ def test_promotion_crash_before_the_fence_is_retryable():
     wrapped.close()
 
 
-def test_double_crash_across_the_boundary_still_converges(baseline):
+def test_double_crash_across_the_boundary_still_converges(baseline,
+                                                          tmp_path):
     """Kill the follower mid-ship, recover the pair, then kill the
     primary mid-append on the resumed run: two kills on opposite sides
     of the wire still converge to the uncrashed stream."""
-    pdir, fdir = fresh_pair()
+    pdir, fdir = fresh_pair(str(tmp_path))
     released = {}
     resume_from = 0
     with inject(FaultPlan.crash_at("ship.mid-segment", 2)):
@@ -301,11 +305,11 @@ def test_double_crash_across_the_boundary_still_converges(baseline):
     assert stream == baseline
 
 
-def test_fenced_old_primary_rejected_after_swept_failover():
+def test_fenced_old_primary_rejected_after_swept_failover(tmp_path):
     """The acceptance criterion stated directly: after any failover the
     resurrected old primary's appends are rejected, even through a
     *freshly opened* replica of the promoted directory."""
-    pdir, fdir = fresh_pair()
+    pdir, fdir = fresh_pair(str(tmp_path))
     wrapped, _ = open_pair(pdir, fdir)
     for query in QUERIES[:6]:
         wrapped.audit(query)
@@ -320,14 +324,14 @@ def test_fenced_old_primary_rejected_after_swept_failover():
     resurrected.close()
 
 
-def test_unreached_sites_do_not_fire():
+def test_unreached_sites_do_not_fire(tmp_path):
     """promote.pre-fence never fires during ordinary replicated serving
     (it guards only the failover path), and the sampler sites stay off
     the deterministic path — so the sweep above provably covers every
     site that *can* fire."""
     for site in ("promote.pre-fence", "auditor.attempt",
                  "hit_and_run.step", "coloring.step"):
-        pdir, fdir = fresh_pair()
+        pdir, fdir = fresh_pair(str(tmp_path / site))
         plan = FaultPlan.crash_at(site, 0)
         with inject(plan):
             wrapped, _ = open_pair(pdir, fdir)

@@ -11,8 +11,6 @@ Three properties the decision/query-set caches must uphold:
   bypass the disclosure log, even under fault injection.
 """
 
-import os
-import tempfile
 
 import pytest
 
@@ -233,16 +231,16 @@ def wal_event_types(path):
     return [r.get("type") for r in replica_events(path)]
 
 
-def test_cache_hit_appends_query_replay_to_wal():
-    path = os.path.join(tempfile.mkdtemp(), "wal")
+def test_cache_hit_appends_query_replay_to_wal(tmp_path):
+    path = str(tmp_path / "wal")
     db = wal_db(path)
     db.query(Eq("zip", 94305), AggregateKind.SUM)
     db.query(Eq("zip", 94305), AggregateKind.SUM)   # cache hit
     assert wal_event_types(path) == ["query", "query_replay"]
 
 
-def test_restore_skips_replay_events():
-    path = os.path.join(tempfile.mkdtemp(), "wal")
+def test_restore_skips_replay_events(tmp_path):
+    path = str(tmp_path / "wal")
     db = wal_db(path)
     first = db.query(Eq("zip", 94305), AggregateKind.SUM)
     db.query(Eq("zip", 94305), AggregateKind.SUM)
@@ -255,11 +253,11 @@ def test_restore_skips_replay_events():
 
 
 @pytest.mark.faults
-def test_replay_is_logged_before_release_under_fault_injection():
+def test_replay_is_logged_before_release_under_fault_injection(tmp_path):
     # Inject a failure at journal.pre-record on the *replay* occurrence:
     # the cache hit must crash before releasing its answer, proving the
     # WAL append sits on the replay path, not after it.
-    path = os.path.join(tempfile.mkdtemp(), "wal")
+    path = str(tmp_path / "wal")
     db = wal_db(path)
     db.query(Eq("zip", 94305), AggregateKind.SUM)   # occurrence 0
     plan = FaultPlan({"journal.pre-record": [Raise(ReproError)]})

@@ -21,7 +21,6 @@ occurrence until a full run no longer reaches the site.
 import contextlib
 import dataclasses
 import os
-import tempfile
 import time
 
 import pytest
@@ -142,9 +141,9 @@ def assert_wals_bitwise_identical_and_complete(root, stream):
 
 
 @pytest.fixture(scope="module")
-def baseline():
+def baseline(tmp_path_factory):
     """The uncrashed run: its stream, plus sanity on the workload."""
-    root = tempfile.mkdtemp()
+    root = str(tmp_path_factory.mktemp("baseline"))
     stream = run_workload(root)
     assert len(stream) == len(WORKLOAD)
     denials = [s for s in stream if s[2]]
@@ -154,10 +153,11 @@ def baseline():
 
 
 @pytest.mark.parametrize("site", SWEEP_SITES)
-def test_crash_everywhere_on_the_wire_is_bitwise_identical(site, baseline):
+def test_crash_everywhere_on_the_wire_is_bitwise_identical(site, baseline,
+                                                           tmp_path):
     occurrence = 0
     while occurrence < MAX_OCCURRENCES:
-        root = tempfile.mkdtemp()
+        root = str(tmp_path / f"crash-{occurrence}")
         plan = FaultPlan.crash_at(site, occurrence)
         stream = run_workload(root, plan)
         assert stream == baseline, (

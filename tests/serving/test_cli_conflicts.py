@@ -20,6 +20,8 @@ CONFLICTS = [
      "--follow"),
     (["--follow", "rep/", "--listen", "127.0.0.1:0"],
      "--listen"),
+    # --journal is retired (the WAL directory is the only journal), so
+    # argparse rejects it as an unrecognized argument.
     (["--follow", "rep/", "--journal", "j.json"],
      "--journal"),
     (["--replicate-to", "rep/"],
@@ -128,8 +130,8 @@ def test_listen_without_wal_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_journal_with_wal_exits_2(tmp_path, capsys):
-    """The WAL directory is the journal; an exported journal could only
-    hold the events after its newest snapshot."""
+    """The WAL directory is the only journal: ``--journal`` is no longer
+    a flag, and naming it writes neither file nor log."""
     csv = tmp_path / "d.csv"
     csv.write_text("x\n1.0\n2.0\n5.0\n")
     journal, wal = tmp_path / "j.json", tmp_path / "wal"
@@ -138,7 +140,7 @@ def test_journal_with_wal_exits_2(tmp_path, capsys):
               "--wal", str(wal), "--journal", str(journal)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "usage:" in err and "--journal is incompatible with --wal" in err
+    assert "usage:" in err and "unrecognized arguments: --journal" in err
     assert not journal.exists() and not wal.exists()
 
 

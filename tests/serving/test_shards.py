@@ -2,7 +2,6 @@
 
 import itertools
 import os
-import tempfile
 
 import pytest
 
@@ -19,10 +18,9 @@ from repro.serving.shards import (
 VALUES = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 
 
-def make_spec(tmp_path=None, **overrides):
-    root = str(tmp_path) if tmp_path is not None else tempfile.mkdtemp()
+def make_spec(tmp_path, **overrides):
     kwargs = dict(values=VALUES, low=0.0, high=100.0, auditor="sum", seed=0,
-                  wal_dir=os.path.join(root, "wal"))
+                  wal_dir=os.path.join(str(tmp_path), "wal"))
     kwargs.update(overrides)
     return ShardSpec(**kwargs)
 
@@ -38,8 +36,8 @@ def query_op(user, members, **extra):
 # ShardWorker
 # ----------------------------------------------------------------------
 
-def test_worker_answers_and_denies_with_pooled_history():
-    worker = ShardWorker(make_spec())
+def test_worker_answers_and_denies_with_pooled_history(tmp_path):
+    worker = ShardWorker(make_spec(tmp_path))
     full = worker.handle(query_op("alice", range(6)))
     assert full["ok"] and not full["shed"]
     assert full["decision"] == {"denied": False, "value": 210.0}
@@ -64,8 +62,8 @@ def test_worker_answers_and_denies_with_pooled_history():
     {"op": "query", "user": "a", "kind": "sum", "members": []},
     {"op": "query", "user": "a", "kind": "sum", "members": [-1]},
 ])
-def test_worker_rejects_malformed_queries_without_raising(payload):
-    worker = ShardWorker(make_spec())
+def test_worker_rejects_malformed_queries_without_raising(payload, tmp_path):
+    worker = ShardWorker(make_spec(tmp_path))
     result = worker.handle(payload)
     assert result == {"ok": False, "error": "invalid query"}
 
@@ -76,23 +74,23 @@ def test_worker_rejects_malformed_queries_without_raising(payload):
     # an index outside the worker's dataset
     {"op": "query", "user": "a", "kind": "sum", "members": [0, 99]},
 ])
-def test_unanswerable_query_is_an_error_not_a_crash(payload):
-    worker = ShardWorker(make_spec())
+def test_unanswerable_query_is_an_error_not_a_crash(payload, tmp_path):
+    worker = ShardWorker(make_spec(tmp_path))
     assert worker.handle(payload) == {
         "ok": False, "error": "unsupported query"}
     # the worker survives and keeps serving
     assert worker.handle(query_op("a", range(6)))["ok"]
 
 
-def test_worker_unknown_op_is_a_constant_error():
-    worker = ShardWorker(make_spec())
+def test_worker_unknown_op_is_a_constant_error(tmp_path):
+    worker = ShardWorker(make_spec(tmp_path))
     assert worker.handle({"op": "meddle"}) == {
         "ok": False, "error": "unknown shard op"}
     assert worker.handle({"op": "ping"})["ok"]
 
 
-def test_refuse_op_journals_an_edge_refusal():
-    worker = ShardWorker(make_spec())
+def test_refuse_op_journals_an_edge_refusal(tmp_path):
+    worker = ShardWorker(make_spec(tmp_path))
     result = worker.handle({"op": "refuse", "user": "alice",
                             "kind": "sum", "members": [0, 1],
                             "detail": "deadline expired"})
@@ -105,8 +103,8 @@ def test_refuse_op_journals_an_edge_refusal():
     assert trail.denial_count() == 1
 
 
-def test_admission_shed_is_a_journalled_denial():
-    worker = ShardWorker(make_spec(user_rate=0.001, user_burst=1))
+def test_admission_shed_is_a_journalled_denial(tmp_path):
+    worker = ShardWorker(make_spec(tmp_path, user_rate=0.001, user_burst=1))
     first = worker.handle(query_op("alice", range(6)))
     assert not first["shed"]
     second = worker.handle(query_op("alice", [3, 4, 5]))
@@ -118,7 +116,7 @@ def test_admission_shed_is_a_journalled_denial():
     assert stats["shed"]["rate"] == 1
 
 
-def test_deadline_shorter_than_one_chain_step_fails_closed():
+def test_deadline_shorter_than_one_chain_step_fails_closed(tmp_path):
     """The propagated budget is installed on the probabilistic auditor:
     with a clock that jumps a full second per reading, a 500 ms wall
     budget exhausts at the first cooperative checkpoint."""
@@ -127,7 +125,7 @@ def test_deadline_shorter_than_one_chain_step_fails_closed():
     def jumping_clock():
         return float(next(ticker))
 
-    worker = ShardWorker(make_spec(auditor="sum-prob"),
+    worker = ShardWorker(make_spec(tmp_path, auditor="sum-prob"),
                          budget_clock=jumping_clock)
     result = worker.handle(query_op("alice", range(6), wall_time=0.5))
     assert result["ok"]

@@ -1,7 +1,6 @@
 """CSV loading and the `serve` CLI endpoint."""
 
 import io
-import json
 
 import pytest
 
@@ -55,14 +54,16 @@ def test_load_csv_database_from_file(tmp_path):
 
 
 def test_serve_command_end_to_end(tmp_path, capsys):
+    from repro.resilience import replica_events
+
     path = tmp_path / "salaries.csv"
     path.write_text(CSV_TEXT)
-    journal_path = tmp_path / "journal.json"
+    wal_path = tmp_path / "audit.d"
 
     import argparse
     args = argparse.Namespace(csv=str(path), sensitive="salary",
-                              auditor="sum", journal=str(journal_path),
-                              wal=None, deadline=None, seed=0)
+                              auditor="sum", wal=str(wal_path),
+                              deadline=None, seed=0)
     queries = io.StringIO(
         "SELECT sum(salary) WHERE dept = 'eng'\n"
         "SELECT sum(salary) WHERE dept = 'eng' AND zip = 94305\n"
@@ -75,16 +76,15 @@ def test_serve_command_end_to_end(tmp_path, capsys):
     assert "answer: 190.5" in out
     assert "DENIED" in out            # the narrowing query isolates a salary
     assert "error:" in out            # the bad SQL line
-    assert "journal written" in out
-    blob = json.loads(journal_path.read_text())
-    assert blob["version"] == 1
-    assert sum(1 for e in blob["events"] if e["type"] == "query") == 2
+    assert "write-ahead log synced" in out
+    events = replica_events(str(wal_path))
+    assert sum(1 for e in events if e["type"] == "query") == 2
 
 
 def test_serve_command_missing_file(capsys):
     import argparse
     args = argparse.Namespace(csv="/no/such/file.csv", sensitive="x",
-                              auditor="sum", journal=None,
+                              auditor="sum",
                               wal=None, deadline=None, seed=0)
     assert _cmd_serve(args, stdin=io.StringIO("")) == 2
     assert "error:" in capsys.readouterr().out
@@ -126,7 +126,7 @@ def test_serve_with_wal_recovers_across_restarts(tmp_path, capsys):
 
     def round_trip(lines):
         args = argparse.Namespace(csv=str(path), sensitive="salary",
-                                  auditor="sum", journal=None,
+                                  auditor="sum",
                                   wal=str(wal_path), deadline=None, seed=0)
         return _cmd_serve(args, stdin=io.StringIO(lines))
 
@@ -185,7 +185,7 @@ def test_serve_probabilistic_auditor_with_deadline(tmp_path, capsys):
     path.write_text(CSV_TEXT)
     import argparse
     args = argparse.Namespace(csv=str(path), sensitive="salary",
-                              auditor="sum-prob", journal=None, wal=None,
+                              auditor="sum-prob", wal=None,
                               deadline=30.0, seed=3)
     code = _cmd_serve(args, stdin=io.StringIO("SELECT sum(salary)\nquit\n"))
     out = capsys.readouterr().out
@@ -196,7 +196,7 @@ def test_serve_probabilistic_auditor_with_deadline(tmp_path, capsys):
 def test_serve_rejects_deadline_for_classic_auditors(capsys):
     import argparse
     args = argparse.Namespace(csv="ignored.csv", sensitive="x",
-                              auditor="sum", journal=None, wal=None,
+                              auditor="sum", wal=None,
                               deadline=1.0, seed=0)
     assert _cmd_serve(args, stdin=io.StringIO("")) == 2
     assert "probabilistic" in capsys.readouterr().out
