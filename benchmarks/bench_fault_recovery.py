@@ -4,23 +4,28 @@ Three tables (see docs/ROBUSTNESS.md):
 
 1. per-query serving cost of the journalling stack — bare auditor, WAL
    without fsync, and the full durable WAL (fsync per record) — the price
-   of the "answer released ⇒ record durable" invariant;
+   of the "answer released ⇒ record durable" invariant; each stack is the
+   median of ``PASSES`` passes, the stacks' order rotating from pass to
+   pass so host drift hits them alike;
 2. crash-recovery time (parse + heal + replay, with and without verify
    mode) as a function of journal length, for a WAL directory that never
    checkpoints;
 3. the same recovery with checkpoints: replay is bounded by the
-   checkpoint interval instead of growing with the log, which is the
-   point of ``repro.resilience.checkpoint``.
+   checkpoint interval instead of growing with the log, and the newest
+   snapshot stays the same size once the auditor's decision state stops
+   changing (the trail keeps counts, the log is the decision history),
+   which is the point of ``repro.resilience.checkpoint``.
 
 The checkpointed series is written to ``BENCH_fault_recovery.json`` (a
 committed artifact, like ``BENCH_prob_auditor_runtime.json``) so the
-bounded-replay claim is pinned in the repo.
+bounded-replay and bounded-snapshot claims are pinned in the repo.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -39,6 +44,11 @@ from .conftest import run_once
 N = 60
 QUERIES = 150
 CHECKPOINT_EVERY = 128
+#: Timed passes per serving stack; the table reports their median.
+PASSES = 5
+#: How much larger the 1600-event snapshot may be than the 400-event one:
+#: the decision state has saturated by 400 events, so only counters grow.
+SNAPSHOT_GROWTH_BOUND = 1024
 RESULT_PATH = Path(__file__).resolve().parents[1] / \
     "BENCH_fault_recovery.json"
 #: The full-replay baseline: a WAL directory that never checkpoints.
@@ -56,14 +66,27 @@ def _make_dataset():
     return Dataset.uniform(N, rng=11)
 
 
-def _serve(make_auditor):
-    """Time one full stream; returns seconds per query."""
-    auditor = make_auditor()
+#: The serving stacks: a label and the WAL's fsync (``None``: no WAL).
+STACKS = (("bare auditor", None),
+          ("WAL, no fsync", False),
+          ("WAL + fsync per record", True))
+
+
+def _serve(tmp, fsync, run):
+    """Time one full stream on one stack; returns seconds per query."""
+    if fsync is None:
+        auditor = SumClassicAuditor(_make_dataset())
+    else:
+        auditor, _ = open_wal_auditor(
+            os.path.join(tmp, f"wal-{fsync}-{run}"), SumClassicAuditor,
+            _make_dataset(), fsync=fsync, policy=NEVER)
     rng = np.random.default_rng(7)
     start = time.perf_counter()
     for query in _query_stream(rng):
         auditor.audit(query)
     elapsed = time.perf_counter() - start
+    if fsync is not None:
+        auditor.close()
     return elapsed / QUERIES
 
 
@@ -73,30 +96,18 @@ def _measure_append_overhead():
 
 
 def _append_overhead_rows(tmp):
-    def bare():
-        return SumClassicAuditor(_make_dataset())
-
-    opened = []
-
-    def wal(fsync):
-        wrapped, _ = open_wal_auditor(tempfile.mkdtemp(dir=tmp),
-                                      SumClassicAuditor, _make_dataset(),
-                                      fsync=fsync, policy=NEVER)
-        opened.append(wrapped)
-        return wrapped
-
+    passes = {label: [] for label, _ in STACKS}
+    for run in range(PASSES):
+        # Rotate the order so no stack always runs first (or last).
+        turn = run % len(STACKS)
+        for label, fsync in STACKS[turn:] + STACKS[:turn]:
+            passes[label].append(_serve(tmp, fsync, run) * 1e6)
+    bare = statistics.median(passes[STACKS[0][0]])
     rows = []
-    baseline = None
-    for label, make in (("bare auditor", bare),
-                        ("WAL, no fsync", lambda: wal(False)),
-                        ("WAL + fsync per record", lambda: wal(True))):
-        per_query = _serve(make)
-        if baseline is None:
-            baseline = per_query
-        rows.append((label, f"{per_query * 1e6:.0f}",
-                     f"{per_query / baseline:.2f}x"))
-    for wrapped in opened:
-        wrapped.close()
+    for label, _ in STACKS:
+        median = statistics.median(passes[label])
+        rows.append((label, f"{median:.0f}", f"{median / bare:.2f}x",
+                     " ".join(f"{us:.0f}" for us in passes[label])))
     return rows
 
 
@@ -214,6 +225,9 @@ def _checkpointed_recovery_report(tmp):
 
         ckpt_ms, (replayed, info) = _time_best(ckpt_once)
         assert replayed == events
+        snapshot_bytes = (
+            os.path.getsize(os.path.join(directory, info.snapshot_name))
+            if info.snapshot_name is not None else None)
 
         # Bounded replay is the contract, not a lucky timing: whatever the
         # log length, the suffix never exceeds one checkpoint interval.
@@ -226,12 +240,20 @@ def _checkpointed_recovery_report(tmp):
             "checkpointed_ms": round(ckpt_ms, 2),
             "snapshot_events": info.snapshot_events,
             "replayed_events": info.replayed_events,
+            "snapshot_bytes": snapshot_bytes,
         })
+    # Bounded snapshots: past saturation the decision state is fixed, so
+    # four times the log may add counters, never the decisions.
+    by_events = {row["events"]: row["snapshot_bytes"] for row in series}
+    assert by_events[1600] - by_events[400] <= SNAPSHOT_GROWTH_BOUND, (
+        f"the 1600-event snapshot is {by_events[1600]} bytes against "
+        f"{by_events[400]} at 400 events")
     return {
         "benchmark": "fault_recovery",
         "n": N,
         "checkpoint_every": CHECKPOINT_EVERY,
         "replay_bound": CHECKPOINT_EVERY,
+        "snapshot_growth_bound_bytes": SNAPSHOT_GROWTH_BOUND,
         "recovery": series,
     }
 
@@ -239,10 +261,10 @@ def _checkpointed_recovery_report(tmp):
 def test_wal_append_overhead(benchmark):
     rows = run_once(benchmark, _measure_append_overhead)
     print(format_table(
-        ["serving stack", "us per query", "vs bare"],
+        ["serving stack", "us per query", "vs bare", "per pass (us)"],
         rows,
         title=f"WAL append overhead (sum classic auditor, n={N}, "
-              f"{QUERIES} queries)",
+              f"{QUERIES} queries, median of {PASSES} passes)",
     ))
 
 
@@ -261,10 +283,11 @@ def test_checkpoints_bound_recovery_replay(benchmark):
     RESULT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     print(format_table(
         ["journalled events", "full replay ms", "checkpointed ms",
-         "snapshot events", "suffix replayed"],
+         "snapshot events", "suffix replayed", "snapshot bytes"],
         [(r["events"], f"{r['full_replay_ms']:.1f}",
           f"{r['checkpointed_ms']:.1f}", r["snapshot_events"],
-          r["replayed_events"]) for r in report["recovery"]],
+          r["replayed_events"], r["snapshot_bytes"] or "-")
+         for r in report["recovery"]],
         title="Recovery with checkpoints: replay bounded by the "
               f"checkpoint interval ({CHECKPOINT_EVERY} events) "
               f"(-> {RESULT_PATH.name})",

@@ -141,12 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "follower acknowledges (repeatable).  Each "
                         "follower runs in-process, written by the log "
                         "itself")
-    p.add_argument("--follow", default=None, metavar="DIR",
-                   help="serve as a read-only follower replica over the "
-                        "replicated audit log in DIR, which is read once "
-                        "and never written: replicated decisions are "
-                        "re-released, everything else is denied "
-                        "(incompatible with --wal/--replicate-to)")
     p.add_argument("--deadline", type=float, default=None,
                    help="per-query wall-clock budget in seconds "
                         "(probabilistic auditors only); exhaustion yields "
@@ -486,23 +480,7 @@ def _cmd_serve(args, stdin=None) -> int:
             "(a WAL directory)")
 
     replicate_to = getattr(args, "replicate_to", None)
-    follow = getattr(args, "follow", None)
     listen = getattr(args, "listen", None)
-    if follow and args.wal:
-        return conflict(
-            "--follow serves an existing replica read-only and is "
-            "incompatible with --wal (a follower never appends to the "
-            "audit log)")
-    if follow and replicate_to:
-        return conflict(
-            "--follow serves an existing replica read-only and is "
-            "incompatible with --replicate-to (a follower never ships "
-            "records onward)")
-    if follow and listen:
-        return conflict(
-            "--follow is incompatible with --listen: the networked "
-            "serving tier appends to a writable WAL, while a "
-            "follower is a read-only replica")
     if replicate_to and not args.wal:
         return conflict(
             "--replicate-to requires --wal (the primary's WAL directory)")
@@ -518,12 +496,7 @@ def _cmd_serve(args, stdin=None) -> int:
     try:
         table, dataset = split_records(read_csv(args.csv, args.sensitive),
                                        args.sensitive)
-        if follow:
-            from .resilience.replication import FollowerReadOnlyAuditor
-
-            auditor = replica = FollowerReadOnlyAuditor(follow, factory,
-                                                        dataset)
-        elif args.wal:
+        if args.wal:
             from .resilience.wal import open_wal_auditor
 
             # Replay-verify only the deterministic classics
@@ -544,11 +517,7 @@ def _cmd_serve(args, stdin=None) -> int:
 
     print(f"serving {db.dataset.n} records from {args.csv}; sensitive "
           f"column {args.sensitive!r}; auditor {args.auditor!r}")
-    if follow:
-        print(f"read-only follower over {follow}: "
-              f"{replica.total_events} replicated events at epoch "
-              f"{replica.epoch}")
-    elif replicate_to:
+    if replicate_to:
         print(f"replicating to {len(replicate_to)} follower(s): "
               + ", ".join(replicate_to))
     print("enter SQL statistical queries, one per line "

@@ -56,7 +56,6 @@ _CHECKPOINT_EXPORTS = (
 _REPLICATION_EXPORTS = (
     "FencedError",
     "Follower",
-    "FollowerReadOnlyAuditor",
     "LocalLink",
     "ReplicationError",
     "promote_replica",
@@ -91,7 +90,6 @@ __all__ = [
     "FaultPlan",
     "FencedError",
     "Follower",
-    "FollowerReadOnlyAuditor",
     "InjectedCrash",
     "KNOWN_SITES",
     "LocalLink",

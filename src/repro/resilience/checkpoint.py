@@ -26,8 +26,9 @@ Files the manifest does not reference are orphans from a crash inside a
 checkpoint or compaction; recovery sweeps them.
 
 Snapshot contents are the pickled auditor object (its synopsis/row-space
-state, trail, dataset, and — for probabilistic auditors — RNG state), so
-restoring one replays **zero** pre-checkpoint events.  The pickle rides
+state, trail counters, dataset, and — for probabilistic auditors — RNG
+state), so restoring one replays **zero** pre-checkpoint events.  The
+log, not the snapshot, holds the decisions themselves.  The pickle rides
 inside a CRC-checked frame, which catches torn or bit-rotted snapshots;
 it is *not* a defence against an adversary who can write the WAL
 directory — the directory carries the same trust as the audit log itself.
@@ -243,7 +244,7 @@ class CheckpointedWal:
                 policy: Optional[CheckpointPolicy] = None,
                 fsync: bool = True, verify: bool = False,
                 ) -> Tuple[JournaledAuditor, Dataset, RecoveryInfo]:
-        """Reopen after a crash: :meth:`load`, then :meth:`_resume`.
+        """Reopen after a crash or clean shutdown.
 
         The recovery state machine, in order:
 
@@ -263,25 +264,6 @@ class CheckpointedWal:
            appending.
 
         Steps 1–4 write nothing; step 5 is the only one that does.
-        """
-        wal, auditor, dataset, info = cls.load(
-            directory, auditor_factory, policy=policy, fsync=fsync,
-            verify=verify)
-        info.orphans_removed = wal._resume()
-        wal.last_recovery = info
-        return JournaledAuditor(auditor, wal=wal), dataset, info
-
-    @classmethod
-    def load(cls, directory: str, auditor_factory: AuditorFactory,
-             policy: Optional[CheckpointPolicy] = None,
-             fsync: bool = True, verify: bool = False,
-             ) -> Tuple["CheckpointedWal", Any, Dataset, RecoveryInfo]:
-        """Steps 1–4 of :meth:`recover`, writing nothing to ``directory``.
-
-        Returns the log (not yet open for appending), the rebuilt auditor,
-        its live dataset and what the load did.  A torn final record was
-        never acknowledged, so the load ignores it; only :meth:`recover`
-        truncates it.  ``serve --follow`` reads a replica through this.
         """
         wal, seg_records = cls._load(directory, policy, fsync)
 
@@ -349,7 +331,9 @@ class CheckpointedWal:
             snapshots_skipped=skipped,
             torn_tail_healed=wal._torn_tail is not None,
         )
-        return wal, auditor, dataset, info
+        info.orphans_removed = wal._resume()
+        wal.last_recovery = info
+        return JournaledAuditor(auditor, wal=wal), dataset, info
 
     @classmethod
     def _load(cls, directory: str, policy: Optional[CheckpointPolicy],

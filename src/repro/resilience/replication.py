@@ -17,9 +17,6 @@ replica promotable:
   record's checksum, then writes the primary's exact bytes into its own
   valid checkpointed-WAL directory.  It never replays an event or
   consults the sensitive data;
-* **read-only serving** (:class:`FollowerReadOnlyAuditor`, ``serve
-  --follow``) loads a replica directory without writing to it and
-  re-releases the decisions it holds;
 * **failover** is snapshot-install: :func:`promote_replica` recovers the
   replica directory (newest committed snapshot + replayed suffix, the
   ordinary recovery state machine) and durably bumps the **fencing
@@ -57,19 +54,11 @@ from typing import (
 
 from ..persistence import JournalError, JournaledAuditor
 from ..sdb.dataset import Dataset
-from ..types import (
-    AggregateKind,
-    AuditDecision,
-    AuditTrail,
-    DenialReason,
-    Query,
-)
 from .checkpoint import (
     MANIFEST_NAME,
     CheckpointPolicy,
     CheckpointedWal,
     RecoveryInfo,
-    _dataset_header,
     _read_manifest,
 )
 from .faults import fault_site
@@ -448,7 +437,8 @@ def promote_replica(directory: str, auditor_factory: AuditorFactory,
             "promotion requires an auditor factory to rebuild the live "
             "auditor from the replica's snapshot + suffix"
         )
-    _require_manifest(directory)
+    if not os.path.exists(os.path.join(directory, MANIFEST_NAME)):
+        raise ReplicationError(NOT_A_REPLICA)
     wrapped, dataset, info = CheckpointedWal.recover(
         directory, auditor_factory, policy=policy, fsync=fsync,
         verify=verify,
@@ -456,11 +446,6 @@ def promote_replica(directory: str, auditor_factory: AuditorFactory,
     fault_site("promote.pre-fence")
     wrapped.wal.fence()
     return wrapped, dataset, info
-
-
-def _require_manifest(directory: str) -> None:
-    if not os.path.exists(os.path.join(directory, MANIFEST_NAME)):
-        raise ReplicationError(NOT_A_REPLICA)
 
 
 def replica_events(directory: str) -> List[Dict[str, Any]]:
@@ -473,64 +458,3 @@ def replica_events(directory: str) -> List[Dict[str, Any]]:
     wal, seg_records = CheckpointedWal._load(directory, None, True)
     return [record for seg in wal._segments
             for record in seg_records[str(seg["name"])]]
-
-
-class FollowerReadOnlyAuditor:
-    """Serves a replica's decisions; denies everything else.
-
-    The read-scale-out endpoint: a hit re-releases a bit the *primary*
-    already audited and disclosed — information-free by definition — and
-    a miss is denied fail-closed (``POLICY``), never independently
-    audited.  The replica directory is loaded once, without writing to
-    it: a live primary may be writing the same directory.
-    """
-
-    def __init__(self, directory: str, auditor_factory: AuditorFactory,
-                 dataset: Optional[Dataset] = None) -> None:
-        _require_manifest(directory)
-        wal, auditor, live, _info = CheckpointedWal.load(directory,
-                                                         auditor_factory)
-        if dataset is not None and _dataset_header(dataset) \
-                != wal._dataset_header:
-            raise ReplicationError(
-                f"replica {directory!r} replicates a different dataset; "
-                f"refusing to serve its decisions as this data's audit "
-                f"history"
-            )
-        self.directory = directory
-        self.total_events = wal.total_events
-        self.epoch = wal.epoch
-        self.dataset = live
-        self.trail = AuditTrail()
-        self._decisions: Dict[Tuple[AggregateKind, frozenset],
-                              AuditDecision] = {
-            (event.query.kind, event.query.query_set): event.decision
-            for event in auditor.trail.events
-        }
-
-    def audit(self, query: Query) -> AuditDecision:
-        """Re-release the replicated decision, or deny fail-closed."""
-        decision = self._decisions.get((query.kind, query.query_set))
-        if decision is None:
-            decision = AuditDecision.deny(
-                DenialReason.POLICY,
-                "read-only replica: no replicated decision for this "
-                "query; pose it to the primary",
-            )
-        self.trail.record(query, decision)
-        return decision
-
-    def record_replay(self, query: Query, decision: AuditDecision) -> None:
-        """Log a cache-served re-release on the trail."""
-        self.trail.record(query, decision)
-
-    def record_refusal(self, query: Query, decision: AuditDecision) -> None:
-        """Log a fail-closed refusal on the trail."""
-        self.trail.record(query, decision)
-
-    def apply_update(self, event: Any) -> None:
-        """Updates mutate audit state — primaries only."""
-        raise ReplicationError(
-            "read-only replica cannot apply updates; send them to the "
-            "primary"
-        )

@@ -9,9 +9,8 @@ denial, optionally annotated with the reason for the denial.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from .exceptions import InvalidQueryError
 
@@ -133,55 +132,36 @@ class AuditDecision:
         return f"Answered({self.value})"
 
 
-@dataclass
 class AuditEvent:
-    """One entry of an audit trail: the query and the decision taken."""
-
-    query: Query
-    decision: AuditDecision
-    step: int = 0
+    """Unpickling target only: snapshots written while the trail still
+    buffered its decisions hold instances of this class, and
+    :meth:`AuditTrail.__setstate__` drops them."""
 
 
 class AuditTrail:
-    """Ordered log of all queries posed to an auditor and their outcomes.
+    """Exact counts of the decisions an auditor has released.
 
-    The trail is *reporting* state only — no auditor bases decisions on it —
-    so a long-running deployment may bound its memory with ``limit``: the
-    event buffer becomes a ring holding the most recent ``limit`` events.
-    Aggregate counts (:meth:`__len__`, :meth:`denial_count`,
-    :meth:`summary`) are maintained cumulatively and stay exact no matter
-    how many events the ring has dropped.  Auditor *decision* state
-    (row spaces, synopses) lives elsewhere and is never truncated —
-    forgetting what was disclosed would be a privacy hole, not a memory
-    optimisation.
+    The trail is *reporting* state only — no auditor bases decisions on
+    it — and it keeps counters, not the decisions themselves: the
+    write-ahead log is the decision history.  So a snapshot of an
+    auditor grows with its decision state (row spaces, synopses), never
+    with the number of denials, refusals and replays it has served.
     """
 
-    def __init__(self, limit: Optional[int] = None):
-        if limit is not None and limit < 1:
-            raise ValueError("history limit must be a positive integer")
-        self._limit = limit
-        self.events: Deque[AuditEvent] = deque(maxlen=limit)
+    def __init__(self) -> None:
         self._total = 0
         self._answered = 0
         self._denied = 0
         self._denied_by_reason: dict = {}
 
-    @property
-    def limit(self) -> Optional[int]:
-        """Ring-buffer capacity of the event buffer (``None`` = unbounded)."""
-        return self._limit
+    def __setstate__(self, state: dict) -> None:
+        # A snapshot written while the trail kept an event buffer also
+        # carries ``events`` and ``_limit``; only the counters survive.
+        for name in ("_total", "_answered", "_denied", "_denied_by_reason"):
+            setattr(self, name, state[name])
 
-    @limit.setter
-    def limit(self, limit: Optional[int]) -> None:
-        if limit is not None and limit < 1:
-            raise ValueError("history limit must be a positive integer")
-        self._limit = limit
-        self.events = deque(self.events, maxlen=limit)
-
-    def record(self, query: Query, decision: AuditDecision) -> AuditEvent:
-        """Append an event and return it."""
-        event = AuditEvent(query=query, decision=decision, step=self._total)
-        self.events.append(event)
+    def record(self, query: Query, decision: AuditDecision) -> None:
+        """Count one released decision on ``query``."""
         self._total += 1
         if decision.denied:
             self._denied += 1
@@ -191,20 +171,9 @@ class AuditTrail:
             )
         else:
             self._answered += 1
-        return event
-
-    @property
-    def answered_events(self):
-        """Buffered events whose query was answered."""
-        return [e for e in self.events if e.decision.answered]
-
-    @property
-    def denied_events(self):
-        """Buffered events whose query was denied."""
-        return [e for e in self.events if e.decision.denied]
 
     def denial_count(self) -> int:
-        """Number of denials so far (cumulative, limit-independent)."""
+        """Number of denials so far."""
         return self._denied
 
     def summary(self) -> dict:
@@ -218,6 +187,3 @@ class AuditTrail:
 
     def __len__(self) -> int:
         return self._total
-
-    def __iter__(self):
-        return iter(self.events)

@@ -7,8 +7,11 @@ survive); manifest damage is refused, never healed; and every fallback
 path reconstructs the exact same audit state as the unfaulted run.
 """
 
+import base64
 import json
 import os
+import random
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.wal import open_wal_auditor
 from repro.sdb.dataset import Dataset
-from repro.types import sum_query
+from repro.types import AuditDecision, DenialReason, sum_query
 
 pytestmark = pytest.mark.faults
 
@@ -296,6 +299,120 @@ def test_recovery_sweeps_orphans(tmp_path):
     assert not any(n.endswith(".tmp") or n.endswith("99.snap")
                    or n.endswith("99.log")
                    for n in os.listdir(directory))
+
+
+# ----------------------------------------------------------------------
+# Snapshots hold decision state and counters, not the decisions
+# ----------------------------------------------------------------------
+
+def snapshot_size(directory):
+    return os.path.getsize(os.path.join(directory,
+                                        newest_snapshot(directory)))
+
+
+@pytest.mark.parametrize("stream", ["denials", "saturated-sum"])
+def test_snapshot_size_stops_growing_with_the_decision_state(tmp_path,
+                                                             stream):
+    """Once the decision state stops changing, the newest snapshot after
+    N and after 4N records is the same size to within a few bytes of
+    counters: the WAL, not the snapshot, is the decision history."""
+    every = 32
+    if stream == "denials":  # every singleton sum discloses its record
+        queries = [sum_query([i % 6]) for i in range(4 * every)]
+    else:  # random sums: the row space saturates within the first N
+        rng = random.Random(7)
+        queries = [sum_query(rng.sample(range(6), rng.randint(2, 5)))
+                   for _ in range(4 * every)]
+    wrapped, _ = open_wal_auditor(
+        str(tmp_path / "wal"), factory, make_dataset(),
+        policy=CheckpointPolicy(every_records=every))
+    sizes, ranks = [], []
+    for start in range(0, len(queries), every):
+        for query in queries[start:start + every]:
+            wrapped.audit(query)
+        sizes.append(snapshot_size(str(tmp_path / "wal")))
+        ranks.append(wrapped.auditor.rank)
+    wrapped.close()
+    assert len(set(ranks)) == 1, "the decision state still changed"
+    assert abs(sizes[-1] - sizes[0]) <= 32, sizes
+
+
+#: A compacted log written by commit 87e6fbe, whose trail still kept
+#: every decision: :func:`serve_event_trail_log` ran there and closed
+#: the log.  Its snapshots pickle ``repro.types.AuditEvent`` instances.
+EVENT_TRAIL_LOG = os.path.join(os.path.dirname(__file__),
+                               "event_trail_log")
+
+EVENT_TRAIL_QUERIES = QUERIES + [sum_query([0]), sum_query([1, 2])]
+NEXT_QUERIES = [
+    sum_query([0, 1, 2, 3, 4, 5]),
+    sum_query([2]),
+    sum_query([1, 2, 3, 4]),
+    sum_query([0, 1, 4, 5]),
+]
+#: What 87e6fbe read back from the log: the recovered trail's counts and
+#: its decisions on NEXT_QUERIES.
+EVENT_TRAIL_SUMMARY = {
+    "queries": 15,
+    "answered": 8,
+    "denied": 7,
+    "denied_by_reason": {"full-disclosure": 6, "resource-exhausted": 1},
+}
+EVENT_TRAIL_NEXT = [(False, 210.0), (True, None), (False, 140.0),
+                    (False, 140.0)]
+
+
+def fraction_factory(ds):
+    # Exact arithmetic keeps the pickled state free of numpy, so the
+    # committed snapshots do not depend on numpy's pickle paths.
+    return SumClassicAuditor(ds, backend="fraction")
+
+
+def serve_event_trail_log(directory):
+    """Write the committed log's 15 events; returns the open log.
+
+    Checkpoints at 4, 8 and 12 events compact the first two segments
+    away, so only the snapshots can rebuild the state.
+    """
+    wrapped, _ = open_wal_auditor(directory, fraction_factory,
+                                  make_dataset(), policy=POLICY)
+    for query in EVENT_TRAIL_QUERIES:
+        wrapped.audit(query)
+    wrapped.record_refusal(sum_query([3]), AuditDecision.deny(
+        DenialReason.RESOURCE_EXHAUSTED, "refused at the network edge"))
+    return wrapped
+
+
+def snapshot_state(path):
+    with open(path, "rb") as handle:
+        record = json.loads(handle.read().split(b" ", 1)[1])
+    return base64.b64decode(record["state"])
+
+
+def test_a_log_written_with_an_event_trail_recovers_and_sheds_it(tmp_path):
+    directory = str(tmp_path / "old")
+    shutil.copytree(EVENT_TRAIL_LOG, directory)
+    old_snapshot = os.path.join(directory, newest_snapshot(directory))
+    assert b"AuditEvent" in snapshot_state(old_snapshot)
+    assert "segment-000001.log" not in os.listdir(directory)
+
+    wrapped, _, info = CheckpointedWal.recover(directory, fraction_factory,
+                                               policy=POLICY, verify=True)
+    assert (info.snapshot_events, info.replayed_events) == (12, 3)
+    assert wrapped.trail.summary() == EVENT_TRAIL_SUMMARY
+    decisions = [(d.denied, d.value)
+                 for d in (wrapped.audit(q) for q in NEXT_QUERIES)]
+    assert decisions == EVENT_TRAIL_NEXT
+    wrapped.close()
+
+    # The first checkpoint after the upgrade (at 16 events) sheds the
+    # old buffer: it is the size of a fresh log's snapshot at 16 events.
+    fresh = serve_event_trail_log(str(tmp_path / "fresh"))
+    fresh.audit(NEXT_QUERIES[0])
+    fresh.close()
+    assert snapshot_size(directory) == snapshot_size(str(tmp_path / "fresh"))
+    assert b"AuditEvent" not in snapshot_state(
+        os.path.join(directory, newest_snapshot(directory)))
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from repro.resilience.replication import (
     Append,
     FencedError,
     Follower,
-    FollowerReadOnlyAuditor,
     ReplicationError,
     promote_replica,
     replica_events,
@@ -115,17 +114,12 @@ def released_baseline(root):
 
 def test_replicated_serving_is_bitwise_parity(tmp_path):
     """After a full served stream the follower holds the same events in
-    the same bytes, and a read of the replica re-releases the same bits."""
+    the same bytes."""
     pdir, fdir, follower, wrapped, decisions = serve_pair(tmp_path)
     assert [d.denied for d in decisions].count(True) >= 2
     assert follower.total_events == wrapped.wal.total_events == len(QUERIES)
     assert replica_events(fdir) == replica_events(pdir)
     assert stored_files(fdir) == stored_files(pdir)
-    replica = FollowerReadOnlyAuditor(fdir, factory)
-    for query, decision in zip(QUERIES, decisions):
-        cached = replica.audit(query)
-        assert (cached.denied, cached.value) == (decision.denied,
-                                                 decision.value)
     wrapped.close()
 
 
@@ -177,14 +171,16 @@ def test_late_attach_snapshot_installs_the_backlog(tmp_path):
 
 
 def test_update_events_replicate_into_the_live_dataset(tmp_path):
-    # No checkpoint covers the update, so reading the replica replays it.
+    # No checkpoint covers the update, so promoting the replica replays it.
     _, fdir, follower, wrapped, _ = serve_pair(
         tmp_path, queries=QUERIES[:3],
         policy=CheckpointPolicy(every_records=8))
     wrapped.apply_update(Modify(index=0, value=15.0))
     assert follower.total_events == 4
     wrapped.close()
-    assert FollowerReadOnlyAuditor(fdir, factory).dataset.values[0] == 15.0
+    promoted, dataset, _ = promote_replica(fdir, factory)
+    promoted.close()
+    assert dataset.values[0] == 15.0
 
 
 def test_sync_refuses_to_rewind_replicated_history(tmp_path):
@@ -401,30 +397,3 @@ def test_fenced_ack_raises_fenced_error_on_the_sender(tmp_path):
     with pytest.raises(FencedError, match="superseded"):
         wrapped.audit(QUERIES[0])
     wrapped.close()
-
-
-# ----------------------------------------------------------------------
-# Read-only follower serving
-# ----------------------------------------------------------------------
-
-def test_follower_read_only_auditor_replays_or_denies(tmp_path):
-    _, fdir, _, wrapped, decisions = serve_pair(tmp_path, queries=QUERIES[:6])
-    replica = FollowerReadOnlyAuditor(fdir, factory, make_dataset())
-    hit = replica.audit(QUERIES[0])
-    assert (hit.denied, hit.value) == (decisions[0].denied,
-                                       decisions[0].value)
-    miss = replica.audit(sum_query([0, 2, 4]))
-    assert miss.denied and "read-only replica" in miss.detail
-    assert len(replica.trail) == 2  # hits and misses are both recorded
-    with pytest.raises(ReplicationError, match="read-only"):
-        replica.apply_update(Modify(index=0, value=1.0))
-    wrapped.close()
-
-
-def test_follower_read_only_auditor_rejects_a_foreign_dataset(tmp_path):
-    _, fdir, _, wrapped, _ = serve_pair(tmp_path, queries=QUERIES[:3])
-    other = Dataset([1.0, 2.0, 3.0], low=0.0, high=10.0)
-    with pytest.raises(ReplicationError, match="different dataset"):
-        FollowerReadOnlyAuditor(fdir, factory, other)
-    wrapped.close()
-

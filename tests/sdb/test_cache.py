@@ -17,6 +17,7 @@ import pytest
 from repro.auditors.sum_classic import SumClassicAuditor
 from repro.exceptions import ReproError
 from repro.resilience.faults import FaultPlan, Raise, inject
+from repro.resilience.replication import replica_events
 from repro.sdb.cache import LruCache
 from repro.sdb.dataset import Dataset
 from repro.resilience.wal import open_wal_auditor
@@ -226,8 +227,6 @@ def wal_db(path):
 
 
 def wal_event_types(path):
-    from repro.resilience.replication import replica_events
-
     return [r.get("type") for r in replica_events(path)]
 
 
@@ -249,7 +248,9 @@ def test_restore_skips_replay_events(tmp_path):
     recovered = wal_db(path).auditor
     # One real disclosure restored; the replay added no duplicate state.
     assert len(recovered.trail) == 1
-    assert recovered.trail.events[0].decision.value == first.value
+    [record] = [r for r in replica_events(path) if r["type"] == "query"]
+    assert record["value"] == first.value
+    recovered.close()
 
 
 @pytest.mark.faults

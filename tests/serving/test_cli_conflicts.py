@@ -14,16 +14,11 @@ from repro.cli import main
 BASE = ["serve", "--csv", "data.csv", "--sensitive", "salary"]
 
 CONFLICTS = [
-    (["--follow", "rep/", "--wal", "wal/"],
-     "--follow"),
-    (["--follow", "rep/", "--replicate-to", "rep2/"],
-     "--follow"),
-    (["--follow", "rep/", "--listen", "127.0.0.1:0"],
-     "--listen"),
-    # --journal is retired (the WAL directory is the only journal), so
-    # argparse rejects it as an unrecognized argument.
+    # --follow and --journal are retired (replicas are durability-only
+    # and the WAL directory is the only journal), so argparse rejects
+    # both as unrecognized arguments.
     (["--follow", "rep/", "--journal", "j.json"],
-     "--journal"),
+     "unrecognized arguments: --follow rep/ --journal j.json"),
     (["--replicate-to", "rep/"],
      "--replicate-to requires --wal"),
     (["--checkpoint-every", "4"],

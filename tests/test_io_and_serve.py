@@ -203,7 +203,7 @@ def test_serve_rejects_deadline_for_classic_auditors(capsys):
 
 
 # ----------------------------------------------------------------------
-# The stdin loop's replicas: --replicate-to and --follow
+# The stdin loop's replicas: --replicate-to
 # ----------------------------------------------------------------------
 
 SESSION = ("SELECT sum(salary)\n"
@@ -238,15 +238,7 @@ def replicated_session(tmp_path, monkeypatch, capsys):
     return wal, replica
 
 
-def follow(tmp_path, monkeypatch, replica, lines):
-    return serve_piped(monkeypatch, [
-        "serve", "--csv", str(tmp_path / "salaries.csv"),
-        "--sensitive", "salary", "--follow", str(replica)], lines)
-
-
-def test_stdin_replicas_are_bitwise_and_serve_read_only(tmp_path,
-                                                        monkeypatch,
-                                                        capsys):
+def test_stdin_replicas_are_bitwise(tmp_path, monkeypatch, capsys):
     from repro.resilience.replication import replica_events
 
     wal, replica = replicated_session(tmp_path, monkeypatch, capsys)
@@ -254,31 +246,28 @@ def test_stdin_replicas_are_bitwise_and_serve_read_only(tmp_path,
     assert file_digests(replica) == file_digests(wal)
     assert replica_events(str(replica)) == replica_events(str(wal))
 
-    new_query = "SELECT sum(salary) WHERE zip = 94306\n"
-    assert follow(tmp_path, monkeypatch, replica, SESSION + new_query) == 0
-    out = capsys.readouterr().out
-    assert "answer: 420.75" in out and "answer: 190.5" in out
-    assert out.count("DENIED (full-disclosure)") == 1
-    assert out.count("DENIED (policy): read-only replica") == 1
 
+def test_follow_refuses_a_directory_without_a_manifest(tmp_path):
+    """Failing over to a follower's directory that holds no MANIFEST (a
+    typo, say) is refused with a constant reason and creates nothing."""
+    from repro.resilience.replication import (NOT_A_REPLICA,
+                                              ReplicationError,
+                                              promote_replica)
 
-def test_follow_refuses_a_directory_without_a_manifest(tmp_path,
-                                                       monkeypatch,
-                                                       capsys):
-    from repro.resilience.replication import NOT_A_REPLICA
-
-    path = tmp_path / "salaries.csv"
-    path.write_text(CSV_TEXT)
     typo = tmp_path / "typo-dir"
-    assert follow(tmp_path, monkeypatch, typo, SESSION) == 2
-    assert f"error: {NOT_A_REPLICA}\n" in capsys.readouterr().out
+    with pytest.raises(ReplicationError) as exc:
+        promote_replica(str(typo), lambda ds: SumClassicAuditor(ds))
+    assert str(exc.value) == NOT_A_REPLICA
     assert not typo.exists()
 
 
-def test_follow_leaves_a_torn_replica_byte_for_byte(tmp_path, monkeypatch,
-                                                    capsys):
+def test_replica_events_leaves_a_torn_replica_byte_for_byte(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
     """A torn final record and a stray install .tmp (a live primary's
     in-flight write) are read around, never healed or swept."""
+    from repro.resilience.replication import replica_events
+
     wal, replica = replicated_session(tmp_path, monkeypatch, capsys)
     active = max(p for p in replica.iterdir()
                  if p.name.startswith("segment-"))
@@ -287,8 +276,6 @@ def test_follow_leaves_a_torn_replica_byte_for_byte(tmp_path, monkeypatch,
     (replica / "snapshot-000009.snap.tmp").write_bytes(b"in flight")
     before = file_digests(replica)
 
-    assert follow(tmp_path, monkeypatch, replica, SESSION) == 0
-    out = capsys.readouterr().out
-    assert "3 replicated events" in out
-    assert out.count("answer:") == 2
+    events = replica_events(str(replica))
+    assert events and events == replica_events(str(wal))
     assert file_digests(replica) == before
